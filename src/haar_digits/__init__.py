@@ -59,6 +59,7 @@ from .significand import (
 )
 from .specfun import (
     QuadratureSpec,
+    betainc,
     erf,
     erfc,
     gamma_half_ratio,

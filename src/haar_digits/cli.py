@@ -648,7 +648,6 @@ def _cmd_verify(args) -> int:
         "command": "verify",
         "suite": args.suite,
         "seed": seed,
-        "workers": args.workers,
         "checks": checks,
         "pass": all_passed,
     }
@@ -691,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=f"RNG seed (default: ${_SEED_ENV} or {_DEFAULT_SEED})",
             )
-            p.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
 
     p_law = sub.add_parser("law", help="tabulate an analytic significand law")
     common(p_law, seeded=False)
@@ -708,6 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", help="sample one group component and test its significand law"
     )
     common(p_sample)
+    p_sample.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
     p_sample.add_argument("--group", required=True, choices=_GROUPS)
     p_sample.add_argument("--N", type=int, default=100_000, help="sample count")
     p_sample.add_argument("--n", type=int, default=3, help="matrix size / sphere dimension")
@@ -731,6 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fig1", help="first-digit frequencies of sphere coordinates across dimensions"
     )
     common(p_fig1)
+    p_fig1.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
     p_fig1.add_argument(
         "--dims",
         default="100,200,500,10000,20000,50000",

@@ -35,7 +35,7 @@ class DigitLaw:
 
     def _check_sig(self, s):
         arr = np.asarray(s, dtype=float)
-        if arr.size and (np.any(arr < 1.0) or np.any(arr > self.base)):
+        if not ((arr >= 1.0) & (arr <= self.base)).all():  # also rejects NaN
             raise DomainError(
                 f"significand must lie in [1, {self.base}], got range "
                 f"[{arr.min()}, {arr.max()}]"
@@ -203,7 +203,7 @@ def windowed_power_cdf(base: int, k: float, m: int, s) -> float:
         raise DomainError(f"windowed_power_cdf: m must be a positive integer, got {m}")
     m = int(m)
     arr = np.asarray(s, dtype=float)
-    if arr.size and (np.any(arr < 1.0) or np.any(arr > base)):
+    if not ((arr >= 1.0) & (arr <= base)).all():  # also rejects NaN
         raise DomainError(f"windowed_power_cdf: s must lie in [1, {base}]")
     scalar = np.isscalar(s) or np.ndim(s) == 0
 

@@ -66,15 +66,27 @@ def significand_parts(values, base: int = 10):
         raise DomainError("significand_parts: values must be finite and nonzero")
     ax = np.abs(x)
     e = np.floor(np.log(ax) / math.log(base))
-    s = ax / np.power(float(base), e)
+    # B^e underflows for the smallest x (10^-324 is 0), so divide by it in
+    # two steps: B^(e - e_hi), then B^e_hi with e_hi >= the least exponent
+    # whose power is a normal double. Above that exponent the first divisor
+    # is exactly 1.
+    e_min = math.ceil(math.log(np.finfo(float).tiny) / math.log(base))
+    s = _divide_power(ax, base, e, e_min)
     for _ in range(2):  # fix log rounding at decade boundaries
         high = s >= base
         low = s < 1.0
         if not (high.any() or low.any()):
             break
         e = e + high - low
-        s = ax / np.power(float(base), e)
+        s = _divide_power(ax, base, e, e_min)
     return s, e.astype(np.int64), np.where(x > 0, 1, -1).astype(np.int64)
+
+
+def _divide_power(ax, base: int, e, e_min: int):
+    """ax / base^e without forming a subnormal or zero power."""
+    e_hi = np.maximum(e, e_min)
+    with np.errstate(over="ignore"):  # an e one too high at the top gives s = 0, fixed up
+        return ax / np.power(float(base), e - e_hi) / np.power(float(base), e_hi)
 
 
 def significand_values(values, base: int = 10) -> np.ndarray:

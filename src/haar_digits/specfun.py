@@ -7,10 +7,13 @@ cross-check against independent oracles.
 
 Accuracy contracts:
 
-* ``erf``: relative error <= 1e-12 for |x| <= 6; saturates to +-1 beyond.
+* ``erf``/``erfc``: relative error <= 1e-12 for |x| <= 6; erf saturates to
+  +-1 beyond. Both work elementwise on arrays.
 * ``log_gamma``: relative error <= 1e-12 on [0.5, 1e6].
-* ``gamma_half_ratio(n)`` = Gamma(n/2 + 1/2)/Gamma(n/2), stable (no
-  overflow) up to n = 1e8.
+* ``gamma_half_ratio(n)`` = Gamma(n/2 + 1/2)/Gamma(n/2): relative error
+  <= 1e-13 up to n = 1e8, with no overflow.
+* ``betainc(a, b, x)``: for a = 1/2, absolute error ~1e-15 up to b = 5e3
+  and below 1e-12 up to b = 5e7; up to ~max(a, b) ulp elsewhere.
 * ``integrate``: |result - true| <= max(abs_tol, rel_tol*|result|) for
   integrands smooth on the panel scale.
 """
@@ -31,104 +34,124 @@ __all__ = [
     "normal_cdf",
     "log_gamma",
     "gamma_half_ratio",
+    "betainc",
     "integrate",
     "integrate_arcsine_weight",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
+_LN_SQRT_PI = 0.5 * math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # erf saturation threshold: erfc(6) ~ 2.15e-17 < 2^-53.
 _ERF_SATURATE = 6.0
 _ERF_SERIES_CUT = 2.0
+_EXP_UNDERFLOW = 745.0  # exp(-t) is 0 in double precision beyond this t
+_TINY = 1e-300  # Lentz guard against a zero partial denominator
+_MAX_ITER = 10_000  # per-lane iteration budget; never reached on valid input
 
 
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt.
+def _flat(name: str, x):
+    """x as a flat float array, with the shape to restore (() for a scalar)."""
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError(f"{name}: argument is NaN")
+    return arr.reshape(-1), arr.shape
+
+
+def _shaped(out: np.ndarray, shape):
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def erf(x):
+    """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt, elementwise.
 
     Maclaurin series for |x| <= 2, Laplace continued fraction for the
     complement on 2 < |x| < 6, exact +-1 beyond (the true value differs
-    from +-1 by less than one ulp there).
+    from +-1 by less than one ulp there). Scalars return a float.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erf: argument must be finite, got {x!r}")
-    ax = abs(x)
-    if ax >= _ERF_SATURATE:
-        return math.copysign(1.0, x)
-    if ax <= _ERF_SERIES_CUT:
-        val = _erf_series(ax)
-    else:
-        val = 1.0 - _erfc_cf(ax)
-    return math.copysign(val, x)
+    arr, shape = _flat("erf", x)
+    if not np.isfinite(arr).all():
+        raise DomainError("erf: argument must be finite")
+    ax = np.abs(arr)
+    out = np.ones_like(ax)
+    small = ax <= _ERF_SERIES_CUT
+    out[small] = _erf_series(ax[small])
+    mid = ~small & (ax < _ERF_SATURATE)
+    out[mid] = 1.0 - _erfc_cf(ax[mid])
+    return _shaped(np.copysign(out, arr), shape)
 
 
-def erfc(x: float) -> float:
+def erfc(x):
     """Complementary error function 1 - erf(x), accurate in the tail.
 
-    For x >= 2 the continued fraction is used directly so the tiny tail is
+    For |x| > 2 the continued fraction is used directly so the tiny tail is
     not lost to cancellation; for large x the value underflows gracefully
-    to 0.
+    to 0. Accepts arrays; scalars return a float.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("erfc: argument is NaN")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x <= _ERF_SERIES_CUT:
-        return 1.0 - _erf_series(x)
-    if x * x > 745.0:  # exp(-x^2) underflows
-        return 0.0
-    return _erfc_cf(x)
+    arr, shape = _flat("erfc", x)
+    ax = np.abs(arr)
+    out = np.zeros_like(ax)
+    small = ax <= _ERF_SERIES_CUT
+    out[small] = 1.0 - _erf_series(ax[small])
+    mid = ~small & (ax * ax <= _EXP_UNDERFLOW)
+    out[mid] = _erfc_cf(ax[mid])
+    return _shaped(np.where(arr < 0.0, 2.0 - out, out), shape)
 
 
-def normal_cdf(z: float) -> float:
+def normal_cdf(z):
     """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-float(z) / math.sqrt(2.0))
+    return 0.5 * erfc(-np.asarray(z, dtype=float) / math.sqrt(2.0))
 
 
-def _erf_series(x: float) -> float:
-    # erf(x) = (2/sqrt(pi)) sum_{n>=0} (-1)^n x^(2n+1) / (n! (2n+1))
-    if x == 0.0:
-        return 0.0
-    x2 = x * x
-    term = x
-    total = x
-    n = 0
-    while True:
-        n += 1
-        term *= -x2 / n
+def _per_lane(step, state, what: str) -> np.ndarray:
+    """Iterate step(k, *state) for k = 1, 2, ... until every lane settles.
+
+    step returns the new state arrays and a mask of the lanes that settled
+    on this step. Those lanes leave the iteration, so each one stops at its
+    own convergence; the result is the first state array as each lane left.
+    """
+    out = np.empty_like(state[0])
+    idx = np.arange(out.size)
+    for k in range(1, _MAX_ITER):
+        state, done = step(k, *state)
+        out[idx[done]] = state[0][done]
+        keep = ~done
+        idx = idx[keep]
+        state = [arr[keep] for arr in state]
+        if not idx.size:
+            return out
+    raise ConvergenceError(f"{what} failed to converge", float(state[0][0]))
+
+
+def _erf_series(x: np.ndarray) -> np.ndarray:
+    # erf(x) = (2/sqrt(pi)) sum_{n>=0} (-1)^n x^(2n+1) / (n! (2n+1)), summed
+    # until the increment falls below 1e-18 of the total (|x| <= 2: ~40 terms).
+    def step(n, total, term, x2):
+        term = term * (-x2 / n)
         inc = term / (2 * n + 1)
-        total += inc
-        if abs(inc) <= 1e-18 * abs(total):
-            break
-        if n > 200:  # unreachable for |x| <= 2
-            raise ConvergenceError("erf series failed to converge", total)
-    return _TWO_OVER_SQRT_PI * total
+        total = total + inc
+        return (total, term, x2), np.abs(inc) <= 1e-18 * np.abs(total)
+
+    return _TWO_OVER_SQRT_PI * _per_lane(step, (x, x, x * x), "erf series")
 
 
-def _erfc_cf(x: float) -> float:
+def _erfc_cf(x: np.ndarray) -> np.ndarray:
     # Laplace continued fraction, modified Lentz evaluation:
     # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for i in range(1, 300):
-        a = 0.5 * i
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
+    def step(i, f, c, d, x):
+        d = 1.0 / _nonzero(x + 0.5 * i * d)
+        c = _nonzero(x + 0.5 * i / c)
         delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return math.exp(-x * x) / (_SQRT_PI * f)
-    raise ConvergenceError("erfc continued fraction failed to converge", f)
+        return (f * delta, c, d, x), np.abs(delta - 1.0) < 1e-16
+
+    f = _per_lane(step, (x, x, np.zeros_like(x), x), "erfc continued fraction")
+    return np.exp(-x * x) / (_SQRT_PI * f)
+
+
+def _nonzero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _TINY, _TINY, v)
 
 
 # Stirling series coefficients B_{2j} / (2j (2j-1)).
@@ -168,16 +191,97 @@ def log_gamma(x: float) -> float:
     return (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI + series - shift
 
 
+def _log_gamma_half_gap(x: float) -> float:
+    """log Gamma(x + 1/2) - log Gamma(x) for x > 0.
+
+    From x = 10 on, the difference of the two Stirling series is summed
+    directly, ln x / 2 + sum_j (2^(1-2j) - 2) B_2j / (2j (2j-1)) x^(1-2j),
+    so the huge log-gamma values never cancel.
+    """
+    if x < _STIRLING_MIN_X:
+        return log_gamma(x + 0.5) - log_gamma(x)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = 0.0
+    p = inv
+    for j, coeff in enumerate(_STIRLING, start=1):
+        series += (2.0 ** (1 - 2 * j) - 2.0) * coeff * p
+        p *= inv2
+    return 0.5 * math.log(x) + series
+
+
 def gamma_half_ratio(n: int) -> float:
     """Gamma(n/2 + 1/2) / Gamma(n/2) for integer n >= 1.
 
-    Computed in log space, so there is no overflow even for n ~ 1e8; the
-    value grows like sqrt(n/2).
+    Computed from the log-gamma gap, so there is neither overflow nor
+    cancellation even for n ~ 1e8; the value grows like sqrt(n/2).
     """
     if int(n) != n or n < 1:
         raise DomainError(f"gamma_half_ratio: n must be a positive integer, got {n}")
-    n = int(n)
-    return math.exp(log_gamma((n + 1) / 2.0) - log_gamma(n / 2.0))
+    return math.exp(_log_gamma_half_gap(int(n) / 2.0))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b); with a parameter equal to 1/2 it is ln sqrt(pi) minus a gap."""
+    if a == 0.5 or b == 0.5:
+        return _LN_SQRT_PI - _log_gamma_half_gap(a + b - 0.5)
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def betainc(a: float, b: float, x):
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
+
+    Elementwise in x (scalars return a float). Each value is the front
+    factor x^a (1-x)^b / (a B(a, b)) times the modified-Lentz continued
+    fraction, evaluated directly below x = (a+1)/(a+b+2) and through the
+    symmetry I_x(a, b) = 1 - I_(1-x)(b, a) above it, where the mirrored
+    fraction converges fast (Numerical Recipes 6.4; DiDonato & Morris, ACM
+    TOMS 18, 1992). Lanes whose front factor underflows to 0 are exactly 0
+    or 1.
+
+    For a = 1/2, the case the sphere laws use, the absolute error is about
+    1e-15 up to b = 5e3 and below 1e-12 up to b = 5e7; elsewhere expect up
+    to about max(a, b) ulp.
+    """
+    a = float(a)
+    b = float(b)
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"betainc: need finite a, b > 0, got ({a}, {b})")
+    arr, shape = _flat("betainc", x)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise DomainError("betainc: x must lie in [0, 1]")
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - _log_beta(a, b))
+    # The mirrored fraction runs on the rounded 1 - x, an error of about
+    # max(a, b) ulp where x is tiny; the direct one loses about 1/front ulp
+    # past its convergence point. Mirroring only once front < max(a, b)^-1/2
+    # balances the two: for a = 1/2, b = 5e7 the worst error drops from
+    # 5e-10 to 1e-12.
+    swap = (arr >= (a + 1.0) / (a + b + 2.0)) & (front * math.sqrt(max(a, b)) < 1.0)
+    out = swap.astype(float)
+    direct = ~swap & (front > 0.0)
+    out[direct] = front[direct] * _beta_cf(a, b, arr[direct]) / a
+    mirror = swap & (front > 0.0)
+    out[mirror] = 1.0 - front[mirror] * _beta_cf(b, a, 1.0 - arr[mirror]) / b
+    return _shaped(out, shape)
+
+
+def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # Continued fraction for I_x(a, b) (Numerical Recipes 6.4) by the modified
+    # Lentz method; one step takes the even and the odd partial numerator.
+    def step(m, h, c, d, x):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / _nonzero(1.0 + num * d)
+            c = _nonzero(1.0 + num / c)
+            delta = c * d
+            h = h * delta
+        return (h, c, d, x), np.abs(delta - 1.0) < 1e-15
+
+    d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+    return _per_lane(step, (d, np.ones_like(x), d, x), "betainc continued fraction")
 
 
 @dataclass(frozen=True)

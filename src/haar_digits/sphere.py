@@ -1,23 +1,27 @@
 """Significand laws for coordinates of uniform points on the sphere S^n.
 
 For a uniform point on the unit n-sphere in R^(n+1) the first coordinate
-has density c_n (1-x^2)^(n/2-1) on [-1, 1] with c_n =
-Gamma(n/2+1/2) / (sqrt(pi) Gamma(n/2)). Summing the density over the decade
-bands [B^-i, s B^-i] gives the exact significand CDF; replacing the band
-integrals with error-function differences gives the large-n asymptotic
-form; extending that sum over all integer scales gives the limiting family
+x_1 has density c_n (1-x^2)^(n/2-1) on [-1, 1] with c_n =
+Gamma(n/2+1/2) / (sqrt(pi) Gamma(n/2)), and x_1^2 ~ Beta(1/2, n/2). The
+band [B^-i, s B^-i] of |x_1| therefore has probability
+I_{(s B^-i)^2}(1/2, n/2) - I_{B^-2i}(1/2, n/2), and summing the bands gives
+the exact significand CDF. Replacing the band probabilities with
+error-function differences gives the large-n asymptotic form; extending
+that sum over all integer scales gives the limiting family
 
     F_n(x) = sum_{i in Z} [erf(sqrt(n/2) x / B^i) - erf(sqrt(n/2) / B^i)],
 
 which is periodic in the sense F_n = F_{n B^2}, so the large-n behaviour
 cycles through B^2 - 1 distinct limit laws instead of converging.
+
+Each law evaluates its CDF and density as one array expression over the
+scales that carry its mass, in fixed-size blocks of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +30,9 @@ from .laws import DigitLaw
 from .significand import check_base
 from .specfun import (
     QuadratureSpec,
+    betainc,
     erf,
     gamma_half_ratio,
-    integrate,
     integrate_arcsine_weight,
     log_gamma,
 )
@@ -46,8 +50,12 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_MAX_SCALES = 600  # hard stop for scale sums; geometric decay exits far earlier
+_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 _DEFAULT_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_depth=48)
+# erf(6) rounds to 1: a band whose edges both lie beyond 6 / sqrt(n/2) is empty.
+_SATURATE = 6.0
+# Points per evaluation block; bounds the (points x scales) temporaries.
+_BLOCK = 1 << 12
 
 
 def _check_n(n: int) -> int:
@@ -61,130 +69,64 @@ def _band_coeff(n: int) -> float:
     return gamma_half_ratio(n) / _SQRT_PI
 
 
-def sphere_band_prob(n: int, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
+def _scales(n: int, base: int, slope: float, tail_tol: float, first) -> np.ndarray:
+    """The scales B^-i (integer i >= first, if given) that carry a band sum.
+
+    The sum is anchored where the mass lives, sqrt(n/2) B^-i ~ 1. Below the
+    anchor, scales with sqrt(n/2) B^-i >= 6 put both band edges in the
+    saturated tail, so their terms vanish. Above it each term is at most
+    slope * (s-1) * B^-i, so the omitted tail is under slope * B^-i and the
+    sum stops once that is below tail_tol / B.
+    """
+    log_b = math.log(base)
+    lo = math.floor(math.log(math.sqrt(0.5 * n) / _SATURATE) / log_b) + 1
+    if first is not None:
+        lo = max(lo, first)
+    hi = math.ceil(math.log(slope * base / tail_tol) / log_b)
+    return float(base) ** -np.arange(lo, hi + 1, dtype=float)
+
+
+def sphere_band_prob(n: int, a: float, b: float) -> float:
     """P(first coordinate of a uniform S^n point lies in (a, b)).
 
-    The density integral is evaluated under x = sin(theta), turning the
-    integrand into |cos(theta)|^(n-1), which is smooth for every n >= 1
-    (including the endpoint-singular n = 1 case).
+    P(0 <= x_1 <= t) = I_{t^2}(1/2, n/2) / 2 for t >= 0, and x_1 is
+    symmetric about 0.
     """
     n = _check_n(n)
     a = float(a)
     b = float(b)
     if not (-1.0 <= a <= b <= 1.0):
         raise DomainError(f"sphere_band_prob: need -1 <= a <= b <= 1, got ({a}, {b})")
-    if a == b:
-        return 0.0
-    spec = spec or _DEFAULT_SPEC
-    expo = 0.5 * (n - 1)
-
-    def g(x):
-        return np.power(np.clip(1.0 - x * x, 0.0, None), expo)
-
-    return _band_coeff(n) * integrate_arcsine_weight(g, a, b, spec)
+    half_a, half_b = 0.5 * betainc(0.5, 0.5 * n, np.array([a * a, b * b]))
+    return math.copysign(half_b, b) - math.copysign(half_a, a)
 
 
-def sphere_sig_cdf_exact(
-    n: int,
-    base: int,
-    s,
-    tail_tol: float = 1e-12,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def sphere_sig_cdf_exact(n: int, base: int, s, tail_tol: float = 1e-12) -> float:
     """Exact significand CDF of the first S^n coordinate at s in [1, B].
 
-    P(S_B(x_1) <= s) = 2 c_n sum_{i>=1} integral_{B^-i}^{s B^-i}
-    (1-x^2)^(n/2-1) dx; the scale sum is truncated once a term falls below
-    tail_tol times the accumulated value (the terms decay geometrically
-    like B^-i).
+    P(S_B(x_1) <= s) = sum_{i>=1} [I_{min(1, s B^-i)^2} - I_{B^-2i}](1/2, n/2);
+    see SphereExact.
     """
-    n = _check_n(n)
-    base = check_base(base)
-    s = float(s)
-    if not (1.0 <= s <= base):
-        raise DomainError(f"significand must lie in [1, {base}], got {s}")
-    if s == 1.0:
-        return 0.0
-    spec = spec or _DEFAULT_SPEC
-    total = 0.0
-    for i in range(1, _MAX_SCALES):
-        scale = float(base) ** -i
-        term = 2.0 * sphere_band_prob(n, scale, s * scale, spec)
-        total += term
-        if i >= 2 and term <= tail_tol * max(total, 1e-300):
-            break
-    return min(total, 1.0)
-
-
-def _erf_band_sum(n: int, base: int, a: float, b: float, tail_tol: float) -> float:
-    """sum_{i>=1} [erf(sqrt(n/2) b / B^i) - erf(sqrt(n/2) a / B^i)].
-
-    Scales where both arguments exceed the erf saturation point contribute
-    exactly 0 and are skipped; the sum stops once terms are below tail_tol
-    relative and the arguments have dropped past the O(1) region.
-    """
-    r = math.sqrt(0.5 * n)
-    total = 0.0
-    i = 1
-    while r * a / float(base) ** i >= 6.0 and i < _MAX_SCALES:
-        i += 1  # both erf values saturate to 1; term is exactly 0
-    for j in range(i, i + _MAX_SCALES):
-        scale = float(base) ** -j
-        term = erf(r * b * scale) - erf(r * a * scale)
-        total += term
-        if r * b * scale < 1.0 and term <= tail_tol * max(total, 1e-300):
-            break
-    return total
+    return SphereExact(base=base, n=n, tail_tol=tail_tol).cdf(float(s))
 
 
 def sphere_sig_cdf_erf(n: int, base: int, s, tail_tol: float = 1e-12) -> float:
     """Large-n error-function approximation to the significand CDF.
 
     Replaces each band integral with erf(sqrt(n/2) s/B^i) - erf(sqrt(n/2)/B^i);
-    the approximation tightens like O(1/n) as the dimension grows.
+    the approximation tightens like O(1/n) as the dimension grows. Needs
+    n >= 2; see SphereErf.
     """
-    n = _check_n(n)
-    if n < 2:
-        raise DomainError("sphere_sig_cdf_erf: asymptotic form requires n >= 2")
-    base = check_base(base)
-    s = float(s)
-    if not (1.0 <= s <= base):
-        raise DomainError(f"significand must lie in [1, {base}], got {s}")
-    return _erf_band_sum(n, base, 1.0, s, tail_tol)
+    return SphereErf(base=base, n=n, tail_tol=tail_tol).cdf(float(s))
 
 
 def sphere_limit_cdf(n: int, base: int, x, tail_tol: float = 1e-12) -> float:
     """Two-sided limit family F_n(x) on [1, B]; satisfies F_n = F_{n B^2}.
 
     F_n(1) = 0 and F_n(B) = 1 hold exactly (the two-sided sum telescopes at
-    x = B). The sum is anchored near the scale where sqrt(n/2)/B^i is O(1)
-    and extended both ways until terms vanish (saturation below, geometric
-    decay above).
+    x = B); see SphereLimit.
     """
-    n = _check_n(n)
-    base = check_base(base)
-    x = float(x)
-    if not (1.0 <= x <= base):
-        raise DomainError(f"significand must lie in [1, {base}], got {x}")
-    if x == 1.0:
-        return 0.0
-    r = math.sqrt(0.5 * n)
-    i0 = round(math.log(r) / math.log(base)) if r > 0 else 0
-    total = 0.0
-    # upward (shrinking arguments): geometric tail
-    for i in range(i0, i0 + _MAX_SCALES):
-        scale = float(base) ** -i
-        term = erf(r * x * scale) - erf(r * scale)
-        total += term
-        if r * x * scale < 1.0 and term <= tail_tol * max(total, 1e-300):
-            break
-    # downward (growing arguments): saturates to exactly 0 once both >= 6
-    for i in range(i0 - 1, i0 - _MAX_SCALES, -1):
-        scale = float(base) ** -i
-        if r * scale >= 6.0:
-            break
-        total += erf(r * x * scale) - erf(r * scale)
-    return min(max(total, 0.0), 1.0)
+    return SphereLimit(base=base, n=n, tail_tol=tail_tol).cdf(float(x))
 
 
 def _check_joint_bounds(bounds):
@@ -202,11 +144,12 @@ def _check_joint_bounds(bounds):
 def sphere_joint_band_prob(n: int, bounds, spec: QuadratureSpec | None = None) -> float:
     """P(|x_j| in (a_j, b_j) for j = 1..k) for the first k coordinates of S^n.
 
-    Equals (2/sqrt(pi))^k * Gamma(n/2+1/2)/Gamma((n-k+1)/2) times the
-    integral of (1 - |x|^2)^((n-k-1)/2) over the box, doubled per coordinate
-    by the |.| symmetry. Supports k <= 2 by nested adaptive quadrature and
-    k = 3 by Halton quasi-random cubature (tolerance ~1e-4); larger k is
-    unsupported.
+    k = 1 is a band probability. For k = 2, given x_1 = x the scaled
+    coordinate x_2 / sqrt(1 - x^2) is the first coordinate of S^(n-1), so
+    the inner band is closed form and one arcsine-weighted quadrature over
+    x remains. k = 3 uses Halton quasi-random cubature (tolerance ~1e-4) of
+    (2/sqrt(pi))^3 Gamma(n/2+1/2)/Gamma(n/2-1) (1 - |x|^2)^((n-4)/2) over
+    the box; larger k is unsupported.
     """
     n = _check_n(n)
     pairs = _check_joint_bounds(bounds)
@@ -215,38 +158,27 @@ def sphere_joint_band_prob(n: int, bounds, spec: QuadratureSpec | None = None) -
         raise DomainError(f"need k <= n, got k={k} coordinates on S^{n}")
     if k > 3:
         raise NotImplementedError("joint band probabilities support k <= 3")
-    spec = spec or _DEFAULT_SPEC
-    coeff = (2.0 / _SQRT_PI) ** k * math.exp(
-        log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n - k + 1))
-    )
-    expo = 0.5 * (n - k - 1)
-
     if k == 1:
         (a, b) = pairs[0]
-        return 2.0 * sphere_band_prob(n, a, b, spec)
+        return 2.0 * sphere_band_prob(n, a, b)
     if k == 2:
         (a1, b1), (a2, b2) = pairs
+        half = 0.5 * (n - 1)
 
-        def inner(x_val: float) -> float:
-            r2 = 1.0 - x_val * x_val
+        def g(x):
+            r2 = 1.0 - x * x
+            inner = betainc(0.5, half, b2 * b2 / r2) - betainc(0.5, half, a2 * a2 / r2)
+            return r2**half * inner
 
-            def f(y):
-                return np.power(np.clip(r2 - y * y, 0.0, None), expo)
-
-            return integrate(f, a2, b2, spec)
-
-        def outer(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            return np.array([inner(xv) for xv in xs])
-
-        return coeff * integrate(outer, a1, b1, spec)
+        return 2.0 * _band_coeff(n) * integrate_arcsine_weight(g, a1, b1, spec or _DEFAULT_SPEC)
     # k == 3: Halton-sequence cubature over the box
+    coeff = (2.0 / _SQRT_PI) ** 3 * math.exp(log_gamma(0.5 * (n + 1)) - log_gamma(0.5 * (n - 2)))
     npts = 1 << 17
     pts = _halton(npts, (2, 3, 5))
     lo = np.array([p[0] for p in pairs])
     hi = np.array([p[1] for p in pairs])
     x = lo + (hi - lo) * pts
-    vals = np.power(np.clip(1.0 - np.sum(x * x, axis=1), 0.0, None), expo)
+    vals = np.power(np.clip(1.0 - np.sum(x * x, axis=1), 0.0, None), 0.5 * (n - 4))
     vol = float(np.prod(hi - lo))
     return coeff * vol * float(vals.mean())
 
@@ -272,183 +204,124 @@ def sphere_joint_sig_approx(n: int, base: int, bounds, tail_tol: float = 1e-12) 
 
     P(S_B(x_j) in [a_j, b_j) for all j) ~ prod_j sum_{i>=1}
     [erf(sqrt(n/2) b_j/B^i) - erf(sqrt(n/2) a_j/B^i)]; the coordinates
-    decouple in the large-n limit.
+    decouple in the large-n limit, and each factor is a SphereErf mass.
     """
-    n = _check_n(n)
-    if n < 2:
-        raise DomainError("sphere_joint_sig_approx: asymptotic form requires n >= 2")
-    base = check_base(base)
+    law = SphereErf(base=base, n=n, tail_tol=tail_tol)
     out = 1.0
     for a, b in bounds:
         a = float(a)
         b = float(b)
-        if not (1.0 <= a < b <= base):
+        if not (1.0 <= a < b <= law.base):
             raise DomainError(
-                f"joint significand bounds need 1 <= a < b <= {base}, got ({a}, {b})"
+                f"joint significand bounds need 1 <= a < b <= {law.base}, got ({a}, {b})"
             )
-        out *= _erf_band_sum(n, base, a, b, tail_tol)
+        out *= law.cdf(b) - law.cdf(a)
     return out
 
 
 # --- DigitLaw wrappers ------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _exact_cdf_interpolant(n: int, base: int, tail_tol: float):
-    """Dense cubic-Hermite interpolant of the exact CDF (speed path).
-
-    Grid values come from the quadrature route and slopes from the
-    closed-form density, so interpolation error is ~(h/2)^4 |F''''|/384,
-    far below every tolerance used against this law. Only built for n >= 2
-    (the n = 1 density is unbounded at s = B).
-    """
-    grid = np.linspace(1.0, float(base), 2049)
-    law = SphereExact(base=base, n=n, tail_tol=tail_tol)
-    values = np.array([law._cdf_scalar(s) for s in grid])
-    slopes = law.density(grid)
-    return grid, values, slopes
-
-
-def _hermite_eval(grid, values, slopes, t):
-    idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
-    h = grid[idx + 1] - grid[idx]
-    u = (t - grid[idx]) / h
-    u2 = u * u
-    u3 = u2 * u
-    h00 = 2 * u3 - 3 * u2 + 1
-    h10 = u3 - 2 * u2 + u
-    h01 = -2 * u3 + 3 * u2
-    h11 = u3 - u2
-    return (
-        values[idx] * h00
-        + h * slopes[idx] * h10
-        + values[idx + 1] * h01
-        + h * slopes[idx + 1] * h11
-    )
-
-
 class _SphereLawBase(DigitLaw):
-    """Array dispatch shared by the sphere-law variants."""
+    """Blocked array evaluation shared by the sphere laws.
 
-    def _cdf_scalar(self, s: float) -> float:
-        raise NotImplementedError
+    A subclass gives the CDF and density of a column of significands as a
+    sum over its scales; cdf and density feed it _BLOCK points at a time,
+    and a scalar is the one-point case.
+    """
+
+    def _check_fields(self):
+        object.__setattr__(self, "base", check_base(self.base))
+        object.__setattr__(self, "n", _check_n(self.n))
+        if not (0.0 < self.tail_tol < 1e-3):
+            raise DomainError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
+
+    def _blocked(self, block_fn, s):
+        arr, scalar = self._check_sig(s)
+        flat = arr.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _BLOCK):
+            out[start : start + _BLOCK] = block_fn(flat[start : start + _BLOCK, None])
+        return self._ret(out.reshape(arr.shape), scalar)
 
     def cdf(self, s):
-        arr, scalar = self._check_sig(s)
-        if scalar:
-            return self._cdf_scalar(float(arr))
-        return np.array([self._cdf_scalar(v) for v in arr.ravel()]).reshape(arr.shape)
+        return self._blocked(lambda t: np.clip(self._cdf_block(t), 0.0, 1.0), s)
+
+    def density(self, s):
+        return self._blocked(self._density_block, s)
 
 
 @dataclass(frozen=True)
 class SphereExact(_SphereLawBase):
-    """Exact first-coordinate significand law on S^n (quadrature route)."""
+    """Exact first-coordinate significand law on S^n (incomplete-beta route).
+
+    cdf(s) = sum_{i>=1} [I_{min(1, s B^-i)^2} - I_{B^-2i}](1/2, n/2); the
+    s-independent lower terms are computed once per law.
+    """
 
     base: int = 10
     n: int = 2
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
-        object.__setattr__(self, "n", _check_n(self.n))
-        if not (0.0 < self.tail_tol < 1e-3):
-            raise DomainError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
+        self._check_fields()
+        # A band's mass is at most 2 c_n (s-1) B^-i.
+        scales = _scales(self.n, self.base, 2.0 * _band_coeff(self.n), self.tail_tol, 1)
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_lower", betainc(0.5, 0.5 * self.n, scales * scales))
 
-    def _cdf_scalar(self, s: float) -> float:
-        return sphere_sig_cdf_exact(self.n, self.base, s, self.tail_tol)
+    def _cdf_block(self, s):
+        u = np.minimum(1.0, s * self._scales)
+        return (betainc(0.5, 0.5 * self.n, u * u) - self._lower).sum(axis=1)
 
-    def cdf(self, s):
-        arr, scalar = self._check_sig(s)
-        if scalar:
-            return self._cdf_scalar(float(arr))
-        if arr.size > 256 and self.n >= 2:
-            grid, values, slopes = _exact_cdf_interpolant(self.n, self.base, self.tail_tol)
-            return np.clip(_hermite_eval(grid, values, slopes, arr), 0.0, 1.0)
-        return np.array([self._cdf_scalar(v) for v in arr.ravel()]).reshape(arr.shape)
+    def _density_block(self, s):
+        x = s * self._scales
+        with np.errstate(divide="ignore"):
+            weight = np.power(np.clip(1.0 - x * x, 0.0, None), 0.5 * self.n - 1.0)
+        return 2.0 * _band_coeff(self.n) * (weight * self._scales).sum(axis=1)
 
-    def density(self, s):
-        arr, scalar = self._check_sig(s)
-        c2 = 2.0 * _band_coeff(self.n)
-        expo = 0.5 * self.n - 1.0
-        out = np.zeros_like(arr, dtype=float)
-        for i in range(1, _MAX_SCALES):
-            scale = float(self.base) ** -i
-            x = arr * scale
-            with np.errstate(divide="ignore"):
-                out = out + c2 * scale * np.power(np.clip(1.0 - x * x, 0.0, None), expo)
-            # for i >= 2 the weight (1-x^2)^expo is bounded by ~1.01, so the
-            # remaining tail is under c2 * scale * B/(B-1)
-            if i >= 2 and 2.0 * c2 * scale <= self.tail_tol:
-                break
-        return self._ret(out, scalar)
+
+class _ErfBandLaw(_SphereLawBase):
+    """Sum of erf(sqrt(n/2) s B^-i) - erf(sqrt(n/2) B^-i) over the scales i >= _first."""
+
+    _first = None
+
+    def __post_init__(self):
+        self._check_fields()
+        r = math.sqrt(0.5 * self.n)
+        # A band's mass is at most (2/sqrt(pi)) r (s-1) B^-i.
+        scales = _scales(self.n, self.base, _TWO_OVER_SQRT_PI * r, self.tail_tol, self._first)
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_lower", erf(r * scales))
+
+    def _cdf_block(self, s):
+        return (erf(self._r * s * self._scales) - self._lower).sum(axis=1)
+
+    def _density_block(self, s):
+        z = self._r * s * self._scales
+        return _TWO_OVER_SQRT_PI * self._r * (self._scales * np.exp(-z * z)).sum(axis=1)
 
 
 @dataclass(frozen=True)
-class SphereErf(_SphereLawBase):
+class SphereErf(_ErfBandLaw):
     """Error-function asymptotic form of the S^n significand law (n >= 2)."""
 
     base: int = 10
     n: int = 2
     tail_tol: float = 1e-12
+    _first = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
-        object.__setattr__(self, "n", _check_n(self.n))
-        if self.n < 2:
+        if _check_n(self.n) < 2:
             raise DomainError("SphereErf requires n >= 2")
-        if not (0.0 < self.tail_tol < 1e-3):
-            raise DomainError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
-
-    def _cdf_scalar(self, s: float) -> float:
-        return sphere_sig_cdf_erf(self.n, self.base, s, self.tail_tol)
-
-    def density(self, s):
-        arr, scalar = self._check_sig(s)
-        r = math.sqrt(0.5 * self.n)
-        out = np.zeros_like(arr, dtype=float)
-        for i in range(1, _MAX_SCALES):
-            scale = float(self.base) ** -i
-            z = r * arr * scale
-            out = out + (2.0 / _SQRT_PI) * r * scale * np.exp(-z * z)
-            if r * float(self.base) * scale < 1.0 and (2.0 / _SQRT_PI) * r * scale <= self.tail_tol:
-                break
-        return self._ret(out, scalar)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class SphereLimit(_SphereLawBase):
-    """Periodic limit family F_n; identical for n and n B^2."""
+class SphereLimit(_ErfBandLaw):
+    """Periodic limit family F_n, summed over all integer scales; identical for n and n B^2."""
 
     base: int = 10
     n: int = 1
     tail_tol: float = 1e-12
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
-        object.__setattr__(self, "n", _check_n(self.n))
-        if not (0.0 < self.tail_tol < 1e-3):
-            raise DomainError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
-
-    def _cdf_scalar(self, s: float) -> float:
-        return sphere_limit_cdf(self.n, self.base, s, self.tail_tol)
-
-    def density(self, s):
-        arr, scalar = self._check_sig(s)
-        r = math.sqrt(0.5 * self.n)
-        i0 = round(math.log(r) / math.log(self.base)) if r > 0 else 0
-        out = np.zeros_like(arr, dtype=float)
-        # upward scales: coefficients decay geometrically
-        for i in range(i0, i0 + _MAX_SCALES):
-            scale = float(self.base) ** -i
-            z = r * arr * scale
-            out = out + (2.0 / _SQRT_PI) * r * scale * np.exp(-z * z)
-            if (2.0 / _SQRT_PI) * r * scale * float(self.base) <= self.tail_tol:
-                break
-        # downward scales: the Gaussian factor kills terms once r*scale >= 8
-        for i in range(i0 - 1, i0 - _MAX_SCALES, -1):
-            scale = float(self.base) ** -i
-            if r * scale >= 8.0:
-                break
-            z = r * arr * scale
-            out = out + (2.0 / _SQRT_PI) * r * scale * np.exp(-z * z)
-        return self._ret(out, scalar)

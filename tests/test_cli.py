@@ -343,6 +343,15 @@ def test_verify_suites_and_csv(capsys):
     assert len(payload["checks"]) == 4
 
 
+def test_verify_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "adjoint")
+    assert code == 0 and "workers" not in json.loads(out)
+
+
 def test_verify_deterministic(capsys):
     args = ("verify", "--suite", "cone", "--trials", "50000", "--seed", "6")
     _, out_a, _ = run_cli(capsys, *args)

@@ -16,6 +16,7 @@ from haar_digits.laws import (
     windowed_power_cdf,
 )
 from haar_digits.specfun import integrate
+from haar_digits.sphere import SphereErf, SphereExact, SphereLimit
 
 
 def test_benford_closed_values():
@@ -78,6 +79,28 @@ def test_domain_validation_on_significand_argument():
             law.cdf(0.5)
         with pytest.raises(DomainError):
             law.density(10.5)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        Benford(10),
+        PowerLaw(10, 2.0),
+        UniformSignificand(10),
+        SphereExact(base=10, n=9),
+        SphereErf(base=10, n=50),
+        SphereLimit(base=10, n=7),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "s", [float("nan"), np.array([2.0, float("nan"), 3.0])], ids=["scalar", "array"]
+)
+def test_nan_significand_is_a_domain_error(law, s):
+    with pytest.raises(DomainError):
+        law.cdf(s)
+    with pytest.raises(DomainError):
+        law.density(s)
 
 
 def test_product_law_factorizes():
@@ -162,6 +185,9 @@ def test_windowed_power_cdf_validation():
         windowed_power_cdf(10, 2.0, 3, 0.5)
     with pytest.raises(DomainError):
         windowed_power_cdf(1, 2.0, 3, 1.5)
+    for nan in (float("nan"), np.array([2.0, float("nan")])):
+        with pytest.raises(DomainError):
+            windowed_power_cdf(10, 2.0, 3, nan)
 
 
 def test_windowed_power_cdf_vectorized():

@@ -1,10 +1,11 @@
 """Significand extraction: decomposition, vectorized paths, edge cases."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from haar_digits.errors import DomainError
@@ -49,6 +50,24 @@ def test_decomposition_reconstructs_and_is_in_range(log10x, base):
     assert 1.0 <= d.significand < base
     rebuilt = d.sign * d.significand * float(base) ** d.exponent
     assert rebuilt == pytest.approx(x, rel=4 * math.ulp(1.0))
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True).filter(bool),
+    st.integers(min_value=2, max_value=36),
+)
+@example(5e-324, 10)  # 10^-324 underflows to 0
+@example(-5e-324, 36)
+@example(1e-310, 3)
+@example(1.7976931348623157e308, 2)
+@example(1.7976931348623157e308, 36)
+def test_decomposition_over_every_finite_double(x, base):
+    # Exact rational arithmetic: s * B^e must rebuild |x| to a few ulp,
+    # subnormals and the top of the range included.
+    d = significand(x, base)
+    assert 1.0 <= d.significand < base
+    rebuilt = Fraction(d.significand) * Fraction(base) ** d.exponent
+    assert abs(rebuilt - Fraction(abs(x))) <= 4 * Fraction(math.ulp(x))
 
 
 @given(st.floats(min_value=-900.0, max_value=900.0))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from haar_digits.errors import ConvergenceError, DomainError
 from haar_digits.specfun import (
     QuadratureSpec,
+    betainc,
     erf,
     erfc,
     gamma_half_ratio,
@@ -65,6 +66,18 @@ def test_erf_strictly_increasing(x, h):
 @given(st.floats(min_value=-6.0, max_value=5.9), st.floats(min_value=0.001, max_value=0.1))
 def test_erf_monotone_everywhere(x, h):
     assert erf(x + h) >= erf(x)
+
+
+def test_erf_and_erfc_accept_arrays_elementwise():
+    x = np.array([[-7.0, -2.5, -0.3], [0.0, 1.0, 5.5]])
+    values = erf(x)
+    complements = erfc(x)
+    assert values.shape == complements.shape == x.shape
+    for v, c, xv in zip(values.ravel(), complements.ravel(), x.ravel()):
+        assert v == erf(float(xv))
+        assert c == erfc(float(xv))
+    assert isinstance(erf(0.5), float) and isinstance(erfc(0.5), float)
+    assert erf(np.array([0.5]))[0] == erf(0.5)
 
 
 def test_erf_rejects_non_finite():
@@ -119,9 +132,11 @@ def test_gamma_half_ratio_small_n_closed_forms():
 
 
 def test_gamma_half_ratio_large_n_no_overflow():
-    # mpmath references; direct Gamma would overflow long before n = 1e8
-    assert gamma_half_ratio(10**6) == pytest.approx(707.1066044098743, rel=1e-9)
-    assert gamma_half_ratio(10**8) == pytest.approx(7071.067794187806, rel=1e-7)
+    # mpmath references; direct Gamma would overflow long before n = 1e8, and
+    # a difference of two log-gammas loses up to 1e-8 of relative accuracy.
+    assert gamma_half_ratio(10**4) == pytest.approx(70.708910373801635047, rel=1e-13)
+    assert gamma_half_ratio(10**6) == pytest.approx(707.10660440987432488, rel=1e-13)
+    assert gamma_half_ratio(10**8) == pytest.approx(7071.0677941878057364, rel=1e-13)
 
 
 def test_gamma_half_ratio_sqrt_asymptotics():
@@ -138,6 +153,46 @@ def test_gamma_half_ratio_rejects_bad_n():
     for bad in (0, -1, 2.5):
         with pytest.raises(DomainError):
             gamma_half_ratio(bad)
+
+
+BETAINC_REFERENCE = [
+    # (a, b, x, I_x(a, b)), mpmath at 30 digits
+    (0.5, 4.5, 0.3, 0.91887381115415935073),
+    (0.5, 0.5, 0.81, 0.71286741374258750174),
+    (0.5, 50.0, 0.01, 0.68269560212580241567),
+    (0.5, 5000.0, 3e-4, 0.91675090368238547209),
+    (2.0, 3.0, 0.4, 0.52480000000000003837),
+    (7.5, 0.5, 0.97, 0.50617845890916879442),
+    (3.0, 40.0, 0.2, 0.99444382697761905419),
+]
+
+
+@pytest.mark.parametrize("a,b,x,expected", BETAINC_REFERENCE)
+def test_betainc_reference_values(a, b, x, expected):
+    assert betainc(a, b, x) == pytest.approx(expected, rel=1e-13)
+
+
+def test_betainc_arrays_endpoints_and_symmetry():
+    x = np.array([[0.0, 1e-300, 0.2], [0.6, 1.0 - 1e-12, 1.0]])
+    values = betainc(0.5, 4.5, x)
+    assert values.shape == x.shape
+    assert values[0, 0] == 0.0 and values[1, 2] == 1.0
+    assert np.all(np.diff(values.ravel()) >= 0.0)
+    for xv, v in zip(x.ravel(), values.ravel()):
+        assert betainc(0.5, 4.5, float(xv)) == v
+        # I_x(a, b) = 1 - I_(1-x)(b, a)
+        assert v == pytest.approx(1.0 - betainc(4.5, 0.5, 1.0 - xv), abs=1e-14)
+    # n = 2 sphere coordinate: I_x(1/2, 1) = sqrt(x)
+    grid = np.linspace(0.0, 1.0, 41)
+    assert np.allclose(betainc(0.5, 1.0, grid), np.sqrt(grid), rtol=1e-14, atol=0.0)
+
+
+def test_betainc_validation():
+    for a, b, x in ((0.0, 1.0, 0.5), (1.0, -2.0, 0.5), (1.0, 1.0, 1.5), (1.0, 1.0, -0.1)):
+        with pytest.raises(DomainError):
+            betainc(a, b, x)
+    with pytest.raises(DomainError):
+        betainc(0.5, 2.0, np.array([0.2, float("nan")]))
 
 
 def test_quadrature_spec_validation():

@@ -71,6 +71,22 @@ def test_sig_cdf_exact_reference_values(n, s, expected):
     assert sphere_sig_cdf_exact(n, 10, s) == pytest.approx(expected, rel=1e-10)
 
 
+LARGE_N_REFERENCE = [
+    # mpmath band quadrature at 30 digits; the mass sits near |x_1| ~ 1/sqrt(n)
+    (10**6, 2.0, 0.35953858243217982959),
+    (10**6, 5.0, 0.65602416359649337604),
+    (10**8, 2.0, 0.35953844198301713465),
+    (10**8, 5.0, 0.65602421814770874085),
+]
+
+
+@pytest.mark.parametrize("n,s,expected", LARGE_N_REFERENCE)
+def test_exact_law_at_large_n(n, s, expected):
+    law = SphereExact(base=10, n=n)
+    assert law.cdf(s) == pytest.approx(expected, abs=1e-9)
+    assert sphere_sig_cdf_exact(n, 10, s) == law.cdf(s)
+
+
 def test_sig_cdf_exact_n2_is_uniform():
     for s in np.linspace(1.0, 10.0, 50):
         assert sphere_sig_cdf_exact(2, 10, float(s)) == pytest.approx(
@@ -158,6 +174,8 @@ JOINT_REFERENCE = [
     (3, ((0.0, 0.5), (0.0, 0.5)), 1.0 / math.pi),  # uniform disk, square inside
     (6, ((0.1, 0.5), (0.2, 0.6)), 0.31640592118835073),
     (5, ((0.0, 0.4), (0.0, 0.4), (0.0, 0.4)), 0.18994593577453842),
+    (2, ((0.1, 0.5), (0.2, 0.6)), 0.12104162890020716346),
+    (200, ((0.0, 0.05), (0.02, 0.1)), 0.32272197024248742008),
 ]
 
 
@@ -253,11 +271,45 @@ def test_sphere_exact_n2_equals_uniform_law():
 
 def test_sphere_exact_vector_path_matches_scalar():
     law = SphereExact(base=10, n=9)
-    s = np.linspace(1.0, 10.0, 1001)  # large arrays take the interpolant path
+    s = np.linspace(1.0, 10.0, 10_001)  # spans several evaluation blocks
     vec = law.cdf(s)
     scalar = np.array([law.cdf(float(v)) for v in s[::100]])
-    assert np.max(np.abs(vec[::100] - scalar)) < 2e-9
+    assert np.max(np.abs(vec[::100] - scalar)) < 1e-15
     assert np.all(np.diff(vec) > -1e-12)
+
+
+ALL_SPHERE_LAWS = SPHERE_LAWS + [
+    SphereExact(base=7, n=10**8),
+    SphereErf(base=2, n=3),
+    SphereLimit(base=36, n=10**6),
+]
+
+
+@pytest.mark.parametrize("law", ALL_SPHERE_LAWS, ids=repr)
+def test_scalar_is_the_one_point_case(law):
+    for s in (1.0, 1.5, float(law.base) / 2.0, float(law.base)):
+        for method in (law.cdf, law.density):
+            one = method(np.array([s]))
+            value = method(s)
+            assert isinstance(value, float)
+            assert value == one[0]
+    grid = np.linspace(1.0, float(law.base), 12).reshape(3, 4)
+    assert law.cdf(grid).shape == (3, 4)
+
+
+def test_sphere_laws_use_no_quadrature(monkeypatch):
+    import haar_digits.specfun as specfun
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(specfun, "integrate", refuse)
+    for law in ALL_SPHERE_LAWS:
+        law.cdf(np.linspace(1.0, float(law.base), 300))
+        law.density(np.linspace(1.0, float(law.base) - 0.01, 300))
+        law.first_digit_probs()
+    sphere_band_prob(9, -0.3, 0.2)
+    sphere_joint_sig_approx(50, 10, ((1.0, 2.0),))
 
 
 def test_sphere_dimension_validation():
