@@ -58,6 +58,7 @@ _SEED_ENV = "HAAR_DIGITS_SEED"
 _GRID_POINTS = 99
 _SCALAR_CHUNK = 1 << 22
 _MATRIX_CHUNK_SCALARS = 1 << 24
+_SAMPLES_BLOCK = 1 << 16  # rows per write of --samples-out
 
 _GROUPS = (
     "rplus",
@@ -139,6 +140,19 @@ def _emit_csv(header, rows, out: Optional[str]) -> None:
             [_fmt_float(v) if isinstance(v, (float, np.floating)) else v for v in row]
         )
     _emit(buf.getvalue(), out)
+
+
+def _write_samples(values: np.ndarray, path: str) -> None:
+    """One-column CSV: header `significand`, then one %.12g row per value.
+
+    Rows are formatted a block at a time, so the memory used does not grow
+    with the row count.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("significand\n")
+        for start in range(0, values.size, _SAMPLES_BLOCK):
+            block = values[start : start + _SAMPLES_BLOCK].tolist()
+            fh.write(("%.12g\n" * len(block)) % tuple(block))
 
 
 def _flatten(payload: dict, prefix: str = ""):
@@ -440,11 +454,7 @@ def _cmd_sample(args) -> int:
     }
     _emit_report(payload, config.fmt, config.out)
     if args.samples_out is not None:
-        _emit_csv(
-            ("significand",),
-            [(float(v),) for v in empirical.values],
-            args.samples_out,
-        )
+        _write_samples(empirical.values, args.samples_out)
     return 0 if all_passed else 1
 
 

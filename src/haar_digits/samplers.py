@@ -160,22 +160,27 @@ def sample_orthogonal_haar(n: int, rng: RngStream, count=None, return_info: bool
     """
     n = _check_dim(n)
     c, single = _batch(count)
-    out = np.empty((c, n, n))
-    todo = np.arange(c)
-    resampled = 0
+    out, ok = _signed_qr(rng.normal((c, n, n)))
+    todo = np.flatnonzero(~ok)
+    resampled = todo.size
     while todo.size:
-        g = rng.normal((todo.size, n, n))
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        ok = np.all(d != 0.0, axis=1)
-        signs = np.where(d[ok] < 0.0, -1.0, 1.0)
-        out[todo[ok]] = q[ok] * signs[:, None, :]
-        resampled += int((~ok).sum())
+        q, ok = _signed_qr(rng.normal((todo.size, n, n)))
+        out[todo[ok]] = q[ok]
         todo = todo[~ok]
+        resampled += todo.size
     result = _squeeze(out, single)
     if return_info:
         return result, {"resampled": resampled}
     return result
+
+
+def _signed_qr(g: np.ndarray):
+    """Q factors of a stack, columns flipped so diag(R) > 0, and a mask of
+    the draws whose R has a nonzero diagonal (the others must be redrawn)."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= np.where(d < 0.0, -1.0, 1.0)[:, None, :]
+    return q, np.all(d != 0.0, axis=1)
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count=None):
@@ -186,14 +191,15 @@ def sample_unitary_haar(n: int, rng: RngStream, count=None):
     """
     n = _check_dim(n)
     c, single = _batch(count)
-    re = rng.normal((c, n, n))
-    im = rng.normal((c, n, n))
-    z = (re + 1j * im) / math.sqrt(2.0)
+    z = np.empty((c, n, n), dtype=complex)
+    z.real = rng.normal((c, n, n))
+    z.imag = rng.normal((c, n, n))
+    z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
-    phases = np.where(mags > 0.0, d / np.where(mags > 0.0, mags, 1.0), 1.0)
-    return _squeeze(q * phases[:, None, :], single)
+    q *= np.where(mags > 0.0, d / np.where(mags > 0.0, mags, 1.0), 1.0)[:, None, :]
+    return _squeeze(q, single)
 
 
 # --- scalar windowed densities ----------------------------------------------
@@ -348,20 +354,17 @@ def nilpotent_exp(N: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(N)):
         raise DomainError("nilpotent_exp: entries must be finite")
     n = N.shape[-1]
-    lower = np.tril(N, k=0)
-    upper = np.triu(N, k=0)
-    strictly_upper = not lower.any()
-    strictly_lower = not upper.any()
-    if not (strictly_upper or strictly_lower):
+    rows, cols = np.tril_indices(n)  # the lower triangle with the diagonal
+    if N[..., rows, cols].any() and N[..., cols, rows].any():
         raise DomainError("nilpotent_exp: matrix is not strictly triangular")
-    eye = np.broadcast_to(np.eye(n), N.shape).copy()
-    out = eye.copy()
-    power = eye
+    out = np.broadcast_to(np.eye(n), N.shape).copy()
+    out += N
+    power = N
     fact = 1.0
-    for j in range(1, n):
+    for j in range(2, n):
         power = power @ N
         fact *= j
-        out = out + power / fact
+        out += power / fact
     return out
 
 
@@ -396,7 +399,8 @@ def sample_sln_lud_window(
     diag = np.asarray(
         sample_diagonal_window(n, base, spec.m, rng, c, det_one=True)
     ).reshape(c, n)
-    g = (nilpotent_exp(X) @ nilpotent_exp(Y)) * diag[:, None, :]
+    g = nilpotent_exp(X) @ nilpotent_exp(Y)
+    g *= diag[:, None, :]
     return SlnSample(
         _squeeze(X, single), _squeeze(Y, single), _squeeze(diag, single), _squeeze(g, single)
     )
@@ -493,5 +497,6 @@ def sample_gln_pos_window(
     c, single = _batch(count)
     r = np.asarray(sample_log_uniform(base, m, rng, c), dtype=float).reshape(c)
     y = sample_sln_lud_window(n, base, spec, rng, c)
-    g = np.power(r, 1.0 / n)[:, None, None] * y.g
+    g = y.g
+    g *= np.power(r, 1.0 / n)[:, None, None]
     return GlnSample(_squeeze(g, single), _squeeze(r, single))

@@ -64,29 +64,47 @@ def significand_parts(values, base: int = 10):
     x = np.asarray(values, dtype=float)
     if x.size and not np.all(np.isfinite(x) & (x != 0.0)):
         raise DomainError("significand_parts: values must be finite and nonzero")
-    ax = np.abs(x)
-    e = np.floor(np.log(ax) / math.log(base))
-    # B^e underflows for the smallest x (10^-324 is 0), so divide by it in
-    # two steps: B^(e - e_hi), then B^e_hi with e_hi >= the least exponent
-    # whose power is a normal double. Above that exponent the first divisor
-    # is exactly 1.
+    ax = np.abs(x).reshape(-1)
+    if ax.size == 0:
+        return x.copy(), x.astype(np.int64), x.astype(np.int64)
+    e = np.log(ax)
+    e /= math.log(base)
+    idx = np.floor(e, out=e).astype(np.int64)
+    del e
+    # B^e underflows for the smallest x (10^-324 is 0), so below the least
+    # exponent whose power is a normal double, lanes divide in two steps.
     e_min = math.ceil(math.log(np.finfo(float).tiny) / math.log(base))
-    s = _divide_power(ax, base, e, e_min)
-    for _ in range(2):  # fix log rounding at decade boundaries
-        high = s >= base
-        low = s < 1.0
-        if not (high.any() or low.any()):
-            break
-        e = e + high - low
-        s = _divide_power(ax, base, e, e_min)
-    return s, e.astype(np.int64), np.where(x > 0, 1, -1).astype(np.int64)
+    # B^k for every k the fix-up below can reach: it moves a lane by at
+    # most one per pass and makes at most two passes.
+    lo = int(idx.min()) - 2
+    # Powers past the top of the double range are inf (s = 0, fixed up);
+    # those below it are 0 (s = inf, redone in two steps).
+    with np.errstate(over="ignore", divide="ignore"):
+        table = np.power(float(base), np.arange(lo, int(idx.max()) + 3, dtype=float))
+        s = np.take(table, idx - lo)
+        np.divide(ax, s, out=s)
+        if lo < e_min:
+            _divide_in_two_steps(s, ax, idx, base, e_min, idx < e_min)
+        for _ in range(2):  # fix log rounding at decade boundaries
+            high = s >= base
+            low = s < 1.0
+            moved = high | low
+            if not moved.any():
+                break
+            idx += high
+            idx -= low
+            s[moved] = ax[moved] / table[idx[moved] - lo]
+            if lo < e_min:
+                _divide_in_two_steps(s, ax, idx, base, e_min, moved & (idx < e_min))
+    signs = np.where(x > 0, 1, -1).astype(np.int64, copy=False)
+    return s.reshape(x.shape)[()], idx.reshape(x.shape)[()], signs
 
 
-def _divide_power(ax, base: int, e, e_min: int):
-    """ax / base^e without forming a subnormal or zero power."""
-    e_hi = np.maximum(e, e_min)
-    with np.errstate(over="ignore"):  # an e one too high at the top gives s = 0, fixed up
-        return ax / np.power(float(base), e - e_hi) / np.power(float(base), e_hi)
+def _divide_in_two_steps(s, ax, idx, base: int, e_min: int, lanes) -> None:
+    """s = ax / B^idx on the masked lanes, dividing by B^(idx - e_min) and
+    then by B^e_min, so that no power is subnormal or zero."""
+    b = float(base)
+    s[lanes] = ax[lanes] / np.power(b, idx[lanes] - e_min) / np.power(b, e_min)
 
 
 def significand_values(values, base: int = 10) -> np.ndarray:

@@ -105,7 +105,8 @@ def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
     n_rejected = int(arr.size - keep.sum())
     if not keep.any():
         raise DomainError("no usable values in sample (all zero or non-finite)")
-    sig = np.sort(significand_values(np.abs(arr[keep]), base))
+    sig = significand_values(arr[keep], base)
+    sig.sort()
     digits = np.floor(sig).astype(np.int64)
     np.clip(digits, 1, base - 1, out=digits)
     counts = np.bincount(digits - 1, minlength=base - 1).astype(np.int64)
@@ -126,9 +127,12 @@ def ks_statistic(sample, law: DigitLaw) -> float:
         raise DomainError(f"sample base {emp.base} != law base {law.base}")
     n = emp.n
     cdf = np.asarray(law.cdf(emp.values), dtype=float)
-    lo = np.arange(n) / n
-    hi = np.arange(1, n + 1) / n
-    return float(max(np.max(cdf - lo), np.max(hi - cdf)))
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n  # the sample CDF just below (steps[:-1]) and at (steps[1:]) each value
+    diff = np.empty(n)
+    above = np.subtract(cdf, steps[:-1], out=diff).max()
+    below = np.subtract(steps[1:], cdf, out=diff).max()
+    return float(max(above, below))
 
 
 def ks_p_approx(d: float, n: int) -> float:

@@ -5,6 +5,8 @@ stdout/stderr can be asserted cheaply; one subprocess test covers the
 python -m entry point.
 """
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -13,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from haar_digits import cli
 from haar_digits.cli import main
 
 
@@ -244,6 +247,34 @@ def test_sample_out_and_samples_out(tmp_path, capsys):
     assert values.size == 5000
     assert np.all((values >= 1.0) & (values < 10.0))
     assert np.all(np.diff(values) >= 0.0)  # emitted sorted
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_samples_out_bytes_across_block_edge(tmp_path, capsys, monkeypatch, offset):
+    # The block-wise writer must give the bytes of one csv.writer row per
+    # significand, formatted ".12g", on either side of a block boundary.
+    kept = []
+    build = cli.build_empirical
+
+    def keep(values, base):
+        kept.append(build(values, base))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "build_empirical", keep)
+    n = cli._SAMPLES_BLOCK + offset
+    samples_path = tmp_path / "sig.csv"
+    code, _, _ = run_cli(
+        capsys, "sample", "--group", "rplus", "--N", str(n), "--seed", "5",
+        "--samples-out", str(samples_path),
+    )
+    assert code == 0
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("significand",))
+    for v in kept[0].values:
+        writer.writerow([format(float(v), ".12g")])
+    assert kept[0].n == n
+    assert samples_path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_sample_sln_components_differ(capsys):

@@ -149,6 +149,36 @@ def test_orthogonal_haar_shapes_info_and_determinism():
     assert np.array_equal(mats, again)
 
 
+class _SingularFirstBatch:
+    """Stream wrapper whose first normal batch has an all-zero matrix at
+    row `row`; QR of it gives diag(R) = 0, so the sampler must redraw it."""
+
+    def __init__(self, stream, row):
+        self.stream = stream
+        self.row = row
+        self.batches = 0
+
+    def normal(self, size):
+        g = self.stream.normal(size)
+        if self.batches == 0:
+            g[self.row] = 0.0
+        self.batches += 1
+        return g
+
+
+def test_orthogonal_haar_resamples_singular_draw():
+    plain = sample_orthogonal_haar(3, RngStream(31), count=6)
+    stub = _SingularFirstBatch(RngStream(31), row=2)
+    mats, info = sample_orthogonal_haar(3, stub, count=6, return_info=True)
+    assert info == {"resampled": 1}
+    assert stub.batches == 2
+    others = [0, 1, 3, 4, 5]
+    assert np.array_equal(mats[others], plain[others])
+    assert not np.array_equal(mats[2], plain[2])
+    for q in mats:
+        assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
+
+
 def test_orthogonal_haar_first_entry_moment():
     # Columns of a Haar orthogonal matrix are uniform on S^(n-1), so
     # E[q_00^2] = 1/n.
@@ -171,6 +201,12 @@ def test_unitary_haar_entry_moment():
     n = 3
     us = sample_unitary_haar(n, RngStream(29), count=4000)
     assert np.mean(np.abs(us[:, 0, 0]) ** 2) == pytest.approx(1.0 / n, abs=0.02)
+
+
+def test_unitary_haar_footprint(traced_peak):
+    # The complex Gaussian stack is filled in place and rephased in place.
+    us, peak = traced_peak(lambda: sample_unitary_haar(3, RngStream(37), count=100_000))
+    assert peak <= 4.5 * us.nbytes
 
 
 # --- scalar windowed densities --------------------------------------------------
@@ -382,6 +418,8 @@ def test_nilpotent_exp_validation():
         nilpotent_exp(np.array([[0.0, np.inf], [0.0, 0.0]]))
     with pytest.raises(DomainError):
         nilpotent_exp(np.zeros((2, 3)))
+    with pytest.raises(DomainError):  # one strictly lower, one strictly upper: mixed stack
+        nilpotent_exp(np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]]))
 
 
 # --- special linear group ----------------------------------------------------------
@@ -427,6 +465,14 @@ def test_sln_lud_window_validation():
     rng = RngStream(1)
     with pytest.raises(DomainError):
         sample_sln_lud_window(1, 10, WindowSpec(), rng, count=4)
+
+
+def test_sln_lud_window_footprint(traced_peak):
+    # exp(X) and exp(Y) accumulate their series in place and the diagonal
+    # scaling is applied to the product in place.
+    spec = WindowSpec()
+    sample, peak = traced_peak(lambda: sample_sln_lud_window(3, 10, spec, RngStream(43), 250_000))
+    assert peak <= 7.0 * sample.g.nbytes
 
 
 # --- permutations --------------------------------------------------------------

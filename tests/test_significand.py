@@ -136,3 +136,78 @@ def test_first_digits_in_range_bulk():
     for base in (2, 10, 16):
         d = first_digits(xs, base)
         assert d.min() >= 1 and d.max() <= base - 1
+
+
+# --- the power-table route against a per-lane reference ---------------------------
+
+
+def _per_lane_parts(values, base):
+    """Reference decomposition: every lane divides by its own B^e, in two
+    steps, B^(e - e_hi) and then B^e_hi with e_hi = max(e, e_min), so no
+    power is subnormal; each decade fix-up redoes every lane."""
+    x = np.asarray(values, dtype=float)
+    ax = np.abs(x)
+    e = np.floor(np.log(ax) / math.log(base))
+    e_min = math.ceil(math.log(np.finfo(float).tiny) / math.log(base))
+
+    def divide(e):
+        e_hi = np.maximum(e, e_min)
+        with np.errstate(over="ignore"):
+            return ax / np.power(float(base), e - e_hi) / np.power(float(base), e_hi)
+
+    s = divide(e)
+    for _ in range(2):
+        high = s >= base
+        low = s < 1.0
+        if not (high.any() or low.any()):
+            break
+        e = e + high - low
+        s = divide(e)
+    return s, e.astype(np.int64), np.where(x > 0, 1, -1).astype(np.int64)
+
+
+def _assert_parts_identical(values, base):
+    got = significand_parts(values, base)
+    want = _per_lane_parts(values, base)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True).filter(bool),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(min_value=2, max_value=36),
+)
+@example([5e-324, 1.0, 1.7976931348623157e308], 10)
+@example([-5e-324, 1e-310, 2.2250738585072014e-308], 36)
+def test_parts_match_per_lane_reference_on_every_finite_double(xs, base):
+    _assert_parts_identical(np.array(xs), base)
+
+
+def test_parts_match_per_lane_reference_on_mixed_subnormal_array():
+    # Subnormal lanes take the two-step divide, the others the power table.
+    tiny = np.finfo(float).tiny
+    xs = np.array([5e-324, -1e-320, 3e-310, tiny, -tiny * 7, 1e-300, 0.5, 99.0, -1e300])
+    for base in (2, 3, 7, 10, 36):
+        _assert_parts_identical(xs, base)
+        _assert_parts_identical(xs[:8].reshape(2, 4), base)
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 36])
+def test_parts_match_per_lane_reference_on_a_million_draws(base):
+    rng = np.random.default_rng(base)  # independent generator, inputs only
+    logs = rng.uniform(math.log(5e-324), math.log(np.finfo(float).max), 1_000_000)
+    xs = np.exp(logs) * np.where(rng.random(logs.size) < 0.5, -1.0, 1.0)
+    _assert_parts_identical(xs[xs != 0.0], base)
+
+
+def test_significand_values_footprint(traced_peak):
+    # Reduction keeps a handful of input-sized arrays alive at once, not
+    # one per arithmetic step.
+    xs = 10.0 ** np.random.default_rng(0).uniform(-5, 5, 1_000_000)
+    _, peak = traced_peak(lambda: significand_values(xs, 10))
+    assert peak <= 5.5 * xs.nbytes
