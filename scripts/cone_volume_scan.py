@@ -26,7 +26,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
 
-    edges = [float(x) for x in args.edges.split(",") if x]
+    try:
+        edges = [float(x) for x in args.edges.split(",") if x]
+    except ValueError:
+        parser.error(f"--edges expects comma-separated numbers, got {args.edges!r}")
+    # The law divides by ln(x), and the cone [1, x) is empty for x <= 1.
+    if not edges or any(not x > 1.0 for x in edges):
+        parser.error(f"--edges must all be > 1, got {args.edges!r}")
     root = RngStream(args.seed)
     print(f"# eps={args.eps}, {args.trials} trials per edge, seed={args.seed}")
     print(

@@ -30,7 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,10 +48,10 @@ from .lie import (
     sl2_cone_volume_mc,
 )
 from .rng import RngStream
-from .sphere import SphereExact, SphereLimit
+from .sphere import SphereErf, SphereExact, SphereLimit
 from .stats import build_empirical, chi_square_first_digit, ks_test
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _DEFAULT_SEED = 42
 _SEED_ENV = "HAAR_DIGITS_SEED"
@@ -59,40 +59,6 @@ _GRID_POINTS = 99
 _SCALAR_CHUNK = 1 << 22
 _MATRIX_CHUNK_SCALARS = 1 << 24
 _SAMPLES_BLOCK = 1 << 16  # rows per write of --samples-out
-
-_GROUPS = (
-    "rplus",
-    "power",
-    "triangular",
-    "diagonal",
-    "sln",
-    "gln-det",
-    "orthogonal",
-    "unitary",
-    "sphere",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by the sampling commands."""
-
-    base: int = 10
-    seed: int = _DEFAULT_SEED
-    count: int = 100_000
-    fmt: str = "json"
-    out: Optional[str] = None
-    workers: int = 1
-    alpha: float = 0.001
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise DomainError(f"sample count must be >= 1, got {self.count}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
-
 
 # --- output plumbing ---------------------------------------------------------
 
@@ -102,19 +68,20 @@ def _fmt_float(x: float) -> str:
 
 
 def _jsonable(obj):
-    """Convert to plain JSON types, rounding floats to 12 significant digits."""
+    """Convert to plain JSON types, rounding floats to 12 significant digits.
+
+    JSON (RFC 8259) has no infinity or NaN, so non-finite floats become null.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(_fmt_float(obj))
+        return float(_fmt_float(obj)) if math.isfinite(obj) else None
     return obj
 
 
@@ -164,10 +131,7 @@ def _flatten(payload: dict, prefix: str = ""):
             yield from _flatten(val, prefix=f"{name}.")
         elif isinstance(val, (list, tuple, np.ndarray)):
             for idx, item in enumerate(val):
-                if isinstance(item, dict):
-                    yield from _flatten(item, prefix=f"{name}.{idx}.")
-                else:
-                    yield (f"{name}.{idx}", item)
+                yield (f"{name}.{idx}", item)
         else:
             yield (name, val)
 
@@ -176,11 +140,7 @@ def _emit_report(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         _emit_json(payload, out)
     else:
-        rows = [
-            (k, _fmt_float(v) if isinstance(v, (float, np.floating)) else v)
-            for k, v in _flatten(_jsonable(payload))
-        ]
-        _emit_csv(("key", "value"), rows, out)
+        _emit_csv(("key", "value"), _flatten(payload), out)
 
 
 # --- shared flag handling -----------------------------------------------------
@@ -223,47 +183,67 @@ def _parse_dims(text: str):
     return dims
 
 
-def _law_name(law: DigitLaw) -> str:
-    return repr(law)
+def _grid(base: int) -> np.ndarray:
+    """The significand grid 1 + j (B - 1) / 99, j = 1..99, that laws are
+    tabulated on."""
+    return np.array([1.0 + (j * (base - 1)) / _GRID_POINTS for j in range(1, _GRID_POINTS + 1)])
+
+
+def _draw(generate, root: RngStream, count: int, workers: int, chunk: int) -> np.ndarray:
+    """`count` values of generate(stream, c) as one float array.
+
+    The count is split into `workers` near-equal shards; shard w draws from
+    root.substream(w), at most `chunk` values per call, and the shards follow
+    each other in order. Gamma deviates depend on the batch they are drawn
+    in, so a group's chunk size is part of what its output depends on.
+    """
+    if count < 1:
+        raise DomainError(f"sample count must be >= 1, got {count}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    quotient, remainder = divmod(count, workers)
+    parts = []
+    for w in range(workers):
+        stream = root.substream(w)
+        size = quotient + (1 if w < remainder else 0)
+        for start in range(0, size, chunk):
+            c = min(chunk, size - start)
+            parts.append(np.asarray(generate(stream, c), dtype=float).reshape(c))
+    return np.concatenate(parts)
 
 
 # --- law command --------------------------------------------------------------
 
 
-def _build_law(args) -> DigitLaw:
-    base = args.base
-    kind = args.law
-    needs_k = kind == "power"
-    needs_n = kind.startswith("sphere-")
-    if args.k is not None and not needs_k:
-        raise DomainError(f"--k is only valid with --law power, not {kind}")
-    if args.n is not None and not needs_n:
-        raise DomainError(f"--n is only valid with the sphere laws, not {kind}")
-    if needs_k and args.k is None:
-        raise DomainError("--law power requires --k")
-    if needs_n and args.n is None:
-        raise DomainError(f"--law {kind} requires --n")
-    if kind == "benford":
-        return Benford(base)
-    if kind == "uniform":
-        return UniformSignificand(base)
-    if kind == "power":
-        return Benford(base) if args.k == 1.0 else PowerLaw(base, args.k)
-    if kind == "sphere-exact":
-        return SphereExact(base=base, n=args.n)
-    if kind == "sphere-erf":
-        from .sphere import SphereErf
+def _power_law(base: int, k: float) -> DigitLaw:
+    return Benford(base) if k == 1.0 else PowerLaw(base, k)
 
-        return SphereErf(base=base, n=args.n)
-    if kind == "sphere-limit":
-        return SphereLimit(base=base, n=args.n)
-    raise DomainError(f"unknown law {kind!r}")  # pragma: no cover
+
+# law name -> (law from (base, k, n), the one of --k / --n it takes, if any)
+_LAWS = {
+    "benford": (lambda base, k, n: Benford(base), None),
+    "power": (lambda base, k, n: _power_law(base, k), "k"),
+    "uniform": (lambda base, k, n: UniformSignificand(base), None),
+    "sphere-exact": (lambda base, k, n: SphereExact(base=base, n=n), "n"),
+    "sphere-erf": (lambda base, k, n: SphereErf(base=base, n=n), "n"),
+    "sphere-limit": (lambda base, k, n: SphereLimit(base=base, n=n), "n"),
+}
+
+
+def _build_law(args) -> DigitLaw:
+    make, takes = _LAWS[args.law]
+    for flag, users in (("k", "--law power"), ("n", "the sphere laws")):
+        if getattr(args, flag) is not None and flag != takes:
+            raise DomainError(f"--{flag} is only valid with {users}, not {args.law}")
+    if takes is not None and getattr(args, takes) is None:
+        raise DomainError(f"--law {args.law} requires --{takes}")
+    return make(args.base, args.k, args.n)
 
 
 def _cmd_law(args) -> int:
     law = _build_law(args)
     base = args.base
-    grid = np.array([1.0 + (j * (base - 1)) / _GRID_POINTS for j in range(1, _GRID_POINTS + 1)])
+    grid = _grid(base)
     cdf = np.asarray(law.cdf(grid), dtype=float)
     density = np.asarray(law.density(grid), dtype=float)
     digit_probs = np.asarray(law.first_digit_probs(), dtype=float)
@@ -271,7 +251,7 @@ def _cmd_law(args) -> int:
         payload = {
             "schema": 1,
             "command": "law",
-            "law": _law_name(law),
+            "law": repr(law),
             "base": base,
             "grid": grid,
             "cdf": cdf,
@@ -290,148 +270,120 @@ def _cmd_law(args) -> int:
 # --- sample command -----------------------------------------------------------
 
 
-def _shard_sizes(total: int, workers: int):
-    quotient, remainder = divmod(total, workers)
-    return [quotient + (1 if w < remainder else 0) for w in range(workers)]
+@dataclass(frozen=True)
+class _Group:
+    """What `sample --group NAME` draws and which law it predicts.
+
+    draw(args, spec, i, j, stream, count) returns `count` values of the
+    component; law(args, i, j) is its predicted significand law. (i, j) is
+    the 0-based --entry of a matrix group, (0, 0) for a scalar one. Entries
+    call samplers through the module, so that tracing the module sees them.
+    """
+
+    draw: Callable
+    law: Callable
+    matrix: bool = True  # reads --entry; draws _MATRIX_CHUNK_SCALARS // n^2 a call
+    echoes: tuple = ("n",)  # flags copied into the payload
+    requires: Optional[str] = None  # a flag that must be given
+    diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
 
 
-def _collect(generate, stream: RngStream, total: int, chunk: int) -> np.ndarray:
-    parts = []
-    remaining = total
-    while remaining > 0:
-        c = min(chunk, remaining)
-        parts.append(np.asarray(generate(stream, c), dtype=float).reshape(c))
-        remaining -= c
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+def _sln_entry(a, spec, i, j, st, c):
+    sample = samplers.sample_sln_lud_window(a.n, a.base, spec, st, c)
+    return sample.diag[:, i] if a.component == "dfactor" else sample.g[:, i, i]
 
 
-def _sample_plan(args):
-    """Return (generate(stream, count) -> component values, predicted law,
-    per-call chunk size, metadata dict) for the requested group."""
-    base = args.base
-    group = args.group
-    spec = samplers.WindowSpec(eps=args.eps, m=args.m)
-    meta = {"group": group, "base": base, "window_m": args.m, "window_eps": args.eps}
-    if group == "rplus":
-        law = Benford(base)
-        return (
-            lambda st, c: samplers.sample_log_uniform(base, args.m, st, c),
-            law,
-            _SCALAR_CHUNK,
-            meta,
-        )
-    if group == "power":
-        if args.k is None:
-            raise DomainError("--group power requires --k")
-        law = Benford(base) if args.k == 1.0 else PowerLaw(base, args.k)
-        meta["k"] = args.k
-        return (
-            lambda st, c: samplers.sample_power_density(base, args.k, args.m, st, c),
-            law,
-            _SCALAR_CHUNK,
-            meta,
-        )
-    n = args.n
-    if group == "sphere":
-        law = SphereExact(base=base, n=n)
-        meta["n"] = n
-        return (
-            lambda st, c: samplers.sample_sphere_coords(n, 1, st, c)[:, 0],
-            law,
-            _SCALAR_CHUNK,
-            meta,
-        )
-    entry = _parse_entry(args.entry, n)
-    i, j = entry
-    meta["n"] = n
-    meta["entry"] = f"{i + 1},{j + 1}"
-    matrix_chunk = max(1, _MATRIX_CHUNK_SCALARS // (n * n))
-    if group == "triangular":
-        law = samplers.triangular_component_law(n, base, i, j, args.side)
-        meta["side"] = args.side
-
-        def gen(st, c):
-            return samplers.sample_upper_triangular_window(
-                n, base, spec, args.side, st, c
-            ).matrices[:, i, j]
-
-        return gen, law, matrix_chunk, meta
-    if group == "diagonal":
-        if i != j:
-            raise DomainError("--group diagonal: --entry must be on the diagonal")
-        meta["det_one"] = bool(args.det_one)
-        law = Benford(base)
-
-        def gen(st, c):
-            return samplers.sample_diagonal_window(
-                n, base, args.m, st, c, det_one=args.det_one
-            )[:, i]
-
-        return gen, law, matrix_chunk, meta
-    if group == "sln":
-        if i != j:
-            raise DomainError(
-                "--group sln: only diagonal components carry a predicted law; "
-                "use --entry i,i"
-            )
-        meta["component"] = args.component
-        law = Benford(base)
-
-        def gen(st, c):
-            sample = samplers.sample_sln_lud_window(n, base, spec, st, c)
-            if args.component == "dfactor":
-                return sample.diag[:, i]
-            return sample.g[:, i, i]
-
-        return gen, law, matrix_chunk, meta
-    if group == "gln-det":
-        law = Benford(base)
-
-        def gen(st, c):
-            return samplers.sample_gln_pos_window(n, base, args.m, spec, st, c).det
-
-        return gen, law, matrix_chunk, meta
-    if group == "orthogonal":
-        law = SphereExact(base=base, n=n - 1)
-
-        def gen(st, c):
-            return samplers.sample_orthogonal_haar(n, st, c)[:, i, j]
-
-        return gen, law, matrix_chunk, meta
-    if group == "unitary":
-        law = SphereExact(base=base, n=2 * n - 1)
-
-        def gen(st, c):
-            return samplers.sample_unitary_haar(n, st, c)[:, i, j].real
-
-        return gen, law, matrix_chunk, meta
-    raise DomainError(f"unknown group {group!r}")  # pragma: no cover
+_GROUPS = {
+    "rplus": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_log_uniform(a.base, a.m, st, c),
+        law=lambda a, i, j: Benford(a.base),
+        matrix=False,
+        echoes=(),
+    ),
+    "power": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_power_density(a.base, a.k, a.m, st, c),
+        law=lambda a, i, j: _power_law(a.base, a.k),
+        matrix=False,
+        echoes=("k",),
+        requires="k",
+    ),
+    "triangular": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_upper_triangular_window(
+            a.n, a.base, spec, a.side, st, c
+        ).matrices[:, i, j],
+        law=lambda a, i, j: samplers.triangular_component_law(a.n, a.base, i, j, a.side),
+        echoes=("n", "side"),
+    ),
+    "diagonal": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_diagonal_window(
+            a.n, a.base, a.m, st, c, det_one=a.det_one
+        )[:, i],
+        law=lambda a, i, j: Benford(a.base),
+        echoes=("n", "det_one"),
+        diagonal_only="--group diagonal: --entry must be on the diagonal",
+    ),
+    "sln": _Group(
+        draw=_sln_entry,
+        law=lambda a, i, j: Benford(a.base),
+        echoes=("n", "component"),
+        diagonal_only="--group sln: only diagonal components carry a predicted law; "
+        "use --entry i,i",
+    ),
+    "gln-det": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_gln_pos_window(
+            a.n, a.base, a.m, spec, st, c
+        ).det,
+        law=lambda a, i, j: Benford(a.base),
+    ),
+    "orthogonal": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_orthogonal_haar(a.n, st, c)[:, i, j],
+        law=lambda a, i, j: SphereExact(base=a.base, n=a.n - 1),
+    ),
+    "unitary": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_unitary_haar(a.n, st, c)[:, i, j].real,
+        law=lambda a, i, j: SphereExact(base=a.base, n=2 * a.n - 1),
+    ),
+    "sphere": _Group(
+        draw=lambda a, spec, i, j, st, c: samplers.sample_sphere_coords(a.n, 1, st, c)[:, 0],
+        law=lambda a, i, j: SphereExact(base=a.base, n=a.n),
+        matrix=False,
+    ),
+}
 
 
 def _cmd_sample(args) -> int:
-    config = RunConfig(
-        base=args.base,
-        seed=_resolve_seed(args.seed),
-        count=args.N,
-        fmt=args.format,
-        out=args.out,
-        workers=args.workers,
-        alpha=args.alpha,
+    seed = _resolve_seed(args.seed)
+    if not (0.0 < args.alpha < 1.0):
+        raise DomainError(f"alpha must be in (0, 1), got {args.alpha}")
+    spec = samplers.WindowSpec(eps=args.eps, m=args.m)
+    group = _GROUPS[args.group]
+    if group.requires is not None and getattr(args, group.requires) is None:
+        raise DomainError(f"--group {args.group} requires --{group.requires}")
+    meta = {"group": args.group, "base": args.base, "window_m": args.m, "window_eps": args.eps}
+    meta.update((flag, getattr(args, flag)) for flag in group.echoes)
+    i = j = 0
+    chunk = _SCALAR_CHUNK
+    if group.matrix:
+        i, j = _parse_entry(args.entry, args.n)
+        if group.diagonal_only is not None and i != j:
+            raise DomainError(group.diagonal_only)
+        meta["entry"] = f"{i + 1},{j + 1}"
+        chunk = max(1, _MATRIX_CHUNK_SCALARS // (args.n * args.n))
+    law = group.law(args, i, j)
+    empirical = build_empirical(
+        _draw(
+            lambda st, c: group.draw(args, spec, i, j, st, c),
+            RngStream(seed),
+            args.N,
+            args.workers,
+            chunk,
+        ),
+        args.base,
     )
-    generate, law, chunk, meta = _sample_plan(args)
-    root = RngStream(config.seed)
-    values = np.concatenate(
-        [
-            _collect(generate, root.substream(w), size, chunk)
-            for w, size in enumerate(_shard_sizes(config.count, config.workers))
-            if size > 0
-        ]
-    )
-    empirical = build_empirical(values, config.base)
-    ks = ks_test(empirical, law, alpha=config.alpha)
+    ks = ks_test(empirical, law, alpha=args.alpha)
     reports = {"ks": ks.to_dict()}
     try:
-        chi2 = chi_square_first_digit(empirical, law, alpha=config.alpha)
+        chi2 = chi_square_first_digit(empirical, law, alpha=args.alpha)
         reports["chi2_first_digit"] = chi2.to_dict()
         all_passed = ks.passed and chi2.passed
     except DomainError as exc:
@@ -440,11 +392,11 @@ def _cmd_sample(args) -> int:
     payload = {
         "schema": 1,
         "command": "sample",
-        "seed": config.seed,
-        "workers": config.workers,
-        "N": config.count,
-        "alpha": config.alpha,
-        "law": _law_name(law),
+        "seed": seed,
+        "workers": args.workers,
+        "N": args.N,
+        "alpha": args.alpha,
+        "law": repr(law),
         "n_rejected": empirical.n_rejected,
         "digit_freqs": empirical.digit_freqs(),
         "predicted_digit_freqs": np.asarray(law.first_digit_probs(), dtype=float),
@@ -452,7 +404,7 @@ def _cmd_sample(args) -> int:
         "pass": bool(all_passed),
         **meta,
     }
-    _emit_report(payload, config.fmt, config.out)
+    _emit_report(payload, args.format, args.out)
     if args.samples_out is not None:
         _write_samples(empirical.values, args.samples_out)
     return 0 if all_passed else 1
@@ -462,57 +414,39 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    config = RunConfig(
-        base=args.base,
-        seed=_resolve_seed(args.seed),
-        count=args.N,
-        fmt=args.format,
-        out=args.out,
-        workers=args.workers,
-    )
+    seed = _resolve_seed(args.seed)
     dims = _parse_dims(args.dims)
-    base = config.base
-    root = RngStream(config.seed)
+    base = args.base
+    root = RngStream(seed)
+    header = ("dimension", "digit", "mc_freq", "predicted_freq")
     rows = []
     for dim in dims:
-        dim_stream = root.substream(dim)
-        values = np.concatenate(
-            [
-                _collect(
-                    lambda st, c: samplers.sample_sphere_coords(dim, 1, st, c)[:, 0],
-                    dim_stream.substream(w),
-                    size,
-                    _SCALAR_CHUNK,
-                )
-                for w, size in enumerate(_shard_sizes(config.count, config.workers))
-                if size > 0
-            ]
-        )
-        freqs = build_empirical(values, base).digit_freqs()
+        freqs = build_empirical(
+            _draw(
+                lambda st, c: samplers.sample_sphere_coords(dim, 1, st, c)[:, 0],
+                root.substream(dim),
+                args.N,
+                args.workers,
+                _SCALAR_CHUNK,
+            ),
+            base,
+        ).digit_freqs()
         predicted = np.asarray(SphereLimit(base=base, n=dim).first_digit_probs())
         for digit in range(1, base):
             rows.append((dim, digit, float(freqs[digit - 1]), float(predicted[digit - 1])))
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "schema": 1,
             "command": "fig1",
             "base": base,
-            "seed": config.seed,
-            "workers": config.workers,
-            "N": config.count,
-            "rows": [
-                {
-                    "dimension": d,
-                    "digit": dg,
-                    "mc_freq": mc,
-                    "predicted_freq": pred,
-                }
-                for d, dg, mc, pred in rows
-            ],
+            "seed": seed,
+            "workers": args.workers,
+            "N": args.N,
+            "rows": [dict(zip(header, row)) for row in rows],
         }
-        _emit_json(payload, config.out)
+        _emit_json(payload, args.out)
     else:
-        _emit_csv(("dimension", "digit", "mc_freq", "predicted_freq"), rows, config.out)
+        _emit_csv(header, rows, args.out)
     return 0
 
 
@@ -572,6 +506,20 @@ def _verify_adjoint(stream: RngStream, draws: int = 100):
     return checks
 
 
+def _mc_check(name: str, analytic: float, mc, **setup) -> dict:
+    """A check that the Monte Carlo estimate `mc` is within 2% of `analytic`."""
+    gap = abs(mc.estimate - analytic) / analytic
+    detail = {
+        **setup,
+        "analytic": analytic,
+        "mc_estimate": mc.estimate,
+        "mc_stderr": mc.stderr,
+        "relative_gap": gap,
+        "threshold": 0.02,
+    }
+    return {"name": name, "passed": gap < 0.02, "detail": detail}
+
+
 def _verify_cone(stream: RngStream, eps: float, trials: int):
     checks = []
     ratios = [
@@ -592,25 +540,9 @@ def _verify_cone(stream: RngStream, eps: float, trials: int):
     problem = ConeProblem(10.0, eps)
     analytic = sl2_cone_volume(problem)
     mc = sl2_cone_volume_mc(problem, stream.substream(1), trials)
-    gap = abs(mc.estimate - analytic) / analytic
-    checks.append(
-        {
-            "name": "cone_volume_mc",
-            "passed": gap < 0.02,
-            "detail": {
-                "x": problem.x,
-                "eps": eps,
-                "trials": trials,
-                "analytic": analytic,
-                "mc_estimate": mc.estimate,
-                "mc_stderr": mc.stderr,
-                "relative_gap": gap,
-                "threshold": 0.02,
-            },
-        }
-    )
+    checks.append(_mc_check("cone_volume_mc", analytic, mc, x=problem.x, eps=eps, trials=trials))
     base = 10
-    grid = np.array([1.0 + (j * (base - 1)) / _GRID_POINTS for j in range(1, _GRID_POINTS + 1)])
+    grid = _grid(base)
     induced = np.asarray(sl2_cone_induced_cdf(grid, eps, base))
     benford = np.log(grid) / math.log(base)
     sup_gap = float(np.abs(induced - benford).max())
@@ -624,23 +556,7 @@ def _verify_cone(stream: RngStream, eps: float, trials: int):
     a, b = 0.5, 4.0
     area = hyperbolic_cone_area(a, b)
     area_mc = hyperbolic_cone_area_mc(a, b, stream.substream(2), trials)
-    area_gap = abs(area_mc.estimate - area) / area
-    checks.append(
-        {
-            "name": "hyperbolic_area_mc",
-            "passed": area_gap < 0.02,
-            "detail": {
-                "a": a,
-                "b": b,
-                "trials": trials,
-                "analytic": area,
-                "mc_estimate": area_mc.estimate,
-                "mc_stderr": area_mc.stderr,
-                "relative_gap": area_gap,
-                "threshold": 0.02,
-            },
-        }
-    )
+    checks.append(_mc_check("hyperbolic_area_mc", area, area_mc, a=a, b=b, trials=trials))
     return checks
 
 
@@ -706,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_law.add_argument(
         "--law",
         required=True,
-        choices=("benford", "power", "uniform", "sphere-exact", "sphere-erf", "sphere-limit"),
+        choices=tuple(_LAWS),
     )
     p_law.add_argument("--k", type=float, default=None, help="power-law exponent")
     p_law.add_argument("--n", type=int, default=None, help="sphere dimension (S^n)")
@@ -717,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_sample)
     p_sample.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
-    p_sample.add_argument("--group", required=True, choices=_GROUPS)
+    p_sample.add_argument("--group", required=True, choices=tuple(_GROUPS))
     p_sample.add_argument("--N", type=int, default=100_000, help="sample count")
     p_sample.add_argument("--n", type=int, default=3, help="matrix size / sphere dimension")
     p_sample.add_argument("--k", type=float, default=None, help="power-density exponent")

@@ -60,13 +60,20 @@ def significand_parts(values, base: int = 10):
     Zero or non-finite entries raise DomainError; callers that need to
     tolerate them should filter first (see stats.build_empirical).
     """
+    s, e = _reduce(values, base)
+    x = np.asarray(values, dtype=float)
+    return s, e, np.where(x > 0, 1, -1).astype(np.int64, copy=False)
+
+
+def _reduce(values, base: int):
+    """(s, e) with |x| = s * B^e and s in [1, B), in the shape of values."""
     base = check_base(base)
     x = np.asarray(values, dtype=float)
     if x.size and not np.all(np.isfinite(x) & (x != 0.0)):
         raise DomainError("significand_parts: values must be finite and nonzero")
     ax = np.abs(x).reshape(-1)
     if ax.size == 0:
-        return x.copy(), x.astype(np.int64), x.astype(np.int64)
+        return x.copy(), x.astype(np.int64)
     e = np.log(ax)
     e /= math.log(base)
     idx = np.floor(e, out=e).astype(np.int64)
@@ -75,16 +82,18 @@ def significand_parts(values, base: int = 10):
     # exponent whose power is a normal double, lanes divide in two steps.
     e_min = math.ceil(math.log(np.finfo(float).tiny) / math.log(base))
     # B^k for every k the fix-up below can reach: it moves a lane by at
-    # most one per pass and makes at most two passes.
+    # most one per pass and makes at most two passes. Until the end, idx
+    # holds k - lo, the table index, so indexing makes no copy of it.
     lo = int(idx.min()) - 2
+    idx -= lo
     # Powers past the top of the double range are inf (s = 0, fixed up);
     # those below it are 0 (s = inf, redone in two steps).
     with np.errstate(over="ignore", divide="ignore"):
-        table = np.power(float(base), np.arange(lo, int(idx.max()) + 3, dtype=float))
-        s = np.take(table, idx - lo)
+        table = np.power(float(base), np.arange(lo, int(idx.max()) + lo + 3, dtype=float))
+        s = np.take(table, idx)
         np.divide(ax, s, out=s)
         if lo < e_min:
-            _divide_in_two_steps(s, ax, idx, base, e_min, idx < e_min)
+            _divide_in_two_steps(s, ax, idx + lo, base, e_min, idx < e_min - lo)
         for _ in range(2):  # fix log rounding at decade boundaries
             high = s >= base
             low = s < 1.0
@@ -93,11 +102,11 @@ def significand_parts(values, base: int = 10):
                 break
             idx += high
             idx -= low
-            s[moved] = ax[moved] / table[idx[moved] - lo]
+            s[moved] = ax[moved] / table[idx[moved]]
             if lo < e_min:
-                _divide_in_two_steps(s, ax, idx, base, e_min, moved & (idx < e_min))
-    signs = np.where(x > 0, 1, -1).astype(np.int64, copy=False)
-    return s.reshape(x.shape)[()], idx.reshape(x.shape)[()], signs
+                _divide_in_two_steps(s, ax, idx + lo, base, e_min, moved & (idx < e_min - lo))
+    idx += lo
+    return s.reshape(x.shape)[()], idx.reshape(x.shape)[()]
 
 
 def _divide_in_two_steps(s, ax, idx, base: int, e_min: int, lanes) -> None:
@@ -109,7 +118,7 @@ def _divide_in_two_steps(s, ax, idx, base: int, e_min: int, lanes) -> None:
 
 def significand_values(values, base: int = 10) -> np.ndarray:
     """Vectorized significands of |values| (see significand_parts)."""
-    return significand_parts(values, base)[0]
+    return _reduce(values, base)[0]
 
 
 def first_digits(values, base: int = 10) -> np.ndarray:

@@ -102,10 +102,10 @@ def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
     if arr.size == 0:
         raise DomainError("empty sample")
     keep = np.isfinite(arr) & (arr != 0.0)
-    n_rejected = int(arr.size - keep.sum())
-    if not keep.any():
+    n_rejected = int(arr.size - np.count_nonzero(keep))
+    if n_rejected == arr.size:
         raise DomainError("no usable values in sample (all zero or non-finite)")
-    sig = significand_values(arr[keep], base)
+    sig = significand_values(arr[keep] if n_rejected else arr, base)
     sig.sort()
     digits = np.floor(sig).astype(np.int64)
     np.clip(digits, 1, base - 1, out=digits)

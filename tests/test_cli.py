@@ -6,6 +6,7 @@ python -m entry point.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -87,6 +88,8 @@ def test_law_other_base(capsys):
         ("law", "--law", "power"),  # missing --k
         ("law", "--law", "power", "--k", "2", "--n", "5"),  # --n without sphere
         ("law", "--law", "sphere-exact"),  # missing --n
+        ("law", "--law", "sphere-erf", "--n", "5", "--k", "2"),  # --k without power
+        ("law", "--law", "uniform", "--n", "5"),  # --n without sphere
         ("law", "--law", "benford", "--base", "1"),
         ("sample", "--group", "triangular", "--entry", "2,1"),  # below diagonal
         ("sample", "--group", "sln", "--entry", "1,2"),  # off-diagonal
@@ -101,12 +104,92 @@ def test_law_other_base(capsys):
         ("fig1", "--dims", "abc"),
         ("fig1", "--dims", ""),
         ("fig1", "--dims", "0,5"),
+        ("fig1", "--N", "0"),
+        ("fig1", "--workers", "0"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_law_json_writes_non_finite_as_null(capsys):
+    # The n = 1 sphere density is infinite at s = B. JSON (RFC 8259) has no
+    # Infinity, so the payload carries null there; CSV keeps inf.
+    code, out, _ = run_cli(capsys, "law", "--law", "sphere-exact", "--n", "1")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["density"][-1] is None
+    assert all(math.isfinite(v) for v in payload["density"][:-1])
+    _, csv_out, _ = run_cli(capsys, "law", "--law", "sphere-exact", "--n", "1", "--format", "csv")
+    assert "density,10,inf" in csv_out.splitlines()
+
+
+# --- group and law tables ---------------------------------------------------------
+
+
+def _choices(command, flag):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "cmd").choices
+    return next(a.choices for a in commands[command]._actions if flag in a.option_strings)
+
+
+def test_parser_choices_are_the_table_keys():
+    assert tuple(_choices("sample", "--group")) == tuple(cli._GROUPS)
+    assert tuple(_choices("law", "--law")) == tuple(cli._LAWS)
+
+
+@pytest.mark.parametrize("law", list(cli._LAWS))
+def test_every_law_tabulates(capsys, law):
+    # n = 100 keeps the erf law's mass beyond |x| = 1 below 1e-20.
+    flag = {"k": ("--k", "2"), "n": ("--n", "100"), None: ()}[cli._LAWS[law][1]]
+    code, out, err = run_cli(capsys, "law", "--law", law, *flag)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    cdf = np.array(payload["cdf"])
+    assert np.all(np.diff(cdf) >= 0.0) and cdf[0] >= 0.0
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
+    assert sum(payload["digit_masses"].values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("group", list(cli._GROUPS))
+def test_every_group_samples(capsys, group):
+    flag = ("--k", "2") if cli._GROUPS[group].requires == "k" else ()
+    code, out, err = run_cli(capsys, "sample", "--group", group, *flag, "--N", "3000", "--seed", "5")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["group"] == group and payload["pass"] is True
+    assert payload["tests"]["ks"]["n"] == 3000
+    assert ("entry" in payload) == cli._GROUPS[group].matrix
+
+
+# sha256 of stdout at --N 4000 --seed 7. These groups make no BLAS or LAPACK
+# call, so the bytes do not depend on the linear-algebra library; a change here
+# is a change to the random streams, the samplers or the output format.
+FROZEN_SAMPLE_DIGESTS = {
+    ("--group", "rplus", "--workers", "2"):
+        "100051481bcbc5f1f3564db6937405a371c2b3f7895d348b73755f4b38b10d8f",
+    ("--group", "power", "--k", "2", "--base", "7"):
+        "eb358343d38228800d65bad9ab176db006efacbd0a3d6e2ffafcb33411fb738e",
+    ("--group", "sphere", "--n", "9"):
+        "0f2bc4848cb5b0945ecc82b402bb2c1b3af1e7e24f8f672a7183bbf020bc062e",
+    ("--group", "triangular", "--n", "4", "--entry", "1,2", "--side", "right"):
+        "a59755e20ae9ff1ac8345d802095313a0fca209163d12d516d029412f904d075",
+    ("--group", "diagonal", "--det-one", "--entry", "2,2", "--format", "csv"):
+        "60a220f76481d251d80c817b9015d2e5c6a08f8cb9be035ee8972cc3706d16f1",
+}
+
+
+@pytest.mark.parametrize("args", list(FROZEN_SAMPLE_DIGESTS), ids=lambda a: a[1])
+def test_sample_stdout_digest_is_frozen(capsys, args):
+    code, out, _ = run_cli(capsys, "sample", *args, "--N", "4000", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_SAMPLE_DIGESTS[args]
 
 
 # --- sample ---------------------------------------------------------------------

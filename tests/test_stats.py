@@ -78,6 +78,17 @@ def test_build_empirical_validation():
         build_empirical([1.0], base=1)
 
 
+def test_build_empirical_footprint(traced_peak):
+    # With nothing rejected, the sample is reduced without a filtered copy,
+    # and the caller's array is left as it was.
+    xs = 10.0 ** np.random.default_rng(0).uniform(-5, 5, 1_000_000)
+    before = xs.copy()
+    emp, peak = traced_peak(lambda: build_empirical(xs, 10))
+    assert emp.n == xs.size and emp.n_rejected == 0
+    assert peak <= 4.25 * xs.nbytes
+    assert np.array_equal(xs, before)
+
+
 # --- Kolmogorov-Smirnov -----------------------------------------------------------
 
 
