@@ -276,14 +276,14 @@ class _Group:
 
     draw(args, spec, i, j, stream, count) returns `count` values of the
     component; law(args, i, j) is its predicted significand law. (i, j) is
-    the 0-based --entry of a matrix group, (0, 0) for a scalar one. Entries
+    the 0-based --entry of a group that reads one, (0, 0) otherwise. Entries
     call samplers through the module, so that tracing the module sees them.
     """
 
     draw: Callable
     law: Callable
-    matrix: bool = True  # reads --entry; draws _MATRIX_CHUNK_SCALARS // n^2 a call
-    echoes: tuple = ("n",)  # flags copied into the payload
+    matrix: bool = True  # draws _MATRIX_CHUNK_SCALARS // n^2 a call
+    echoes: tuple = ("n", "entry")  # flags it reads, copied into the payload
     requires: Optional[str] = None  # a flag that must be given
     diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
 
@@ -312,20 +312,20 @@ _GROUPS = {
             a.n, a.base, spec, a.side, st, c
         ).matrices[:, i, j],
         law=lambda a, i, j: samplers.triangular_component_law(a.n, a.base, i, j, a.side),
-        echoes=("n", "side"),
+        echoes=("n", "side", "entry"),
     ),
     "diagonal": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_diagonal_window(
             a.n, a.base, a.m, st, c, det_one=a.det_one
         )[:, i],
         law=lambda a, i, j: Benford(a.base),
-        echoes=("n", "det_one"),
+        echoes=("n", "det_one", "entry"),
         diagonal_only="--group diagonal: --entry must be on the diagonal",
     ),
     "sln": _Group(
         draw=_sln_entry,
         law=lambda a, i, j: Benford(a.base),
-        echoes=("n", "component"),
+        echoes=("n", "component", "entry"),
         diagonal_only="--group sln: only diagonal components carry a predicted law; "
         "use --entry i,i",
     ),
@@ -334,6 +334,7 @@ _GROUPS = {
             a.n, a.base, a.m, spec, st, c
         ).det,
         law=lambda a, i, j: Benford(a.base),
+        echoes=("n",),
     ),
     "orthogonal": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_orthogonal_haar(a.n, st, c)[:, i, j],
@@ -347,6 +348,7 @@ _GROUPS = {
         draw=lambda a, spec, i, j, st, c: samplers.sample_sphere_coords(a.n, 1, st, c)[:, 0],
         law=lambda a, i, j: SphereExact(base=a.base, n=a.n),
         matrix=False,
+        echoes=("n",),
     ),
 }
 
@@ -357,18 +359,23 @@ def _cmd_sample(args) -> int:
         raise DomainError(f"alpha must be in (0, 1), got {args.alpha}")
     spec = samplers.WindowSpec(eps=args.eps, m=args.m)
     group = _GROUPS[args.group]
+    for flag in ("k", "entry"):
+        if getattr(args, flag) is not None and flag not in group.echoes:
+            users = [name for name, g in _GROUPS.items() if flag in g.echoes]
+            raise DomainError(
+                f"--{flag} is only valid with --group {'|'.join(users)}, not {args.group}"
+            )
     if group.requires is not None and getattr(args, group.requires) is None:
         raise DomainError(f"--group {args.group} requires --{group.requires}")
     meta = {"group": args.group, "base": args.base, "window_m": args.m, "window_eps": args.eps}
     meta.update((flag, getattr(args, flag)) for flag in group.echoes)
     i = j = 0
-    chunk = _SCALAR_CHUNK
-    if group.matrix:
-        i, j = _parse_entry(args.entry, args.n)
+    if "entry" in group.echoes:
+        i, j = _parse_entry("1,1" if args.entry is None else args.entry, args.n)
         if group.diagonal_only is not None and i != j:
             raise DomainError(group.diagonal_only)
         meta["entry"] = f"{i + 1},{j + 1}"
-        chunk = max(1, _MATRIX_CHUNK_SCALARS // (args.n * args.n))
+    chunk = max(1, _MATRIX_CHUNK_SCALARS // (args.n * args.n)) if group.matrix else _SCALAR_CHUNK
     law = group.law(args, i, j)
     empirical = build_empirical(
         _draw(
@@ -639,7 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--k", type=float, default=None, help="power-density exponent")
     p_sample.add_argument("--m", type=int, default=3, help="window decades [1, B^m)")
     p_sample.add_argument("--eps", type=float, default=1.0, help="unipotent box half-width")
-    p_sample.add_argument("--entry", default="1,1", help="matrix entry, 1-based 'row,col'")
+    p_sample.add_argument(
+        "--entry", default=None, help="matrix entry, 1-based 'row,col' (default 1,1)"
+    )
     p_sample.add_argument("--side", choices=("left", "right"), default="left")
     p_sample.add_argument(
         "--component",

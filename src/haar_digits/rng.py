@@ -53,12 +53,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _SH30)
-    z = z * _U64_MIX_A
-    z = z ^ (z >> _SH27)
-    z = z * _U64_MIX_B
-    return z ^ (z >> _SH31)
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 on every lane of a uint64 array, in place, with one scratch
+    buffer of the same size."""
+    t = np.empty_like(z)
+    for shift, mult in ((_SH30, _U64_MIX_A), (_SH27, _U64_MIX_B)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, _SH31, out=t)
+    z ^= t
+    return z
 
 
 def _parse_size(size):
@@ -109,14 +114,19 @@ class RngStream:
         n = int(n)
         if n < 0:
             raise DomainError("raw: n must be >= 0")
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        return _mix64_vec(self._key + idx * _U64_GAMMA)
+        z *= _U64_GAMMA
+        z += self._key
+        return _mix64_inplace(z)
 
     def random(self, size=None):
         """Uniform doubles in [0, 1): (word >> 11) * 2^-53."""
         shape, n = _parse_size(size)
-        vals = (self.raw(n) >> _SH11).astype(np.float64) * _INV_2_53
+        words = self.raw(n)
+        words >>= _SH11
+        vals = words.astype(np.float64)
+        vals *= _INV_2_53
         if shape is None:
             return float(vals[0])
         return vals.reshape(shape)
@@ -154,21 +164,30 @@ class RngStream:
         while pos < n:
             npairs = (n - pos + 1) // 2
             flat = self.random(2 * npairs)
-            u = 2.0 * flat[0::2] - 1.0
-            v = 2.0 * flat[1::2] - 1.0
-            s = u * u + v * v
-            ok = (s > 0.0) & (s < 1.0)
-            if not ok.any():
+            flat *= 2.0
+            flat -= 1.0
+            u, v = flat[0::2], flat[1::2]
+            s = u * u
+            s += v * v
+            idx = np.flatnonzero((s > 0.0) & (s < 1.0))
+            if idx.size == 0:
                 continue
-            f = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
-            pair = np.empty(2 * int(ok.sum()), dtype=np.float64)
-            pair[0::2] = u[ok] * f
-            pair[1::2] = v[ok] * f
-            take = min(pair.size, n - pos)
-            out[pos : pos + take] = pair[:take]
+            s = s.take(idx)
+            f = np.log(s)
+            f *= -2.0
+            f /= s
+            np.sqrt(f, out=f)
+            # accepted pair p gives u_p f_p, v_p f_p; an odd request leaves
+            # the last v_p f_p over (at most one, as npairs = ceil(rem / 2)).
+            take = min(2 * idx.size, n - pos)
+            dest = out[pos : pos + take]
+            np.multiply(u.take(idx), f, out=dest[0::2])
+            nv = take // 2
+            v = v.take(idx)
+            np.multiply(v[:nv], f[:nv], out=dest[1::2])
+            if nv < idx.size:
+                self._pending_normal = float(v[nv] * f[nv])
             pos += take
-            if take < pair.size:  # at most one leftover by construction
-                self._pending_normal = float(pair[take])
         if shape is None:
             return float(out[0])
         return out.reshape(shape)
@@ -186,9 +205,9 @@ class RngStream:
             raise DomainError(f"gamma: shape must be > 0, got {shape_param}")
         shape, n = _parse_size(size)
         if alpha < 1.0:
-            base = self._gamma_ge1(alpha + 1.0, n)
+            out = self._gamma_ge1(alpha + 1.0, n)
             u = np.asarray(self.random(n), dtype=np.float64).reshape(n)
-            out = base * np.power(u, 1.0 / alpha)
+            out *= np.power(u, 1.0 / alpha, out=u)
         else:
             out = self._gamma_ge1(alpha, n)
         if shape is None:
@@ -204,15 +223,27 @@ class RngStream:
             rem = n - pos
             x = np.asarray(self.normal(rem), dtype=np.float64).reshape(rem)
             u = np.asarray(self.random(rem), dtype=np.float64).reshape(rem)
-            t = 1.0 + c * x
-            v = t * t * t
+            # t = 1 + c x and v = t^3, then the bound
+            # ((0.5 x) x + d) - d v + d log(v), each step rounded as written.
+            t = x * c
+            t += 1.0
+            v = t * t
+            v *= t
+            bound = np.multiply(x, 0.5, out=t)
+            bound *= x
+            bound += d
+            scratch = np.multiply(v, d, out=x)
+            bound -= scratch
             with np.errstate(divide="ignore", invalid="ignore"):
-                ok = (v > 0.0) & (
-                    np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v)
-                )
-            acc = v[ok]
-            take = acc.size
-            out[pos : pos + take] = d * acc
+                np.log(v, out=scratch)
+                scratch *= d
+                bound += scratch
+                np.log(u, out=u)
+            ok = v > 0.0
+            ok &= u < bound
+            idx = np.flatnonzero(ok)
+            take = idx.size
+            np.multiply(v.take(idx), d, out=out[pos : pos + take])
             pos += take
         return out
 
@@ -220,4 +251,6 @@ class RngStream:
         """Chi-square variates with `dof` degrees of freedom (2*Gamma(dof/2))."""
         if dof < 1:
             raise DomainError(f"chi_square: dof must be >= 1, got {dof}")
-        return 2.0 * self.gamma(dof / 2.0, size)
+        out = self.gamma(dof / 2.0, size)
+        out *= 2.0
+        return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,20 +73,36 @@ class TriangularSample:
 
 @dataclass(frozen=True)
 class SlnSample:
-    """LUD-decomposed SL_n batch: g = exp(X) exp(Y) d with det(g) = 1."""
+    """LUD-decomposed SL_n batch: g = exp(X) exp(Y) d with det(g) = 1.
+
+    The factors are drawn; g is formed from them on first read and kept.
+    """
 
     X: np.ndarray
     Y: np.ndarray
     diag: np.ndarray
-    g: np.ndarray
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _lud_product(self)
 
 
 @dataclass(frozen=True)
 class GlnSample:
-    """Positive-determinant GL_n batch g = det^(1/n) * (SL_n sample)."""
+    """Positive-determinant GL_n batch g = det^(1/n) * (SL_n sample).
 
-    matrices: np.ndarray
+    The SL_n factor and the determinant are drawn; the matrices are formed
+    on first read and kept.
+    """
+
+    sln: SlnSample
     det: np.ndarray
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        g = _lud_product(self.sln)
+        g *= np.power(self.det, 1.0 / g.shape[-1])[..., None, None]
+        return g
 
 
 def _check_dim(n: int, minimum: int = 1) -> int:
@@ -142,9 +159,10 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count=None):
         raise DomainError(f"need k <= n (k=n+1 is the full sphere), got k={k}, n={n}")
     c, single = _batch(count)
     z = rng.normal((c, k))
-    w = np.asarray(rng.chi_square(n + 1 - k, c), dtype=float).reshape(c)
-    coords = z / np.sqrt(np.sum(z * z, axis=1) + w)[:, None]
-    return _squeeze(coords, single)
+    norm = np.asarray(rng.chi_square(n + 1 - k, c), dtype=float).reshape(c)
+    norm += np.sum(z * z, axis=1)
+    z /= np.sqrt(norm, out=norm)[:, None]
+    return _squeeze(z, single)
 
 
 # --- compact groups ---------------------------------------------------------
@@ -383,7 +401,8 @@ def sample_sln_lud_window(
     so det(g) = 1 exactly. The free diagonal entries d_11..d_{n-1,n-1} are
     iid with exactly Benford significands; the matrix diagonal g_ii =
     (unit-triangular factor) * d_ii inherits the Benford significand by
-    scale invariance.
+    scale invariance. Returns the factors; g is formed on first read of
+    ``.g``.
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
@@ -399,11 +418,14 @@ def sample_sln_lud_window(
     diag = np.asarray(
         sample_diagonal_window(n, base, spec.m, rng, c, det_one=True)
     ).reshape(c, n)
-    g = nilpotent_exp(X) @ nilpotent_exp(Y)
-    g *= diag[:, None, :]
-    return SlnSample(
-        _squeeze(X, single), _squeeze(Y, single), _squeeze(diag, single), _squeeze(g, single)
-    )
+    return SlnSample(_squeeze(X, single), _squeeze(Y, single), _squeeze(diag, single))
+
+
+def _lud_product(sample: SlnSample) -> np.ndarray:
+    """A fresh array exp(X) exp(Y) d of the sample's factors."""
+    g = nilpotent_exp(sample.X) @ nilpotent_exp(sample.Y)
+    g *= sample.diag[..., None, :]
+    return g
 
 
 def permutation_parity(sigma) -> int:
@@ -488,7 +510,8 @@ def sample_gln_pos_window(
 
     r is log-uniform on [1, B^m) (drawn first, one uniform per sample) and
     y is an SL_n LUD sample, so the determinant significand is exactly
-    Benford. Returns the matrices and the determinant vector.
+    Benford. Returns the SL_n factor y and the determinant vector; the
+    matrices are formed from them on first read of ``.matrices``.
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
@@ -496,7 +519,5 @@ def sample_gln_pos_window(
         raise DomainError(f"m must be a positive integer, got {m}")
     c, single = _batch(count)
     r = np.asarray(sample_log_uniform(base, m, rng, c), dtype=float).reshape(c)
-    y = sample_sln_lud_window(n, base, spec, rng, c)
-    g = y.g
-    g *= np.power(r, 1.0 / n)[:, None, None]
-    return GlnSample(_squeeze(g, single), _squeeze(r, single))
+    y = sample_sln_lud_window(n, base, spec, rng, count)
+    return GlnSample(y, _squeeze(r, single))

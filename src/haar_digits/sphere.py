@@ -305,7 +305,12 @@ class _ErfBandLaw(_SphereLawBase):
 
 @dataclass(frozen=True)
 class SphereErf(_ErfBandLaw):
-    """Error-function asymptotic form of the S^n significand law (n >= 2)."""
+    """Error-function asymptotic form of the S^n significand law (n >= 2).
+
+    Not normalized: the bands telescope, so cdf(B) and the sum of
+    first_digit_probs() equal erf(sqrt(n/2)) (0.9973 at n = 9), the mass
+    the Gaussian approximation puts on |x| <= 1.
+    """
 
     base: int = 10
     n: int = 2

@@ -101,6 +101,12 @@ def test_law_other_base(capsys):
         ("sample", "--group", "orthogonal", "--entry", "pivot"),
         ("sample", "--group", "rplus", "--workers", "0"),
         ("sample", "--group", "rplus", "--alpha", "2.0"),
+        ("sample", "--group", "rplus", "--k", "2"),  # --k without power
+        ("sample", "--group", "orthogonal", "--k", "2"),  # --k without power
+        ("sample", "--group", "rplus", "--entry", "1,1"),  # scalar groups read no --entry
+        ("sample", "--group", "power", "--k", "2", "--entry", "1,1"),
+        ("sample", "--group", "sphere", "--entry", "1,1"),
+        ("sample", "--group", "gln-det", "--entry", "1,1"),  # tests the determinant
         ("fig1", "--dims", "abc"),
         ("fig1", "--dims", ""),
         ("fig1", "--dims", "0,5"),
@@ -165,7 +171,8 @@ def test_every_group_samples(capsys, group):
     payload = json.loads(out)
     assert payload["group"] == group and payload["pass"] is True
     assert payload["tests"]["ks"]["n"] == 3000
-    assert ("entry" in payload) == cli._GROUPS[group].matrix
+    reads_entry = "entry" in cli._GROUPS[group].echoes
+    assert payload.get("entry") == ("1,1" if reads_entry else None)
 
 
 # sha256 of stdout at --N 4000 --seed 7. These groups make no BLAS or LAPACK
@@ -182,6 +189,8 @@ FROZEN_SAMPLE_DIGESTS = {
         "a59755e20ae9ff1ac8345d802095313a0fca209163d12d516d029412f904d075",
     ("--group", "diagonal", "--det-one", "--entry", "2,2", "--format", "csv"):
         "60a220f76481d251d80c817b9015d2e5c6a08f8cb9be035ee8972cc3706d16f1",
+    ("--group", "sln", "--workers", "2"):
+        "96ddc1ba271f1d7fbc721def48bb9cea4e2f727e5981e0e0541ba17c014347c1",
 }
 
 

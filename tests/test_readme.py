@@ -4,22 +4,32 @@ Command lines keep every flag as written, except that sample counts are
 capped, so a documented flag that the CLI rejects fails here.
 """
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from haar_digits import samplers
 from haar_digits.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
 COMMANDS = re.findall(r"^haar-digits .*$", README, flags=re.M)
 CAPS = {"--N": "4000", "--trials": "20000"}
+SAMPLERS_SECTION = README.split("\n## Samplers\n", 1)[1].split("\n## ", 1)[0]
+SAMPLER_SIGNATURES = re.findall(r"`(sample_\w+)\(([^`]*)\)`", SAMPLERS_SECTION)
 
 
 def test_readme_has_examples():
-    assert PYTHON_BLOCKS and COMMANDS
+    assert PYTHON_BLOCKS and COMMANDS and SAMPLER_SIGNATURES
+
+
+@pytest.mark.parametrize("name, params", SAMPLER_SIGNATURES, ids=[s[0] for s in SAMPLER_SIGNATURES])
+def test_readme_sampler_signature(name, params):
+    documented = [p.split("=")[0].strip() for p in params.split(",")]
+    assert documented == list(inspect.signature(getattr(samplers, name)).parameters)
 
 
 @pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from haar_digits.errors import DomainError
 from haar_digits.rng import RngStream
@@ -168,3 +170,126 @@ def test_raw_dtype_and_size_validation():
     with pytest.raises(DomainError):
         RngStream(0).random(-2)
     assert RngStream(0).random(0).shape == (0,)
+
+
+# --- the in-place kernels against a per-call reference -----------------------------
+
+
+class _ReferenceStream(RngStream):
+    """The word, uniform, polar-normal and Marsaglia-Tsang kernels written
+    plainly, one full-size temporary per step: what the in-place kernels of
+    RngStream must reproduce bit for bit."""
+
+    def raw(self, n):
+        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        z = self._key + idx * np.uint64(0x9E3779B97F4A7C15)
+        z = z ^ (z >> np.uint64(30))
+        z = z * np.uint64(0xBF58476D1CE4E5B9)
+        z = z ^ (z >> np.uint64(27))
+        z = z * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def random(self, size=None):
+        n = 1 if size is None else int(size)
+        vals = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return float(vals[0]) if size is None else vals
+
+    def normal(self, size=None):
+        n = 1 if size is None else int(size)
+        out = np.empty(n, dtype=np.float64)
+        pos = 0
+        if self._pending_normal is not None and n > 0:
+            out[0] = self._pending_normal
+            self._pending_normal = None
+            pos = 1
+        while pos < n:
+            npairs = (n - pos + 1) // 2
+            flat = self.random(2 * npairs)
+            u = 2.0 * flat[0::2] - 1.0
+            v = 2.0 * flat[1::2] - 1.0
+            s = u * u + v * v
+            ok = (s > 0.0) & (s < 1.0)
+            if not ok.any():
+                continue
+            f = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
+            pair = np.empty(2 * int(ok.sum()), dtype=np.float64)
+            pair[0::2] = u[ok] * f
+            pair[1::2] = v[ok] * f
+            take = min(pair.size, n - pos)
+            out[pos : pos + take] = pair[:take]
+            pos += take
+            if take < pair.size:
+                self._pending_normal = float(pair[take])
+        return float(out[0]) if size is None else out
+
+    def gamma(self, shape_param, size=None):
+        alpha = float(shape_param)
+        n = 1 if size is None else int(size)
+        if alpha < 1.0:
+            base = self._gamma_ge1(alpha + 1.0, n)
+            out = base * np.power(self.random(n), 1.0 / alpha)
+        else:
+            out = self._gamma_ge1(alpha, n)
+        return float(out[0]) if size is None else out
+
+    def _gamma_ge1(self, alpha, n):
+        d = alpha - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        out = np.empty(n, dtype=np.float64)
+        pos = 0
+        while pos < n:
+            rem = n - pos
+            x = self.normal(rem)
+            u = self.random(rem)
+            t = 1.0 + c * x
+            v = t * t * t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
+            acc = v[ok]
+            out[pos : pos + acc.size] = d * acc
+            pos += acc.size
+        return out
+
+
+_SIZES = st.none() | st.integers(0, 5000)
+_CALLS = st.lists(
+    st.tuples(st.just("raw"), st.integers(0, 5000))
+    | st.tuples(st.sampled_from(["random", "normal"]), _SIZES)
+    | st.tuples(st.just("gamma"), _SIZES, st.sampled_from([0.3, 1.0, 4.5, 49.5, 25000.0])),
+    max_size=8,
+)
+
+
+def _call(stream, kind, size, *shape):
+    if kind == "raw":
+        return stream.raw(size)
+    if kind == "gamma":
+        return stream.gamma(shape[0], size)
+    return getattr(stream, kind)(size)
+
+
+@given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 7), calls=_CALLS)
+def test_kernels_match_reference_over_call_sequences(seed, stream_id, calls):
+    fast, ref = RngStream(seed, stream_id), _ReferenceStream(seed, stream_id)
+    for kind, size, *shape in calls:
+        got, want = _call(fast, kind, size, *shape), _call(ref, kind, size, *shape)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (kind, size, shape)
+        assert fast.counter == ref.counter
+        assert fast._pending_normal == ref._pending_normal
+
+
+@pytest.mark.parametrize(
+    "draw, bound",
+    [
+        (lambda s: s.random(1_000_000), 2.5),  # the words, then the doubles
+        (lambda s: s.normal(1_000_000), 4.5),
+        (lambda s: s.gamma(49.5, 1_000_000), 7.5),
+    ],
+    ids=["random", "normal", "gamma"],
+)
+def test_kernel_footprint(traced_peak, draw, bound):
+    # Peak bytes newly allocated, as a multiple of the output's bytes.
+    out, peak = traced_peak(lambda: draw(RngStream(53)))
+    assert peak <= bound * out.nbytes

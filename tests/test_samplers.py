@@ -443,7 +443,8 @@ def test_sln_lud_window_diagonal_factor():
     sample = sample_sln_lud_window(3, 10, spec, RngStream(421), count=30000)
     # g = (exp(X) exp(Y)) * d column-wise, so g_ij = (LU)_ij * d_j.
     lu = nilpotent_exp(sample.X) @ nilpotent_exp(sample.Y)
-    assert np.allclose(lu * sample.diag[:, None, :], sample.g, rtol=1e-14)
+    assert np.array_equal(lu * sample.diag[:, None, :], sample.g)
+    assert sample.g is sample.g  # formed once, on first read
     assert np.allclose(np.prod(sample.diag, axis=1), 1.0, rtol=1e-12)
     for col in (0, 1):
         ok, d = _ks_passes(sample.diag[:, col], Benford(10))
@@ -471,8 +472,36 @@ def test_sln_lud_window_footprint(traced_peak):
     # exp(X) and exp(Y) accumulate their series in place and the diagonal
     # scaling is applied to the product in place.
     spec = WindowSpec()
-    sample, peak = traced_peak(lambda: sample_sln_lud_window(3, 10, spec, RngStream(43), 250_000))
-    assert peak <= 7.0 * sample.g.nbytes
+    g, peak = traced_peak(lambda: sample_sln_lud_window(3, 10, spec, RngStream(43), 250_000).g)
+    assert peak <= 7.0 * g.nbytes
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: sample_sln_lud_window(3, 10, WindowSpec(), RngStream(43), 250_000).diag,
+        lambda: sample_gln_pos_window(3, 10, 3, WindowSpec(), RngStream(43), 250_000).det,
+    ],
+    ids=["sln-diag", "gln-det"],
+)
+def test_windowed_factors_without_products_footprint(traced_peak, read):
+    # A caller that reads only the diagonal factor or the determinant never
+    # forms the 250k 3x3 products, whose bytes are the unit here.
+    _, peak = traced_peak(read)
+    assert peak <= 3.0 * 250_000 * 9 * 8
+
+
+def test_sln_and_gln_single_draws():
+    spec = WindowSpec(eps=0.5, m=2)
+    one = sample_sln_lud_window(3, 10, spec, RngStream(433))
+    batch = sample_sln_lud_window(3, 10, spec, RngStream(433), count=1)
+    assert one.g.shape == (3, 3) and one.diag.shape == (3,)
+    assert np.array_equal(one.g, batch.g[0])
+    gl_one = sample_gln_pos_window(3, 10, 3, spec, RngStream(437))
+    gl_batch = sample_gln_pos_window(3, 10, 3, spec, RngStream(437), count=1)
+    assert gl_one.matrices.shape == (3, 3) and np.ndim(gl_one.det) == 0
+    assert np.array_equal(gl_one.matrices, gl_batch.matrices[0])
+    assert gl_one.det == gl_batch.det[0]
 
 
 # --- permutations --------------------------------------------------------------
@@ -547,6 +576,9 @@ def test_gln_pos_window_determinant():
     assert np.all(sample.det > 0.0)
     assert np.all((sample.det >= 1.0) & (sample.det < 1000.0))
     assert np.allclose(np.linalg.det(sample.matrices), sample.det, rtol=1e-10)
+    # g = det^(1/n) times the SL_n factor, scaled after the factor is formed.
+    scale = np.power(sample.det, 1.0 / 3)[:, None, None]
+    assert np.array_equal(sample.matrices, sample.sln.g * scale)
 
 
 def test_gln_pos_window_det_is_benford():

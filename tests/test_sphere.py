@@ -222,6 +222,16 @@ def test_joint_sig_approx_factorizes_over_components():
     assert joint == pytest.approx(product, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 9, 100])
+def test_erf_law_total_mass_is_erf(n):
+    # The erf bands telescope to erf(sqrt(n/2)), the Gaussian mass on
+    # |x| <= 1, so the law is short of 1 at small n (0.9973 at n = 9).
+    law = SphereErf(base=10, n=n)
+    mass = math.erf(math.sqrt(n / 2))
+    assert abs(float(law.cdf(10.0)) - mass) < 1e-12
+    assert abs(float(np.sum(law.first_digit_probs())) - mass) < 1e-12
+
+
 def test_joint_sig_approx_validation():
     with pytest.raises(DomainError):
         sphere_joint_sig_approx(100, 10, ((0.5, 2.0),))
