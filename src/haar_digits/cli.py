@@ -353,17 +353,27 @@ _GROUPS = {
 }
 
 
+# flag -> the value a group that reads it gets when it is not given. A flag
+# given to a group that does not read it is a usage error.
+_GROUP_FLAGS = {
+    "n": 3, "k": None, "entry": "1,1", "side": "left", "component": "dfactor", "det_one": False
+}
+
+
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
     if not (0.0 < args.alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {args.alpha}")
     spec = samplers.WindowSpec(eps=args.eps, m=args.m)
     group = _GROUPS[args.group]
-    for flag in ("k", "entry"):
-        if getattr(args, flag) is not None and flag not in group.echoes:
+    for flag, default in _GROUP_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in group.echoes:
             users = [name for name, g in _GROUPS.items() if flag in g.echoes]
             raise DomainError(
-                f"--{flag} is only valid with --group {'|'.join(users)}, not {args.group}"
+                f"--{flag.replace('_', '-')} is only valid with --group {'|'.join(users)}, "
+                f"not {args.group}"
             )
     if group.requires is not None and getattr(args, group.requires) is None:
         raise DomainError(f"--group {args.group} requires --{group.requires}")
@@ -371,7 +381,7 @@ def _cmd_sample(args) -> int:
     meta.update((flag, getattr(args, flag)) for flag in group.echoes)
     i = j = 0
     if "entry" in group.echoes:
-        i, j = _parse_entry("1,1" if args.entry is None else args.entry, args.n)
+        i, j = _parse_entry(args.entry, args.n)
         if group.diagonal_only is not None and i != j:
             raise DomainError(group.diagonal_only)
         meta["entry"] = f"{i + 1},{j + 1}"
@@ -460,53 +470,41 @@ def _cmd_fig1(args) -> int:
 # --- verify command -------------------------------------------------------------
 
 
-def _random_ud(stream: RngStream, n: int):
-    mags = np.exp(np.asarray(stream.uniform(-2.0 * math.log(10.0), 2.0 * math.log(10.0), n)))
-    signs = np.where(np.asarray(stream.random(n)) < 0.5, -1.0, 1.0)
-    d = mags * signs
-    u = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u[i, j] = stream.uniform(-3.0, 3.0)
-    return u, d
+def _random_ud(stream: RngStream, n: int, draws: int):
+    """`draws` pairs (d, u): |d_i| log-uniform on [1e-2, 1e2] with a random
+    sign, u unit upper triangular with entries uniform on [-3, 3)."""
+    mags = np.exp(stream.uniform(-2.0 * math.log(10.0), 2.0 * math.log(10.0), (draws, n)))
+    signs = np.where(stream.random((draws, n)) < 0.5, -1.0, 1.0)
+    rows, cols = np.triu_indices(n, k=1)
+    u = np.tile(np.eye(n), (draws, 1, 1))
+    u[:, rows, cols] = stream.uniform(-3.0, 3.0, (draws, rows.size))
+    return mags * signs, u
 
 
 def _verify_adjoint(stream: RngStream, draws: int = 100):
     checks = []
-    for n in range(2, 6):
-        sub = stream.substream(n)
-        worst_product = 0.0
-        worst_u_dependence = 0.0
-        failure = None
-        for _ in range(draws):
-            u, d = _random_ud(sub, n)
-            try:
-                det_u = adjoint_det_on_u(d, u)
-                det_l = adjoint_det_on_l(d, u)
-                det_l_identity = adjoint_det_on_l(d)
-            except ConsistencyError as exc:
-                failure = str(exc)
-                break
-            worst_product = max(worst_product, abs(det_u * det_l - 1.0))
-            worst_u_dependence = max(
-                worst_u_dependence,
-                abs(det_l - det_l_identity) / max(abs(det_l_identity), 1e-300),
+    for n in range(2, 9):
+        d, u = _random_ud(stream.substream(n), n, draws)
+        detail = {"n": n, "draws": draws, "threshold": 1e-9}
+        # NaN (written null) when the matrix route failed; it fails the check.
+        product = u_dependence = math.nan
+        try:
+            det_u = adjoint_det_on_u(d, u)
+            det_l = adjoint_det_on_l(d, u)
+            det_l_identity = adjoint_det_on_l(d)
+        except ConsistencyError as exc:
+            detail["error"] = str(exc)
+        else:
+            product = float(np.abs(det_u * det_l - 1.0).max())
+            u_dependence = float(
+                (np.abs(det_l - det_l_identity) / np.maximum(np.abs(det_l_identity), 1e-300)).max()
             )
-        detail = {
-            "n": n,
-            "draws": draws,
-            "max_product_residual": worst_product,
-            "max_u_dependence": worst_u_dependence,
-            "threshold": 1e-9,
-        }
-        if failure is not None:
-            detail["error"] = failure
+        detail["max_product_residual"] = product
+        detail["max_u_dependence"] = u_dependence
         checks.append(
             {
                 "name": f"adjoint_product_n{n}",
-                "passed": failure is None
-                and worst_product < 1e-9
-                and worst_u_dependence < 1e-9,
+                "passed": product < 1e-9 and u_dependence < 1e-9,
                 "detail": detail,
             }
         )
@@ -642,21 +640,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
     p_sample.add_argument("--group", required=True, choices=tuple(_GROUPS))
     p_sample.add_argument("--N", type=int, default=100_000, help="sample count")
-    p_sample.add_argument("--n", type=int, default=3, help="matrix size / sphere dimension")
+    p_sample.add_argument("--n", type=int, default=None, help="matrix size / sphere dimension")
     p_sample.add_argument("--k", type=float, default=None, help="power-density exponent")
     p_sample.add_argument("--m", type=int, default=3, help="window decades [1, B^m)")
     p_sample.add_argument("--eps", type=float, default=1.0, help="unipotent box half-width")
     p_sample.add_argument(
         "--entry", default=None, help="matrix entry, 1-based 'row,col' (default 1,1)"
     )
-    p_sample.add_argument("--side", choices=("left", "right"), default="left")
+    p_sample.add_argument("--side", choices=("left", "right"), default=None)
     p_sample.add_argument(
         "--component",
         choices=("dfactor", "matrix"),
-        default="dfactor",
+        default=None,
         help="sln: test the diagonal-factor entry or the matrix entry",
     )
-    p_sample.add_argument("--det-one", action="store_true", help="diagonal: force det = 1")
+    p_sample.add_argument(
+        "--det-one", action="store_true", default=None, help="diagonal: force det = 1"
+    )
     p_sample.add_argument("--alpha", type=float, default=0.001, help="test level")
     p_sample.add_argument("--samples-out", default=None, help="also write significands CSV here")
     p_sample.set_defaults(handler=_cmd_sample)

@@ -48,6 +48,7 @@ __all__ = [
 
 _REL_TOL = 1e-10
 _TRI_TOL = 1e-12
+_MC_BATCH = 1_000_000  # rejection Monte Carlo points drawn per batch
 
 
 @dataclass(frozen=True)
@@ -75,91 +76,102 @@ class MCVolume:
     box_volume: float
 
 
-def _check_pair(d, u):
+def _check_stack(d, u):
+    """Validated d as (m, n) and u as (m, n, n), plus whether one pair was given.
+
+    A single d or u is shared by every pair of a stack given for the other.
+    """
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.size < 2:
+    if d.ndim not in (1, 2) or d.shape[-1] < 2:
         raise DomainError(f"need a vector of >= 2 diagonal entries, got shape {d.shape}")
     if not np.all(np.isfinite(d)) or np.any(d == 0.0):
         raise DomainError("diagonal entries must be finite and nonzero")
-    n = d.size
-    if u is None:
-        u = np.eye(n)
-    else:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (n, n):
-            raise DomainError(f"u must be {n}x{n}, got {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise DomainError("u must have finite entries")
-        if np.tril(u, k=-1).any():
-            raise DomainError("u must be upper triangular")
-        if not np.all(np.diagonal(u) == 1.0):
-            raise DomainError("u must have unit diagonal")
-    return d, u, n
+    n = d.shape[-1]
+    u = np.eye(n) if u is None else np.asarray(u, dtype=float)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (n, n):
+        raise DomainError(f"u must be {n}x{n}, got {u.shape}")
+    if d.ndim == 2 and u.ndim == 3 and len(d) != len(u):
+        raise DomainError(f"u and d stacks differ in length: {len(u)} vs {len(d)}")
+    if not np.all(np.isfinite(u)):
+        raise DomainError("u must have finite entries")
+    if np.tril(u, k=-1).any():
+        raise DomainError("u must be upper triangular")
+    if not np.all(np.diagonal(u, axis1=-2, axis2=-1) == 1.0):
+        raise DomainError("u must have unit diagonal")
+    m = len(d) if d.ndim == 2 else len(u) if u.ndim == 3 else 1
+    single = d.ndim == 1 and u.ndim == 2
+    return np.broadcast_to(d, (m, n)), np.broadcast_to(u, (m, n, n)), single
 
 
 def _basis_by_distance(n: int, lower: bool):
-    """Strictly triangular basis positions ordered by distance from the diagonal."""
-    pairs = []
-    for delta in range(1, n):
-        for start in range(n - delta):
-            if lower:
-                pairs.append((start + delta, start))
-            else:
-                pairs.append((start, start + delta))
-    return pairs
+    """Row and column indices of the strictly triangular basis positions,
+    ordered by distance from the diagonal."""
+    near = np.concatenate([np.arange(n - delta) for delta in range(1, n)])
+    far = np.concatenate([np.arange(delta, n) for delta in range(1, n)])
+    return (far, near) if lower else (near, far)
 
 
-def _conjugation_columns(d, u, pairs):
-    """Coordinates of b^(-1) E_ij b at the basis positions, plus the residue
-    left outside the spanned triangle (for invariance/triangularity checks)."""
-    n = d.size
-    b = u * d[None, :]  # u @ diag(d)
-    dim = len(pairs)
-    action = np.empty((dim, dim))
-    residue = 0.0
-    scale = 0.0
-    mask = np.zeros((n, n), dtype=bool)
-    for i, j in pairs:
-        mask[i, j] = True
-    for col, (i, j) in enumerate(pairs):
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
-        M = np.linalg.solve(b, E @ b)
-        action[:, col] = [M[i2, j2] for i2, j2 in pairs]
-        residue = max(residue, float(np.abs(np.where(mask, 0.0, M)).max()))
-        scale = max(scale, float(np.abs(M).max()))
-    return action, residue, scale
+def _raise_first(bad, describe) -> None:
+    """ConsistencyError naming the first draw k where bad[k] holds."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConsistencyError(f"draw {k}: {describe(k)}")
 
 
-def adjoint_det_on_u(d, u=None) -> float:
+def _adjoint_det(d, u, lower: bool):
+    """det of Ad(b^(-1)) on the strictly upper algebra, or of its projection
+    on the strictly lower one, for each pair of a stack; b = u diag(d).
+
+    Since b^(-1) E_ij b = (b^(-1) e_i)(e_j^T b), entry (i', j') of the
+    conjugated basis element E_ij is b^(-1)[i', i] * b[j, j']; the action
+    matrix is that tensor read at the basis positions.
+    """
+    d, u, single = _check_stack(d, u)
+    rows, cols = _basis_by_distance(d.shape[1], lower)
+    b = u * d[:, None, :]  # u @ diag(d)
+    # conj[k, i', j', c]: entry (i', j') of b^(-1) E b for basis element c.
+    conj = np.linalg.inv(b)[:, :, None, rows] * b[:, cols, :].transpose(0, 2, 1)[:, None]
+    scale = np.abs(conj).max(axis=(1, 2, 3), initial=1.0)
+    action = conj[:, rows, cols, :]
+    if lower:
+        below = np.abs(np.tril(action, k=-1)).max(axis=(1, 2), initial=0.0)
+        _raise_first(
+            below > _TRI_TOL * scale,
+            lambda k: "projected adjoint action is not triangular in the "
+            f"distance-ordered basis (max below-diagonal {below[k]:.3e})",
+        )
+    else:
+        outside = ~np.triu(np.ones(b.shape[1:], dtype=bool), k=1)
+        residue = np.abs(conj[:, outside]).max(axis=(1, 2), initial=0.0)
+        _raise_first(
+            residue > _TRI_TOL * scale,
+            lambda k: f"conjugation left the strictly upper algebra (residue {residue[k]:.3e})",
+        )
+    numeric = np.linalg.det(action)
+    closed = np.prod(d[:, cols] / d[:, rows], axis=1)
+    _raise_first(
+        np.abs(numeric - closed) > _REL_TOL * np.maximum(np.abs(closed), 1e-300),
+        lambda k: f"adjoint determinant on {'lower' if lower else 'upper'} algebra: "
+        f"matrix route {float(numeric[k])!r} vs closed form {float(closed[k])!r}",
+    )
+    return float(numeric[0]) if single else numeric
+
+
+def adjoint_det_on_u(d, u=None):
     """det of Ad(b^(-1)) on the strictly upper algebra, b = u diag(d).
 
     The algebra is genuinely invariant (the conjugated basis elements stay
     strictly upper; any leakage raises ConsistencyError). The numeric
     determinant is cross-checked against the closed form
     prod_{i<j} d_j / d_i, which does not involve u at all.
+
+    d has shape (n,) or (m, n) and u shape (n, n) or (m, n, n); a single
+    pair gives a float, a stack an array of m determinants.
     """
-    d, u, n = _check_pair(d, u)
-    pairs = _basis_by_distance(n, lower=False)
-    action, residue, scale = _conjugation_columns(d, u, pairs)
-    if residue > _TRI_TOL * max(scale, 1.0):
-        raise ConsistencyError(
-            f"conjugation left the strictly upper algebra (residue {residue:.3e})"
-        )
-    numeric = float(np.linalg.det(action))
-    closed = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            closed *= d[j] / d[i]
-    if abs(numeric - closed) > _REL_TOL * max(abs(closed), 1e-300):
-        raise ConsistencyError(
-            f"adjoint determinant on upper algebra: matrix route {numeric!r} "
-            f"vs closed form {closed!r}"
-        )
-    return numeric
+    return _adjoint_det(d, u, lower=False)
 
 
-def adjoint_det_on_l(d, u=None) -> float:
+def adjoint_det_on_l(d, u=None):
     """det of the projected Ad(b^(-1)) on the strictly lower algebra.
 
     Conjugation does not preserve the lower algebra, but in the basis
@@ -167,31 +179,13 @@ def adjoint_det_on_l(d, u=None) -> float:
     triangular (checked), so the determinant is the product of the
     diagonal coefficients: prod_{i>j} d_j / d_i -- again independent of u.
     Together with adjoint_det_on_u the product over both triangles is
-    exactly 1: every ratio d_j/d_i meets its reciprocal.
+    exactly 1: every ratio d_j/d_i meets its reciprocal. Takes stacks as
+    adjoint_det_on_u does.
     """
-    d, u, n = _check_pair(d, u)
-    pairs = _basis_by_distance(n, lower=True)
-    action, _, scale = _conjugation_columns(d, u, pairs)
-    below = np.tril(action, k=-1)
-    if np.abs(below).max() > _TRI_TOL * max(scale, 1.0):
-        raise ConsistencyError(
-            "projected adjoint action is not triangular in the "
-            f"distance-ordered basis (max below-diagonal {np.abs(below).max():.3e})"
-        )
-    numeric = float(np.linalg.det(action))
-    closed = 1.0
-    for i in range(n):
-        for j in range(i):
-            closed *= d[j] / d[i]
-    if abs(numeric - closed) > _REL_TOL * max(abs(closed), 1e-300):
-        raise ConsistencyError(
-            f"adjoint determinant on lower algebra: matrix route {numeric!r} "
-            f"vs closed form {closed!r}"
-        )
-    return numeric
+    return _adjoint_det(d, u, lower=True)
 
 
-def adjoint_product(d, u=None) -> float:
+def adjoint_product(d, u=None):
     """Product of the two adjoint determinants; identically 1."""
     return adjoint_det_on_u(d, u) * adjoint_det_on_l(d, u)
 
@@ -211,25 +205,15 @@ def hyperbolic_cone_area(a: float, b: float) -> float:
     return math.log(b / a)
 
 
-def hyperbolic_cone_area_mc(
-    a: float, b: float, rng: RngStream, trials: int, batch_size: int = 1_000_000
-) -> MCVolume:
-    """Rejection estimate of hyperbolic_cone_area from the bounding box
-    (0, b] x (0, 1/a]; uses only the membership inequalities."""
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
-        raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
+def _rejection_volume(box: float, trials: int, inside) -> MCVolume:
+    """Rejection estimate box * accepted / trials. inside(c) draws c points
+    of the bounding box and counts those in the region; it is called on
+    batches of at most _MC_BATCH points, in order."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    box = b * (1.0 / a)
-    accepted = 0
-    done = 0
-    while done < trials:
-        c = min(batch_size, trials - done)
-        u = b * np.asarray(rng.random(c))
-        v = (1.0 / a) * np.asarray(rng.random(c))
-        ok = (u * v <= 1.0) & (a * a * v <= u) & (u <= b * b * v)
-        accepted += int(ok.sum())
-        done += c
+    accepted = sum(
+        inside(min(_MC_BATCH, trials - done)) for done in range(0, trials, _MC_BATCH)
+    )
     p = accepted / trials
     return MCVolume(
         estimate=box * p,
@@ -238,6 +222,20 @@ def hyperbolic_cone_area_mc(
         trials=trials,
         box_volume=box,
     )
+
+
+def hyperbolic_cone_area_mc(a: float, b: float, rng: RngStream, trials: int) -> MCVolume:
+    """Rejection estimate of hyperbolic_cone_area from the bounding box
+    (0, b] x (0, 1/a]; uses only the membership inequalities."""
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
+        raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
+
+    def inside(c):
+        u = b * rng.random(c)
+        v = (1.0 / a) * rng.random(c)
+        return int(((u * v <= 1.0) & (a * a * v <= u) & (u <= b * b * v)).sum())
+
+    return _rejection_volume(b * (1.0 / a), trials, inside)
 
 
 # --- the SL_2 cone -----------------------------------------------------------
@@ -274,42 +272,26 @@ def sl2_cone_volume(problem: ConeProblem) -> float:
     return 2.0 * problem.eps * problem.eps * math.log(problem.x)
 
 
-def sl2_cone_volume_mc(
-    problem: ConeProblem, rng: RngStream, trials: int, batch_size: int = 1_000_000
-) -> MCVolume:
+def sl2_cone_volume_mc(problem: ConeProblem, rng: RngStream, trials: int) -> MCVolume:
     """Rejection estimate of the cone volume from its bounding box.
 
     The cone fits in (0, x] x [-eps, eps]^2 x (0, 1 + eps^2] for the
-    (w, p, q, z) coordinates; each batch consumes 4 * batch uniforms
+    (w, p, q, z) coordinates; each batch of c points consumes 4c uniforms
     (w, p, q, z in that order). Membership is decided by
     sl2_cone_membership alone -- the analytic formula is never consulted.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
     x, eps = problem.x, problem.eps
     zmax = 1.0 + eps * eps
-    box = x * (2.0 * eps) ** 2 * zmax
-    accepted = 0
-    done = 0
-    g = np.empty((0, 2, 2))
-    while done < trials:
-        c = min(batch_size, trials - done)
-        if g.shape[0] != c:
-            g = np.empty((c, 2, 2))
-        g[:, 0, 0] = x * np.asarray(rng.random(c))
+
+    def inside(c):
+        g = np.empty((c, 2, 2))
+        g[:, 0, 0] = x * rng.random(c)
         g[:, 0, 1] = rng.uniform(-eps, eps, c)
         g[:, 1, 0] = rng.uniform(-eps, eps, c)
-        g[:, 1, 1] = zmax * np.asarray(rng.random(c))
-        accepted += int(sl2_cone_membership(g, problem).sum())
-        done += c
-    p = accepted / trials
-    return MCVolume(
-        estimate=box * p,
-        stderr=box * math.sqrt(max(p * (1.0 - p), 0.0) / trials),
-        accepted=accepted,
-        trials=trials,
-        box_volume=box,
-    )
+        g[:, 1, 1] = zmax * rng.random(c)
+        return int(sl2_cone_membership(g, problem).sum())
+
+    return _rejection_volume(x * (2.0 * eps) ** 2 * zmax, trials, inside)
 
 
 def sl2_cone_induced_cdf(s, eps: float, base: int = 10):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from haar_digits import cli
+from haar_digits import cli, lie
 from haar_digits.cli import main
 
 
@@ -107,6 +107,11 @@ def test_law_other_base(capsys):
         ("sample", "--group", "power", "--k", "2", "--entry", "1,1"),
         ("sample", "--group", "sphere", "--entry", "1,1"),
         ("sample", "--group", "gln-det", "--entry", "1,1"),  # tests the determinant
+        # no group flag reaches a group that does not read it
+        ("sample", "--group", "rplus", "--N", "100", "--side", "right", "--component", "matrix",
+         "--det-one", "--n", "7"),
+        ("sample", "--group", "sphere", "--side", "right"),
+        ("sample", "--group", "orthogonal", "--component", "matrix"),
         ("fig1", "--dims", "abc"),
         ("fig1", "--dims", ""),
         ("fig1", "--dims", "0,5"),
@@ -443,6 +448,9 @@ def test_verify_all_checks_pass(capsys):
         "adjoint_product_n3",
         "adjoint_product_n4",
         "adjoint_product_n5",
+        "adjoint_product_n6",
+        "adjoint_product_n7",
+        "adjoint_product_n8",
         "cone_log_slope_constant",
         "cone_volume_mc",
         "cone_induced_cdf_is_benford",
@@ -458,7 +466,7 @@ def test_verify_suites_and_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "check,passed,detail"
-    assert len(lines) == 1 + 4
+    assert len(lines) == 1 + 7
     assert all(line.split(",")[1] == "true" for line in lines[1:])
     code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "400000")
     assert code == 0
@@ -473,6 +481,34 @@ def test_verify_has_no_workers_flag(capsys):
     assert "--workers" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, "verify", "--suite", "adjoint")
     assert code == 0 and "workers" not in json.loads(out)
+
+
+# sha256 of `verify --suite cone --trials 2500001 --seed 7` stdout: three Monte
+# Carlo batches per rejection estimate (two full, one of a single point) and no
+# BLAS or LAPACK call, so a change here is a change to the draws or the count.
+FROZEN_CONE_DIGEST = "dd17c57f3a9e0a8b34cb5013969125b14d764feabf3d7818e80dbba273848781"
+
+
+def test_verify_cone_stdout_digest_is_frozen(capsys):
+    args = ("verify", "--suite", "cone", "--trials", "2500001", "--seed", "7")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_CONE_DIGEST
+
+
+def test_verify_adjoint_reports_consistency_failure(capsys, monkeypatch):
+    # A negative tolerance makes the matrix route and the closed form disagree
+    # on every draw; each check must fail with the error in its detail.
+    monkeypatch.setattr(lie, "_REL_TOL", -1.0)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "adjoint", "--seed", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    for check in payload["checks"]:
+        assert check["passed"] is False
+        assert "closed form" in check["detail"]["error"]
+        assert check["detail"]["error"].startswith("draw 0:")
+        assert check["detail"]["max_product_residual"] is None
 
 
 def test_verify_deterministic(capsys):

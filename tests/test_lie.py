@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from haar_digits import lie
 from haar_digits.errors import ConsistencyError, DomainError
 from haar_digits.lie import (
     ConeProblem,
@@ -68,6 +69,73 @@ def _random_pair(stream, n):
         for j in range(i + 1, n):
             u[i, j] = stream.uniform(-3.0, 3.0)
     return d, u
+
+
+def _solve_reference(d, u, lower):
+    """det of the action matrix built one basis element at a time: column
+    (i, j) is b^(-1) E_ij b, from np.linalg.solve, read at the basis positions
+    ordered by distance from the diagonal."""
+    n = d.size
+    b = u * d[None, :]
+    pairs = [(s + k, s) if lower else (s, s + k) for k in range(1, n) for s in range(n - k)]
+    action = np.empty((len(pairs), len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        e = np.zeros((n, n))
+        e[i, j] = 1.0
+        m = np.linalg.solve(b, e @ b)
+        action[:, col] = [m[p] for p in pairs]
+    return float(np.linalg.det(action))
+
+
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_adjoint_dets_match_solve_reference(n, seed):
+    d, u = _random_pair(RngStream(seed), n)
+    assert adjoint_det_on_u(d, u) == pytest.approx(_solve_reference(d, u, False), rel=1e-12)
+    assert adjoint_det_on_l(d, u) == pytest.approx(_solve_reference(d, u, True), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_adjoint_stack_equals_single_calls(n):
+    stream = RngStream(4000 + n)
+    pairs = [_random_pair(stream, n) for _ in range(20)]
+    d = np.stack([p[0] for p in pairs])
+    u = np.stack([p[1] for p in pairs])
+    for fn in (adjoint_det_on_u, adjoint_det_on_l, adjoint_product):
+        stacked = fn(d, u)
+        assert stacked.shape == (20,)
+        single = [fn(dk, uk) for dk, uk in zip(d, u)]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(stacked, np.array(single))
+        # One u (here the identity) is shared by a stack of diagonals.
+        assert np.array_equal(fn(d), np.array([fn(dk) for dk in d]))
+
+
+def test_adjoint_stack_validation():
+    d = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 2.0]])  # a zero in row 1
+    with pytest.raises(DomainError, match="nonzero"):
+        adjoint_det_on_u(d)
+    u = np.tile(np.eye(3), (2, 1, 1))
+    u[1, 2, 0] = 0.5  # below the diagonal in the second u
+    with pytest.raises(DomainError, match="upper triangular"):
+        adjoint_det_on_l(np.ones((2, 3)), u)
+    with pytest.raises(DomainError, match="differ in length"):
+        adjoint_det_on_u(np.ones((3, 3)), np.tile(np.eye(3), (2, 1, 1)))
+    with pytest.raises(DomainError):
+        adjoint_det_on_u(np.ones((2, 2, 3)))
+    # An empty stack is m = 0 determinants, not an error.
+    assert adjoint_det_on_u(np.ones((0, 3))).shape == (0,)
+    assert adjoint_product(np.ones(3), np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_adjoint_consistency_error_names_the_draw(monkeypatch):
+    d = np.array([[2.0, 0.5], [1.0, 3.0]])
+    monkeypatch.setattr(lie, "_REL_TOL", -1.0)
+    for fn in (adjoint_det_on_u, adjoint_det_on_l):
+        with pytest.raises(ConsistencyError, match="^draw 0: .*closed form"):
+            fn(d)
+    with pytest.raises(ConsistencyError, match="^draw 2: gap 2$"):
+        lie._raise_first(np.array([False, False, True, True]), lambda k: f"gap {k}")
+    lie._raise_first(np.zeros(3, dtype=bool), lambda k: "unreached")
 
 
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
