@@ -58,7 +58,6 @@ from .significand import (
     significand_values,
 )
 from .specfun import (
-    QuadratureSpec,
     betainc,
     erf,
     erfc,

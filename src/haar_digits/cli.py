@@ -85,11 +85,19 @@ def _jsonable(obj):
     return obj
 
 
+def _open_out(path: str):
+    """Open path for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
 
 
@@ -115,7 +123,7 @@ def _write_samples(values: np.ndarray, path: str) -> None:
     Rows are formatted a block at a time, so the memory used does not grow
     with the row count.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path) as fh:
         fh.write("significand\n")
         for start in range(0, values.size, _SAMPLES_BLOCK):
             block = values[start : start + _SAMPLES_BLOCK].tolist()
@@ -288,6 +296,12 @@ class _Group:
     diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
 
 
+def _orthogonal_law(base: int, n: int) -> DigitLaw:
+    if n < 2:  # O(1) entries are +-1 and have no continuous law
+        raise DomainError(f"--group orthogonal needs --n >= 2, got --n {n}")
+    return SphereExact(base=base, n=n - 1)
+
+
 def _sln_entry(a, spec, i, j, st, c):
     sample = samplers.sample_sln_lud_window(a.n, a.base, spec, st, c)
     return sample.diag[:, i] if a.component == "dfactor" else sample.g[:, i, i]
@@ -338,7 +352,7 @@ _GROUPS = {
     ),
     "orthogonal": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_orthogonal_haar(a.n, st, c)[:, i, j],
-        law=lambda a, i, j: SphereExact(base=a.base, n=a.n - 1),
+        law=lambda a, i, j: _orthogonal_law(a.base, a.n),
     ),
     "unitary": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_unitary_haar(a.n, st, c)[:, i, j].real,
@@ -421,9 +435,10 @@ def _cmd_sample(args) -> int:
         "pass": bool(all_passed),
         **meta,
     }
-    _emit_report(payload, args.format, args.out)
+    # Samples first: a run that cannot write them prints no report.
     if args.samples_out is not None:
         _write_samples(empirical.values, args.samples_out)
+    _emit_report(payload, args.format, args.out)
     return 0 if all_passed else 1
 
 

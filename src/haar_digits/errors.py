@@ -6,15 +6,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget before converging.
-
-    Carries the best available estimate so callers can inspect how far the
-    computation got.
-    """
-
-    def __init__(self, message, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """An iterative routine exhausted its budget before converging."""
 
 
 class ConsistencyError(RuntimeError):

@@ -269,7 +269,12 @@ def sl2_cone_volume(problem: ConeProblem) -> float:
     off-diagonal coordinates leaves the invariant measure da/a of the
     window edge, so the volume grows logarithmically in x -- the cone
     analogue of log-uniformity."""
-    return 2.0 * problem.eps * problem.eps * math.log(problem.x)
+    return float(_cone_volume(problem.x, problem.eps))
+
+
+def _cone_volume(x, eps: float):
+    """2 eps^2 ln x, elementwise in the window edge x."""
+    return 2.0 * eps * eps * np.log(x)
 
 
 def sl2_cone_volume_mc(problem: ConeProblem, rng: RngStream, trials: int) -> MCVolume:
@@ -304,11 +309,7 @@ def sl2_cone_induced_cdf(s, eps: float, base: int = 10):
     if not (0.0 < eps <= 1.0):
         raise DomainError(f"eps must be in (0, 1], got {eps}")
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 1.0) or np.any(arr > base):
+    if not np.all((arr >= 1.0) & (arr <= base)):  # NaN fails too
         raise DomainError(f"significand must lie in [1, {base}]")
-    denom = sl2_cone_volume(ConeProblem(float(base), eps))
-    vols = np.array(
-        [sl2_cone_volume(ConeProblem(float(v), eps)) for v in np.atleast_1d(arr)]
-    )
-    out = vols / denom
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _cone_volume(arr, eps) / _cone_volume(float(base), eps)
+    return float(out) if arr.ndim == 0 else out

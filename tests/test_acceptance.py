@@ -70,7 +70,7 @@ def test_criterion_02_power_law_consistency():
     masses = []
     for k in (1.5, 2.0, 3.0):
         law = PowerLaw(10, k)
-        masses.append(integrate(lambda s: law.density(s), 1.0, 10.0))
+        masses.append(integrate(lambda s: law.density(s), np.linspace(1.0, 10.0, 33)))
     mass_gap = max(abs(m - 1.0) for m in masses)
     _report(
         2,

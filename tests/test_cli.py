@@ -117,12 +117,35 @@ def test_law_other_base(capsys):
         ("fig1", "--dims", "0,5"),
         ("fig1", "--N", "0"),
         ("fig1", "--workers", "0"),
+        ("sample", "--group", "orthogonal", "--n", "1"),  # O(1) entries are +-1
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_orthogonal_n1_names_its_flags(capsys):
+    code, out, err = run_cli(capsys, "sample", "--group", "orthogonal", "--n", "1")
+    assert code == 2 and out == ""
+    assert "--group orthogonal" in err and "--n" in err and "got 0" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("law", "--law", "benford", "--out"),
+        ("verify", "--suite", "cone", "--trials", "1000", "--out"),
+        ("sample", "--group", "rplus", "--N", "1000", "--out"),
+        ("sample", "--group", "rplus", "--N", "1000", "--samples-out"),
+    ],
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.out"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 def test_law_json_writes_non_finite_as_null(capsys):

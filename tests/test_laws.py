@@ -132,7 +132,7 @@ SCALAR_LAWS = [
 def test_law_axioms_endpoints_and_normalization(law):
     assert abs(law.cdf(1.0)) < 1e-12
     assert law.cdf(float(law.base)) == pytest.approx(1.0, abs=1e-12)
-    mass = integrate(lambda s: law.density(s), 1.0, float(law.base))
+    mass = integrate(lambda s: law.density(s), np.linspace(1.0, float(law.base), 33))
     assert mass == pytest.approx(1.0, abs=1e-9)
     probs = law.first_digit_probs()
     assert np.all(probs >= 0.0)

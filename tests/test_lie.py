@@ -304,6 +304,18 @@ def test_sl2_cone_induced_cdf_is_benford():
     assert sl2_cone_induced_cdf(2.0, 0.2, base=4) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("base", [2, 7, 10, 36])
+def test_sl2_cone_induced_cdf_is_the_volume_ratio(base):
+    # The per-point route: one ConeProblem and one volume per grid point.
+    s = 1.0 + np.arange(1, 100) * (base - 1) / 99
+    for eps in (0.1, 0.35):
+        ref = [
+            sl2_cone_volume(ConeProblem(v, eps)) / sl2_cone_volume(ConeProblem(float(base), eps))
+            for v in s
+        ]
+        np.testing.assert_allclose(sl2_cone_induced_cdf(s, eps, base), ref, rtol=1e-15, atol=0)
+
+
 def test_sl2_cone_induced_cdf_validation():
     with pytest.raises(DomainError):
         sl2_cone_induced_cdf(0.5, 0.1)
@@ -315,3 +327,5 @@ def test_sl2_cone_induced_cdf_validation():
         sl2_cone_induced_cdf(2.0, 1.5)
     with pytest.raises(DomainError):
         sl2_cone_induced_cdf(2.0, 0.1, base=1)
+    with pytest.raises(DomainError):
+        sl2_cone_induced_cdf(np.array([2.0, np.nan]), 0.1)

@@ -176,13 +176,35 @@ JOINT_REFERENCE = [
     (5, ((0.0, 0.4), (0.0, 0.4), (0.0, 0.4)), 0.18994593577453842),
     (2, ((0.1, 0.5), (0.2, 0.6)), 0.12104162890020716346),
     (200, ((0.0, 0.05), (0.02, 0.1)), 0.32272197024248742008),
+    # mpmath at 30 digits: boxes whose far corner nearly touches the sphere
+    # (sum b^2 = 0.9949, 0.9941, and for k = 3 0.9761, 0.9125), and small
+    # bands at larger n.
+    (2, ((0.5, 0.9), (0.0, 0.43)), 0.18147940301144778371),
+    (3, ((0.0, 0.7), (0.0, 0.71)), 0.63280005373337578321),
+    (50, ((0.1, 0.2), (0.2, 0.3)), 0.040439103962704728392),
+    (10**4, ((0.001, 0.02), (0.005, 0.03)), 0.53750637486831509598),
+    (3, ((0.0, 0.5), (0.0, 0.5), (0.0, 0.69)), 0.17609784436155759093),
+    (4, ((0.1, 0.6), (0.2, 0.5), (0.0, 0.55)), 0.15756339366097638056),
 ]
 
 
 @pytest.mark.parametrize("n,bounds,expected", JOINT_REFERENCE)
 def test_joint_band_reference_values(n, bounds, expected):
-    tol = 5e-4 if len(bounds) == 3 else 1e-9
-    assert sphere_joint_band_prob(n, bounds) == pytest.approx(expected, abs=tol)
+    assert sphere_joint_band_prob(n, bounds) == pytest.approx(expected, abs=1e-12)
+
+
+def test_joint_band_at_large_n_is_betainc_limited():
+    # mpmath; at n = 1e6 the incomplete beta itself is good to ~1e-12.
+    val = sphere_joint_band_prob(10**6, ((0.0, 0.3), (0.0005, 0.002)))
+    assert val == pytest.approx(0.57157504154095063343, abs=5e-12)
+
+
+def test_joint_band_uniform_ball_closed_forms():
+    # The first n - 1 coordinates of S^n are uniform on the unit ball B^(n-1).
+    ball3 = sphere_joint_band_prob(4, ((0.0, 0.5),) * 3)
+    assert ball3 == pytest.approx(3.0 / (4.0 * math.pi), abs=1e-14)  # 8 (1/8) / (4 pi / 3)
+    ball4 = sphere_joint_band_prob(5, ((0.0, 0.45),) * 4)
+    assert ball4 == pytest.approx(2.0 * 0.9**4 / math.pi**2, abs=1e-14)  # 16 0.45^4 / (pi^2 / 2)
 
 
 def test_joint_band_single_coordinate_reduces_to_band():
@@ -207,8 +229,11 @@ def test_joint_band_validation():
         sphere_joint_band_prob(2, ((0.0, 0.9), (0.0, 0.9)))  # sum b^2 >= 1
     with pytest.raises(DomainError):
         sphere_joint_band_prob(1, ((0.0, 0.5), (0.0, 0.5)))  # k > n
-    with pytest.raises(NotImplementedError):
-        sphere_joint_band_prob(9, ((0.0, 0.3),) * 4)
+    # k = 4 on S^9: the density of x_1..x_4 is (12/pi^2)(1 - |x|^2)^2, a
+    # polynomial, so the box (0, s)^4 has mass (192/pi^2)(s^4 - 8 s^6/3 + 32 s^8/15).
+    s = 0.3
+    box = 192.0 / math.pi**2 * (s**4 - 8.0 * s**6 / 3.0 + 32.0 * s**8 / 15.0)
+    assert sphere_joint_band_prob(9, ((0.0, s),) * 4) == pytest.approx(box, abs=1e-14)
 
 
 def test_joint_sig_approx_factorizes_over_components():
@@ -257,7 +282,7 @@ def test_sphere_law_axioms(law):
     # density has an integrable singularity as s -> base, so pinning
     # mass against the cdf difference on [1, 9.5] checks the same
     # density<->cdf consistency without evaluating at the endpoint.
-    mass = integrate(lambda s: law.density(s), 1.0, 9.5)
+    mass = integrate(lambda s: law.density(s), np.linspace(1.0, 9.5, 33))
     assert mass == pytest.approx(law.cdf(9.5), abs=1e-8)
     probs = law.first_digit_probs()
     assert np.all(probs >= -1e-12)
