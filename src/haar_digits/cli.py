@@ -293,13 +293,8 @@ class _Group:
     matrix: bool = True  # draws _MATRIX_CHUNK_SCALARS // n^2 a call
     echoes: tuple = ("n", "entry")  # flags it reads, copied into the payload
     requires: Optional[str] = None  # a flag that must be given
+    min_n: int = 1  # the least --n it takes, checked before --entry is read
     diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
-
-
-def _orthogonal_law(base: int, n: int) -> DigitLaw:
-    if n < 2:  # O(1) entries are +-1 and have no continuous law
-        raise DomainError(f"--group orthogonal needs --n >= 2, got --n {n}")
-    return SphereExact(base=base, n=n - 1)
 
 
 def _sln_entry(a, spec, i, j, st, c):
@@ -342,6 +337,7 @@ _GROUPS = {
         echoes=("n", "component", "entry"),
         diagonal_only="--group sln: only diagonal components carry a predicted law; "
         "use --entry i,i",
+        min_n=2,
     ),
     "gln-det": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_gln_pos_window(
@@ -349,10 +345,12 @@ _GROUPS = {
         ).det,
         law=lambda a, i, j: Benford(a.base),
         echoes=("n",),
+        min_n=2,
     ),
     "orthogonal": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_orthogonal_haar(a.n, st, c)[:, i, j],
-        law=lambda a, i, j: _orthogonal_law(a.base, a.n),
+        law=lambda a, i, j: SphereExact(base=a.base, n=a.n - 1),
+        min_n=2,  # O(1) entries are +-1 and have no continuous law
     ),
     "unitary": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_unitary_haar(a.n, st, c)[:, i, j].real,
@@ -391,6 +389,8 @@ def _cmd_sample(args) -> int:
             )
     if group.requires is not None and getattr(args, group.requires) is None:
         raise DomainError(f"--group {args.group} requires --{group.requires}")
+    if "n" in group.echoes and args.n < group.min_n:
+        raise DomainError(f"--group {args.group} needs --n >= {group.min_n}, got --n {args.n}")
     meta = {"group": args.group, "base": args.base, "window_m": args.m, "window_eps": args.eps}
     meta.update((flag, getattr(args, flag)) for flag in group.echoes)
     i = j = 0

@@ -29,12 +29,17 @@ __all__ = [
 
 
 class DigitLaw:
-    """Common behaviour for significand laws; subclasses set ``base``."""
+    """Common behaviour for significand laws; subclasses set ``base``.
+
+    ``cdf`` is pointwise (a point's value does not depend on the other points
+    of the call) and nondecreasing to within 1e-9; the KS sweep relies on both.
+    """
 
     base: int
 
     def _check_sig(self, s):
-        arr = np.asarray(s, dtype=float)
+        # C order: NumPy's vectorized log gives a point the same bits in any layout.
+        arr = np.asarray(s, dtype=float, order="C")
         if not ((arr >= 1.0) & (arr <= self.base)).all():  # also rejects NaN
             raise DomainError(
                 f"significand must lie in [1, {self.base}], got range "

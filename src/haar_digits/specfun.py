@@ -242,6 +242,14 @@ def betainc(a: float, b: float, x):
     1e-15 up to b = 5e3 and below 1e-12 up to b = 5e7; elsewhere expect up
     to about max(a, b) ulp.
     """
+    tail, mirrored, shape = _betainc_tail(a, b, x)
+    tail[mirrored] = 1.0 - tail[mirrored]
+    return _shaped(tail, shape)
+
+
+def _betainc_tail(a: float, b: float, x):
+    """I_x(a, b), or 1 - I_x on the mirrored lanes, as the continued fractions
+    give them (flat, so a tail near 0 is not cancelled), the mirrored mask, x's shape."""
     a = float(a)
     b = float(b)
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
@@ -257,12 +265,12 @@ def betainc(a: float, b: float, x):
     # balances the two: for a = 1/2, b = 5e7 the worst error drops from
     # 5e-10 to 1e-12.
     swap = (arr >= (a + 1.0) / (a + b + 2.0)) & (front * math.sqrt(max(a, b)) < 1.0)
-    out = swap.astype(float)
+    tail = np.zeros_like(arr)
     direct = ~swap & (front > 0.0)
-    out[direct] = front[direct] * _beta_cf(a, b, arr[direct]) / a
+    tail[direct] = front[direct] * _beta_cf(a, b, arr[direct]) / a
     mirror = swap & (front > 0.0)
-    out[mirror] = 1.0 - front[mirror] * _beta_cf(b, a, 1.0 - arr[mirror]) / b
-    return _shaped(out, shape)
+    tail[mirror] = front[mirror] * _beta_cf(b, a, 1.0 - arr[mirror]) / b
+    return tail, swap, shape
 
 
 def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .laws import DigitLaw
 from .significand import check_base
-from .specfun import betainc, erf, gamma_half_ratio, integrate_arcsine_weight
+from .specfun import _betainc_tail, betainc, erf, gamma_half_ratio, integrate_arcsine_weight
 
 __all__ = [
     "sphere_band_prob",
@@ -94,8 +94,18 @@ def sphere_band_prob(n: int, a: float, b: float) -> float:
     b = float(b)
     if not (-1.0 <= a <= b <= 1.0):
         raise DomainError(f"sphere_band_prob: need -1 <= a <= b <= 1, got ({a}, {b})")
-    half_a, half_b = 0.5 * betainc(0.5, 0.5 * n, np.array([a * a, b * b]))
-    return math.copysign(half_b, b) - math.copysign(half_a, a)
+    if a < 0.0 < b:  # the two sides of 0 add
+        return 0.5 * float(_band(n, 0.0, a * a) + _band(n, 0.0, b * b))
+    return 0.5 * float(_band(n, *sorted((a * a, b * b))))
+
+
+def _band(n: int, lo, hi):
+    """I_hi - I_lo at (1/2, n/2), the mass of x_1^2 in (lo, hi), elementwise. Where
+    lo is mirrored both are near 1, and their complements are subtracted instead."""
+    tail, mirrored, shape = _betainc_tail(0.5, 0.5 * n, np.array([lo, hi]))
+    (t_lo, t_hi), (m_lo, m_hi) = tail.reshape(shape), mirrored.reshape(shape)
+    upper_hi, lower_hi = np.where(m_hi, t_hi, 1.0 - t_hi), np.where(m_hi, 1.0 - t_hi, t_hi)
+    return np.where(m_lo, t_lo - upper_hi, lower_hi - t_lo)
 
 
 def sphere_sig_cdf_exact(n: int, base: int, s, tail_tol: float = 1e-12) -> float:
@@ -137,6 +147,7 @@ def sphere_joint_band_prob(n: int, bounds) -> float:
     with the closed-form band probability innermost and fixed Gauss-Legendre
     panels (_joint_edges) at each outer level. The absolute error is about
     1e-15 up to n = 1e4; beyond, it is bounded by the incomplete beta's (1e-12).
+    Tail bands keep their relative accuracy; the result is clipped to [0, 1].
     """
     n = _check_n(n)
     pairs = [(float(a), float(b)) for a, b in bounds]
@@ -149,15 +160,14 @@ def sphere_joint_band_prob(n: int, bounds) -> float:
         raise DomainError("joint integration region must lie strictly inside the unit ball")
     if len(pairs) > n:
         raise DomainError(f"need k <= n, got k={len(pairs)} coordinates on S^{n}")
-    return float(_joint(n, np.array(pairs).T[:, :, None])[0])
+    return float(np.clip(_joint(n, np.array(pairs).T[:, :, None])[0], 0.0, 1.0))
 
 
 def _joint(n: int, box: np.ndarray) -> np.ndarray:
     """Joint band probabilities on S^n of boxes given as (lower, upper) x k x m bounds."""
     k = box.shape[1]
     if k == 1:
-        lo, hi = betainc(0.5, 0.5 * n, np.square(box[:, 0]))
-        return hi - lo
+        return _band(n, *np.square(box[:, 0]))
     out = np.empty(box.shape[2])
     for start in range(0, len(out), _JOINT_COLUMNS):
         cols = slice(start, start + _JOINT_COLUMNS)

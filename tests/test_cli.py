@@ -133,6 +133,17 @@ def test_orthogonal_n1_names_its_flags(capsys):
 
 
 @pytest.mark.parametrize(
+    "group,n",
+    [("orthogonal", "0"), ("unitary", "0"), ("triangular", "-1"), ("gln-det", "0"), ("sln", "1")],
+)
+def test_bad_n_is_blamed_on_n(capsys, group, n):
+    # --n is checked before the default --entry is read against it.
+    code, out, err = run_cli(capsys, "sample", "--group", group, "--n", n)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --group {group} needs --n >= ") and "--entry" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("law", "--law", "benford", "--out"),

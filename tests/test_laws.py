@@ -156,6 +156,34 @@ def test_law_axioms_monotone_and_derivative(law, data):
         assert numeric == pytest.approx(law.density(s), rel=1e-5, abs=1e-6)
 
 
+# Every law the package ships, for the DigitLaw cdf contract the KS sweep
+# relies on.
+CONTRACT_LAWS = SCALAR_LAWS + [
+    PowerLaw(10, 2.0),
+    PowerLaw(10, 1.0 + 1e-9),
+    SphereExact(10, 1),
+    SphereExact(10, 2),
+    SphereExact(10, 9),
+    SphereExact(7, 9),
+    SphereExact(10, 10**4),
+    SphereErf(10, 9),
+    SphereLimit(10, 1),
+    SphereLimit(10, 100),
+]
+
+
+@pytest.mark.parametrize("law", CONTRACT_LAWS, ids=repr)
+def test_cdf_contract_monotone_and_pointwise(law):
+    grid = np.linspace(1.0, float(law.base), 20_001)
+    cdf = law.cdf(grid)
+    assert (np.diff(cdf) >= -1e-12).all()
+    # A point's value does not depend on the other points of the call.
+    pick = np.random.default_rng(0).permutation(grid.size)[:700]
+    assert np.array_equal(law.cdf(grid[pick]), cdf[pick])
+    assert np.array_equal(law.cdf(grid[::-7]), cdf[::-7])
+    assert [law.cdf(float(grid[i])) for i in pick[:25]] == cdf[pick[:25]].tolist()
+
+
 def test_windowed_power_cdf_is_window_independent():
     # geometric sums cancel analytically; the computed partial-sum ratio
     # must agree across windows to floating-point accuracy

@@ -40,6 +40,26 @@ def test_band_prob_reference_values(n, a, b, expected):
     assert sphere_band_prob(n, a, b) == pytest.approx(expected, rel=1e-11)
 
 
+# Bands in the upper tail, where both incomplete-beta values are near 1:
+# mpmath at 60 digits through the complement I_(1-x^2)(n/2, 1/2) (a direct
+# difference at 30 digits cancels to noise, 7e-45, for the first row).
+TAIL_BAND_REFERENCE = [
+    (10**4, 0.3, 0.4, 2.1394474854995396e-207),
+    (10**4, -0.4, -0.3, 2.1394474854995396e-207),
+    (100, 0.6, 0.9, 1.3286199631860336e-11),
+    (1000, 0.2, 0.25, 8.4244555901020881e-11),
+    (9, 0.95, 1.0, 3.8050818776789501e-6),
+]
+
+
+@pytest.mark.parametrize("n,a,b,expected", TAIL_BAND_REFERENCE)
+def test_band_prob_upper_tail_keeps_relative_accuracy(n, a, b, expected):
+    assert sphere_band_prob(n, a, b) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if 0.0 <= a < b < 1.0:
+        joint = sphere_joint_band_prob(n, ((a, b),))
+        assert joint == pytest.approx(2.0 * expected, rel=1e-12, abs=0.0)
+
+
 def test_band_prob_uniform_case_n2():
     # S^2 first coordinate is uniform on [-1, 1]
     assert sphere_band_prob(2, -0.25, 0.6) == pytest.approx(0.425, abs=1e-13)
@@ -216,6 +236,8 @@ def test_joint_band_single_coordinate_reduces_to_band():
 def test_joint_band_tends_to_one_for_large_n():
     val = sphere_joint_band_prob(200, ((0.0, 0.5), (0.0, 0.5)))
     assert 0.999 < val <= 1.0 + 1e-9
+    # Unclipped, this box summed to 1.0000000000000007.
+    assert sphere_joint_band_prob(10**4, ((0.0, 0.9), (0.0, 0.1), (0.0, 0.1), (0.0, 0.1))) == 1.0
 
 
 def test_joint_band_validation():

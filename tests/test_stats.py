@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haar_digits.errors import DomainError
-from haar_digits.laws import Benford, UniformSignificand
+from haar_digits.laws import Benford, DigitLaw, PowerLaw, UniformSignificand
 from haar_digits.rng import RngStream
-from haar_digits.samplers import sample_log_uniform
+from haar_digits.samplers import sample_log_uniform, sample_sphere_coords
+from haar_digits.significand import significand_values
+from haar_digits.sphere import SphereErf, SphereExact, SphereLimit
 from haar_digits.stats import (
     EmpiricalDigitDistribution,
     GOFReport,
@@ -107,6 +111,98 @@ def test_ks_statistic_base_mismatch():
     emp = build_empirical([1.5, 2.5], base=10)
     with pytest.raises(DomainError):
         ks_statistic(emp, Benford(2))
+
+
+def _ks_full(emp, law):
+    """Reference KS statistic: the law evaluated at every sample point."""
+    n = emp.n
+    cdf = np.asarray(law.cdf(emp.values), dtype=float)
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n
+    return float(max((cdf - steps[:-1]).max(), (steps[1:] - cdf).max()))
+
+
+class _CountingLaw(DigitLaw):
+    """Passes cdf through to a law and counts the points asked for."""
+
+    def __init__(self, law):
+        self.law = law
+        self.base = law.base
+        self.points = 0
+
+    def cdf(self, s):
+        self.points += np.size(s)
+        return self.law.cdf(s)
+
+
+KS_LAWS = [
+    Benford(10),
+    PowerLaw(10, 0.5),
+    PowerLaw(10, 2.0),
+    PowerLaw(10, 1.0 + 1e-9),
+    UniformSignificand(10),
+    SphereExact(10, 1),
+    SphereExact(10, 2),
+    SphereExact(10, 9),
+    SphereExact(10, 10**4),
+    SphereErf(10, 9),
+    SphereLimit(10, 100),
+]
+
+
+def _sorted_significands(kind, size, seed, ties, ends):
+    """A sorted sample on [1, 10] from one of five laws, optionally rounded
+    to 0.05 (ties), with its lowest and highest `ends` points set to 1 and 10."""
+    u = np.random.default_rng(seed).random(size)
+    if kind == "log":
+        x = 10.0**u
+    elif kind == "flat":
+        x = 1.0 + 9.0 * u
+    elif kind == "steep":  # piled up near 1: far from every law here
+        x = 10.0 ** (u**4)
+    elif kind == "atom":  # all at 1: ties throughout
+        x = np.ones(size)
+    else:
+        x = significand_values(sample_sphere_coords(9, 1, RngStream(seed), size)[:, 0], 10)
+    if ties:
+        x = np.round(x * 20.0) / 20.0
+    x.sort()
+    if ends:
+        x[:ends] = 1.0
+        x[-ends:] = 10.0
+    return x
+
+
+@settings(max_examples=150)
+@given(
+    law=st.sampled_from(KS_LAWS),
+    kind=st.sampled_from(("log", "flat", "steep", "atom", "sphere")),
+    size=st.integers(1, 5000),
+    ties=st.booleans(),
+    ends=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(law=SphereExact(10, 9), kind="sphere", size=5000, ties=False, ends=0, seed=7)
+@example(law=Benford(10), kind="log", size=257, ties=True, ends=30, seed=1)
+@example(law=SphereExact(10, 10**4), kind="steep", size=4999, ties=False, ends=1, seed=3)
+# The supremum at n - 2, inside the last, shorter gap (anchors 298 and 300).
+@example(law=Benford(10), kind="atom", size=301, ties=False, ends=1, seed=0)
+# Missed by a gap bound b/n - F(x_a) taken one step too tight.
+@example(law=Benford(10), kind="steep", size=656, ties=False, ends=196, seed=998034089)
+def test_ks_sweep_equals_full_evaluation(law, kind, size, ties, ends, seed):
+    x = _sorted_significands(kind, size, seed, ties, ends)
+    emp = EmpiricalDigitDistribution(10, x, np.zeros(9, dtype=np.int64), 0)
+    assert ks_statistic(emp, law) == _ks_full(emp, law)
+
+
+def test_ks_sweep_evaluates_few_points():
+    # The sample `sample --group sphere --n 9 --N 2e5 --seed 7` tests. The
+    # sweep evaluates the law at 5 % of it; evaluating all points reads 100 %.
+    emp = build_empirical(sample_sphere_coords(9, 1, RngStream(7).substream(0), 200_000)[:, 0])
+    law = _CountingLaw(SphereExact(10, 9))
+    d = ks_statistic(emp, law)
+    assert law.points <= 0.15 * emp.n
+    assert d == _ks_full(emp, law.law)
 
 
 def _d_for_lambda(lam, n):
