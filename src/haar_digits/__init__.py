@@ -32,7 +32,6 @@ from .rng import RngStream
 from .samplers import (
     GlnSample,
     SlnSample,
-    TriangularSample,
     WindowSpec,
     apply_even_permutations,
     nilpotent_exp,

@@ -319,7 +319,7 @@ _GROUPS = {
     "triangular": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_upper_triangular_window(
             a.n, a.base, spec, a.side, st, c
-        ).matrices[:, i, j],
+        )[:, i, j],
         law=lambda a, i, j: samplers.triangular_component_law(a.n, a.base, i, j, a.side),
         echoes=("n", "side", "entry"),
     ),
@@ -341,7 +341,7 @@ _GROUPS = {
     ),
     "gln-det": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_gln_pos_window(
-            a.n, a.base, a.m, spec, st, c
+            a.n, a.base, spec, st, c
         ).det,
         law=lambda a, i, j: Benford(a.base),
         echoes=("n",),

@@ -28,7 +28,6 @@ from .significand import check_base
 
 __all__ = [
     "WindowSpec",
-    "TriangularSample",
     "SlnSample",
     "GlnSample",
     "sample_sphere",
@@ -59,16 +58,8 @@ class WindowSpec:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise DomainError(f"WindowSpec: eps must be > 0, got {self.eps}")
-        if int(self.m) != self.m or self.m < 1:
+        if not (self.m >= 1 and self.m % 1 == 0):  # false for NaN and inf too
             raise DomainError(f"WindowSpec: m must be a positive integer, got {self.m}")
-
-
-@dataclass(frozen=True)
-class TriangularSample:
-    """Batch of upper-triangular matrices plus the predicted law per entry."""
-
-    matrices: np.ndarray
-    laws: dict
 
 
 @dataclass(frozen=True)
@@ -223,6 +214,26 @@ def sample_unitary_haar(n: int, rng: RngStream, count=None):
 # --- scalar windowed densities ----------------------------------------------
 
 
+def _power_inverse(base: int, k: float, m: int, u: np.ndarray) -> np.ndarray:
+    """Maps uniforms u on [0, 1) to the density proportional to x^(-k) on [1, B^m).
+
+    k = 1 is dx/x and gives x = B^(m u); other k invert the closed-form
+    window CDF. Every windowed density is drawn here, and this is the one
+    check of a decade count: m must be a positive integer with B^m a finite
+    double, so that the window is m whole decades.
+    """
+    if not (m >= 1 and m % 1 == 0):  # false for NaN and inf too
+        raise DomainError(f"m must be a positive integer, got {m}")
+    try:
+        math.pow(base, m)
+    except OverflowError:
+        raise DomainError(f"window [1, B^m) with m={m}, base {base} overflows a double") from None
+    if k == 1.0:
+        return np.power(float(base), m * u)
+    r = math.expm1((1.0 - k) * m * math.log(base))  # B^(m(1-k)) - 1
+    return np.exp(np.log1p(u * r) / (1.0 - k))
+
+
 def sample_log_uniform(base: int, m: int, rng: RngStream, count=None):
     """Draws from density 1/x on [1, B^m): x = B^(m U).
 
@@ -230,35 +241,31 @@ def sample_log_uniform(base: int, m: int, rng: RngStream, count=None):
     significand exponent is uniform on {0..m-1}. Consumes count uniforms.
     """
     base = check_base(base)
-    if int(m) != m or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
     c, single = _batch(count)
-    u = np.asarray(rng.random(c), dtype=float).reshape(c)
-    return _squeeze(np.power(float(base), m * u), single)
+    return _squeeze(_power_inverse(base, 1.0, m, rng.random(c)), single)
 
 
 def sample_power_density(base: int, k: float, m: int, rng: RngStream, count=None):
     """Draws from density proportional to x^(-k) on [1, B^m) by inversion.
 
-    k = 1 delegates to sample_log_uniform. The induced significand law is
+    k = 1 is sample_log_uniform. The induced significand law is
     PowerLaw(base, k) exactly, for every m. Consumes count uniforms.
     """
     base = check_base(base)
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"k must be > 0, got {k}")
-    if k == 1.0:
-        return sample_log_uniform(base, m, rng, count)
-    if int(m) != m or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
     c, single = _batch(count)
-    u = np.asarray(rng.random(c), dtype=float).reshape(c)
-    one_minus_k = 1.0 - k
-    r = math.expm1(one_minus_k * m * math.log(base))  # B^(m(1-k)) - 1
-    x = np.exp(np.log1p(u * r) / one_minus_k)
-    return _squeeze(x, single)
+    return _squeeze(_power_inverse(base, k, m, rng.random(c)), single)
 
 
 # --- triangular and diagonal groups ------------------------------------------
+
+
+def _haar_exponent(n: int, i: int, side: str) -> int:
+    """k of the density a^(-k) of diagonal entry (i, i) under left or right Haar."""
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    return (i + 1) if side == "left" else (n - i)
 
 
 def triangular_component_law(n: int, base: int, i: int, j: int, side: str) -> DigitLaw:
@@ -273,15 +280,13 @@ def triangular_component_law(n: int, base: int, i: int, j: int, side: str) -> Di
     """
     n = _check_dim(n)
     base = check_base(base)
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    expo = _haar_exponent(n, i, side)
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"entry ({i}, {j}) out of range for n={n}")
     if i > j:
         raise DomainError(f"entry ({i}, {j}) is structurally zero below the diagonal")
     if i < j:
         return UniformSignificand(base)
-    expo = (i + 1) if side == "left" else (n - i)
     if expo == 1:
         return Benford(base)
     return PowerLaw(base, float(expo))
@@ -294,29 +299,25 @@ def sample_upper_triangular_window(
     side: str,
     rng: RngStream,
     count=None,
-) -> TriangularSample:
+) -> np.ndarray:
     """Windowed Haar draws from the invertible upper-triangular group.
 
     Diagonal entry (k, k) has density proportional to a^(-(k+1)) (left
     Haar) or a^(-(n-k)) (right Haar) on [1, B^m); strictly upper entries
-    are uniform on [-eps, eps]. Entries are drawn row-major (each entry as
-    a batch of `count`). Returns the matrices and the predicted DigitLaw
-    per component.
+    are uniform on [-eps, eps]. Entries are drawn row-major, each as a batch
+    of `count`, so the draw consumes n(n+1)/2 * count uniforms. Returns the
+    matrices; triangular_component_law gives each entry's predicted law.
     """
     n = _check_dim(n)
     base = check_base(base)
     c, single = _batch(count)
     mats = np.zeros((c, n, n))
-    laws = {}
     for i in range(n):
-        for j in range(i, n):
-            laws[(i, j)] = triangular_component_law(n, base, i, j, side)
-            if i == j:
-                expo = (i + 1) if side == "left" else (n - i)
-                mats[:, i, j] = sample_power_density(base, float(expo), spec.m, rng, c)
-            else:
-                mats[:, i, j] = rng.uniform(-spec.eps, spec.eps, c)
-    return TriangularSample(_squeeze(mats, single), laws)
+        k = float(_haar_exponent(n, i, side))
+        mats[:, i, i] = _power_inverse(base, k, spec.m, rng.random(c))
+        for j in range(i + 1, n):
+            mats[:, i, j] = rng.uniform(-spec.eps, spec.eps, c)
+    return _squeeze(mats, single)
 
 
 def sample_diagonal_window(
@@ -326,36 +327,27 @@ def sample_diagonal_window(
     rng: RngStream,
     count=None,
     det_one: bool = False,
-    rademacher: bool = False,
 ):
     """Diagonal-entry draws from the windowed diagonal group (Haar = prod dx/x).
 
-    Free entries are log-uniform on [1, B^m); with det_one the last entry
-    is forced to 1/(product of the others) so the determinant is exactly 1
-    (its significand is still exactly Benford: minus a sum of independent
-    uniform log-significands stays uniform mod 1). Optional Rademacher
-    signs are off by default; with det_one they are balanced so the
-    determinant stays +1. Returns entries of the diagonal, shape (count, n).
+    Free entries are log-uniform on [1, B^m); with det_one (n >= 2) the last
+    entry is forced to 1/(product of the others) so the determinant is
+    exactly 1 (its significand is still exactly Benford: minus a sum of
+    independent uniform log-significands stays uniform mod 1). Returns
+    entries of the diagonal, shape (count, n).
 
-    Consumes (n-1 if det_one else n)*count uniforms, then count*n sign
-    uniforms when rademacher is set.
+    Consumes (n-1 if det_one else n)*count uniforms, one batch per entry.
     """
     n = _check_dim(n)
+    if det_one and n < 2:
+        raise DomainError(f"det_one needs n >= 2 (n = 1 would pin the entry to 1), got n={n}")
     base = check_base(base)
     c, single = _batch(count)
-    free = n - 1 if det_one else n
     entries = np.empty((c, n))
-    for idx in range(free):
-        entries[:, idx] = sample_log_uniform(base, m, rng, c)
+    for idx in range(n - 1 if det_one else n):
+        entries[:, idx] = _power_inverse(base, 1.0, m, rng.random(c))
     if det_one:
         entries[:, n - 1] = 1.0 / np.prod(entries[:, : n - 1], axis=1)
-    if rademacher:
-        signs = np.where(rng.random((c, n)) < 0.5, -1.0, 1.0)
-        if det_one:
-            # rebalance so the product of signs is +1
-            parity = np.prod(signs, axis=1)
-            signs[:, n - 1] *= parity
-        entries = entries * signs
     return _squeeze(entries, single)
 
 
@@ -398,8 +390,9 @@ def sample_sln_lud_window(
     X is a uniform box in the strictly lower algebra, Y a uniform box in
     the strictly upper algebra (entries on [-eps, eps], drawn row-major: X
     first, then Y), and d comes from sample_diagonal_window(det_one=True),
-    so det(g) = 1 exactly. The free diagonal entries d_11..d_{n-1,n-1} are
-    iid with exactly Benford significands; the matrix diagonal g_ii =
+    so det(g) = 1 exactly: n(n-1)*count uniforms for X and Y, then
+    (n-1)*count for d. The free diagonal entries d_11..d_{n-1,n-1} are iid
+    with exactly Benford significands; the matrix diagonal g_ii =
     (unit-triangular factor) * d_ii inherits the Benford significand by
     scale invariance. Returns the factors; g is formed on first read of
     ``.g``.
@@ -415,9 +408,7 @@ def sample_sln_lud_window(
     for i in range(n):
         for j in range(i + 1, n):
             Y[:, i, j] = rng.uniform(-spec.eps, spec.eps, c)
-    diag = np.asarray(
-        sample_diagonal_window(n, base, spec.m, rng, c, det_one=True)
-    ).reshape(c, n)
+    diag = sample_diagonal_window(n, base, spec.m, rng, c, det_one=True)
     return SlnSample(_squeeze(X, single), _squeeze(Y, single), _squeeze(diag, single))
 
 
@@ -481,43 +472,39 @@ def _extract_permutation(P: np.ndarray) -> np.ndarray:
     return np.argmax(P, axis=1)
 
 
-def apply_even_permutations(A, P, Q, require_even: bool = True) -> np.ndarray:
-    """P A Q for permutation matrices P, Q, preserving SL membership.
+def apply_even_permutations(A, P, Q) -> np.ndarray:
+    """P A Q for even permutation matrices P, Q, preserving SL membership.
 
-    With require_even (default) both permutations must be even (det +1,
-    i.e. P, Q in SL_n) or a DomainError is raised. A may be a single
-    matrix or a stack (..., n, n); the diagonal of P A Q picks out one
-    A-entry per row, so Benford components stay Benford.
+    Both permutations must be even (det +1, i.e. P, Q in SL_n) or a
+    DomainError is raised. A may be a single matrix or a stack (..., n, n);
+    the diagonal of P A Q picks out one A-entry per row, so Benford
+    components stay Benford.
     """
     A = np.asarray(A, dtype=float)
-    sig_p = _extract_permutation(P)
-    sig_q = _extract_permutation(Q)
-    if require_even:
-        if permutation_parity(sig_p) < 0 or permutation_parity(sig_q) < 0:
-            raise DomainError("odd permutation supplied with SL enforcement enabled")
+    for M in (P, Q):
+        if permutation_parity(_extract_permutation(M)) < 0:
+            raise DomainError("odd permutation: P A Q would leave SL_n")
     return np.asarray(P, dtype=float) @ A @ np.asarray(Q, dtype=float)
 
 
 def sample_gln_pos_window(
     n: int,
     base: int,
-    m: int,
     spec: WindowSpec,
     rng: RngStream,
     count=None,
 ) -> GlnSample:
     """Windowed GL_n^+ draws g = r^(1/n) * y with det(g) = r.
 
-    r is log-uniform on [1, B^m) (drawn first, one uniform per sample) and
-    y is an SL_n LUD sample, so the determinant significand is exactly
-    Benford. Returns the SL_n factor y and the determinant vector; the
-    matrices are formed from them on first read of ``.matrices``.
+    r is log-uniform on [1, B^m), m = spec.m (drawn first, count uniforms),
+    and y is an SL_n LUD sample (as sample_sln_lud_window consumes it), so
+    the determinant significand is exactly Benford. Returns the SL_n factor
+    y and the determinant vector; the matrices are formed from them on
+    first read of ``.matrices``.
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    if int(m) != m or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
     c, single = _batch(count)
-    r = np.asarray(sample_log_uniform(base, m, rng, c), dtype=float).reshape(c)
+    r = _power_inverse(base, 1.0, spec.m, rng.random(c))
     y = sample_sln_lud_window(n, base, spec, rng, count)
     return GlnSample(y, _squeeze(r, single))

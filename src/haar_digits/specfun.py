@@ -259,12 +259,16 @@ def _betainc_tail(a: float, b: float, x):
         raise DomainError("betainc: x must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - _log_beta(a, b))
-    # The mirrored fraction runs on the rounded 1 - x, an error of about
-    # max(a, b) ulp where x is tiny; the direct one loses about 1/front ulp
-    # past its convergence point. Mirroring only once front < max(a, b)^-1/2
-    # balances the two: for a = 1/2, b = 5e7 the worst error drops from
-    # 5e-10 to 1e-12.
-    swap = (arr >= (a + 1.0) / (a + b + 2.0)) & (front * math.sqrt(max(a, b)) < 1.0)
+    # Past the mean the mirrored fraction runs on the rounded 1 - x, an error
+    # of about max(a, b) ulp where x is tiny; for a <= b the direct one loses
+    # about 1/front ulp past its convergence point, so mirroring only once
+    # front < max(a, b)^-1/2 balances the two: for a = 1/2, b = 5e7 the worst
+    # error drops from 5e-10 to 1e-12. For a > b the direct fraction need not
+    # converge at all there (a = 5e3, b = 1/2, 1 - x = 2e-7), so every lane
+    # past the mean mirrors.
+    swap = (arr >= (a + 1.0) / (a + b + 2.0)) & (
+        (a > b) | (front * math.sqrt(max(a, b)) < 1.0)
+    )
     tail = np.zeros_like(arr)
     direct = ~swap & (front > 0.0)
     tail[direct] = front[direct] * _beta_cf(a, b, arr[direct]) / a

@@ -214,7 +214,7 @@ def test_criterion_08_gln_determinants():
     done = 0
     while done < total:
         c = min(CHUNK, total - done)
-        sample = sample_gln_pos_window(3, 10, 3, spec, rng, c)
+        sample = sample_gln_pos_window(3, 10, spec, rng, c)
         # Recompute the determinant from the matrices rather than trusting
         # the sampler's bookkeeping.
         dets.append(np.linalg.det(sample.matrices))

@@ -143,6 +143,28 @@ def test_bad_n_is_blamed_on_n(capsys, group, n):
     assert err.startswith(f"error: --group {group} needs --n >= ") and "--entry" not in err
 
 
+def test_diagonal_det_one_needs_two_entries(capsys):
+    # n = 1 would pin the only entry to 1/prod() = 1 and fail Benford.
+    code, out, err = run_cli(capsys, "sample", "--group", "diagonal", "--n", "1", "--det-one")
+    assert code == 2 and out == ""
+    assert err.startswith("error: det_one needs n >= 2") and "got n=1" in err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--group", "rplus", "--m", "400"), "m=400, base 10"),
+        (("--group", "rplus", "--base", "2", "--m", "2000"), "m=2000, base 2"),
+        (("--group", "power", "--k", "0.5", "--m", "400"), "m=400, base 10"),
+    ],
+)
+def test_window_past_the_double_range_is_blamed_on_m(capsys, args, named):
+    # B^m overflows: the window would be cut short of m whole decades.
+    code, out, err = run_cli(capsys, "sample", *args, "--N", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: window [1, B^m)") and named in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -214,9 +236,10 @@ def test_every_group_samples(capsys, group):
     assert payload.get("entry") == ("1,1" if reads_entry else None)
 
 
-# sha256 of stdout at --N 4000 --seed 7. These groups make no BLAS or LAPACK
-# call, so the bytes do not depend on the linear-algebra library; a change here
-# is a change to the random streams, the samplers or the output format.
+# sha256 of stdout at --N 4000 --seed 7. A change here is a change to the
+# random streams, the samplers or the output format. All groups but orthogonal
+# and unitary make no BLAS or LAPACK call; those two go through QR, so their
+# rows also pin the LAPACK build.
 FROZEN_SAMPLE_DIGESTS = {
     ("--group", "rplus", "--workers", "2"):
         "100051481bcbc5f1f3564db6937405a371c2b3f7895d348b73755f4b38b10d8f",
@@ -230,6 +253,12 @@ FROZEN_SAMPLE_DIGESTS = {
         "60a220f76481d251d80c817b9015d2e5c6a08f8cb9be035ee8972cc3706d16f1",
     ("--group", "sln", "--workers", "2"):
         "96ddc1ba271f1d7fbc721def48bb9cea4e2f727e5981e0e0541ba17c014347c1",
+    ("--group", "gln-det", "--workers", "2"):
+        "2b1f12e619721426b2236730e817680922f5ec84a7fa7078aafef925153e048f",
+    ("--group", "orthogonal", "--n", "4", "--entry", "2,3"):
+        "5b6f16d64a9c41ab36544f3550835999ee229448013ec616fc0a5bbd203ac24a",
+    ("--group", "unitary", "--n", "3", "--format", "csv"):
+        "fe22a39cd66a59eed64f6c4b610d4f0c81548da5d44fcab48ce66b90cf20d2c7",
 }
 
 

@@ -15,7 +15,6 @@ from haar_digits.rng import RngStream
 from haar_digits.samplers import (
     GlnSample,
     SlnSample,
-    TriangularSample,
     WindowSpec,
     apply_even_permutations,
     nilpotent_exp,
@@ -53,7 +52,7 @@ def test_window_spec_defaults_and_validation():
     for bad_eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             WindowSpec(eps=bad_eps)
-    for bad_m in (0, -2, 1.5):
+    for bad_m in (0, -2, 1.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             WindowSpec(m=bad_m)
 
@@ -233,8 +232,9 @@ def test_log_uniform_validation():
     rng = RngStream(1)
     with pytest.raises(DomainError):
         sample_log_uniform(10, 0, rng, count=4)
-    with pytest.raises(DomainError):
-        sample_log_uniform(10, 2.5, rng, count=4)
+    for bad_m in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sample_log_uniform(10, bad_m, rng, count=4)
     with pytest.raises(DomainError):
         sample_log_uniform(1, 2, rng, count=4)
     with pytest.raises(DomainError):
@@ -275,6 +275,27 @@ def test_power_density_validation():
         sample_power_density(10, 2.0, 0, rng, count=4)
 
 
+@pytest.mark.parametrize("base,m", [(10, 309), (10, 400), (2, 1024), (7, 365)])
+def test_window_past_the_double_range_is_rejected(base, m):
+    # B^m overflows, so the window would be cut short of m whole decades.
+    for draw in (
+        lambda: sample_log_uniform(base, m, RngStream(1), count=4),
+        lambda: sample_power_density(base, 0.5, m, RngStream(1), count=4),
+        lambda: sample_power_density(base, 2.0, m, RngStream(1), count=4),
+        lambda: sample_diagonal_window(2, base, m, RngStream(1), count=4),
+        lambda: sample_gln_pos_window(2, base, WindowSpec(m=m), RngStream(1), count=4),
+    ):
+        with pytest.raises(DomainError, match=f"m={m}, base {base}"):
+            draw()
+
+
+@pytest.mark.parametrize("base,m", [(10, 308), (2, 1023), (7, 364)])
+def test_window_at_the_double_range_is_finite(base, m):
+    for k in (0.5, 1.0, 2.0):
+        x = sample_power_density(base, k, m, RngStream(3), count=1000)
+        assert np.all(np.isfinite(x) & (x >= 1.0))
+
+
 # --- triangular group ----------------------------------------------------------
 
 
@@ -302,9 +323,7 @@ def test_triangular_component_law_validation():
 
 def test_upper_triangular_window_structure():
     spec = WindowSpec(eps=0.5, m=2)
-    sample = sample_upper_triangular_window(3, 10, spec, "left", RngStream(211), count=200)
-    assert isinstance(sample, TriangularSample)
-    mats = sample.matrices
+    mats = sample_upper_triangular_window(3, 10, spec, "left", RngStream(211), count=200)
     assert mats.shape == (200, 3, 3)
     assert np.all(mats[:, 1, 0] == 0.0)
     assert np.all(mats[:, 2, 0] == 0.0)
@@ -314,9 +333,6 @@ def test_upper_triangular_window_structure():
         assert np.all((d >= 1.0) & (d < 100.0))
         for j in range(i + 1, 3):
             assert np.all(np.abs(mats[:, i, j]) <= 0.5)
-    assert set(sample.laws) == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
-    for (i, j), law in sample.laws.items():
-        assert repr(law) == repr(triangular_component_law(3, 10, i, j, "left"))
 
 
 def test_upper_triangular_window_entry_laws_hold():
@@ -324,11 +340,11 @@ def test_upper_triangular_window_entry_laws_hold():
     # off-diagonal entry is exact, and the (1,1) left-Haar entry follows
     # the k=2 power law.
     spec = WindowSpec(eps=1.0, m=3)
-    sample = sample_upper_triangular_window(2, 10, spec, "left", RngStream(223), count=30000)
-    diag = sample.matrices[:, 1, 1]
+    mats = sample_upper_triangular_window(2, 10, spec, "left", RngStream(223), count=30000)
+    diag = mats[:, 1, 1]
     ok, d = _ks_passes(diag, PowerLaw(10, 2.0))
     assert ok, f"diagonal KS statistic {d}"
-    upper = sample.matrices[:, 0, 1]
+    upper = mats[:, 0, 1]
     ok, d = _ks_passes(upper, UniformSignificand(10))
     assert ok, f"off-diagonal KS statistic {d}"
 
@@ -337,7 +353,9 @@ def test_upper_triangular_window_deterministic():
     spec = WindowSpec()
     a = sample_upper_triangular_window(3, 10, spec, "right", RngStream(5), count=6)
     b = sample_upper_triangular_window(3, 10, spec, "right", RngStream(5), count=6)
-    assert np.array_equal(a.matrices, b.matrices)
+    assert np.array_equal(a, b)
+    with pytest.raises(DomainError):
+        sample_upper_triangular_window(3, 10, spec, "two-sided", RngStream(5), count=6)
 
 
 # --- diagonal group --------------------------------------------------------------
@@ -359,25 +377,15 @@ def test_diagonal_window_det_one():
     # Free entries stay in the window; the forced entry lands in (B^-2m, 1].
     assert np.all((entries[:, :2] >= 1.0) & (entries[:, :2] < 100.0))
     assert np.all((entries[:, 2] > 1e-4) & (entries[:, 2] <= 1.0))
+    # With n = 1 the only entry would be pinned to 1/prod() = 1.
+    with pytest.raises(DomainError, match="det_one needs n >= 2"):
+        sample_diagonal_window(1, 10, 2, RngStream(311), count=4, det_one=True)
 
 
 def test_diagonal_window_forced_entry_is_benford():
     entries = sample_diagonal_window(3, 10, 3, RngStream(313), count=30000, det_one=True)
     ok, d = _ks_passes(entries[:, 2], Benford(10))
     assert ok, f"forced-entry KS statistic {d}"
-
-
-def test_diagonal_window_rademacher():
-    entries = sample_diagonal_window(4, 10, 2, RngStream(317), count=4000, rademacher=True)
-    frac_negative = np.mean(entries < 0.0)
-    assert abs(frac_negative - 0.5) < 0.02
-    signed = sample_diagonal_window(
-        3, 10, 2, RngStream(331), count=4000, det_one=True, rademacher=True
-    )
-    prods = np.prod(signed, axis=1)
-    assert np.all(prods > 0.0)
-    assert np.allclose(prods, 1.0, rtol=1e-12)
-    assert (signed < 0).any()
 
 
 # --- nilpotent exponential --------------------------------------------------------
@@ -480,7 +488,7 @@ def test_sln_lud_window_footprint(traced_peak):
     "read",
     [
         lambda: sample_sln_lud_window(3, 10, WindowSpec(), RngStream(43), 250_000).diag,
-        lambda: sample_gln_pos_window(3, 10, 3, WindowSpec(), RngStream(43), 250_000).det,
+        lambda: sample_gln_pos_window(3, 10, WindowSpec(), RngStream(43), 250_000).det,
     ],
     ids=["sln-diag", "gln-det"],
 )
@@ -497,11 +505,33 @@ def test_sln_and_gln_single_draws():
     batch = sample_sln_lud_window(3, 10, spec, RngStream(433), count=1)
     assert one.g.shape == (3, 3) and one.diag.shape == (3,)
     assert np.array_equal(one.g, batch.g[0])
-    gl_one = sample_gln_pos_window(3, 10, 3, spec, RngStream(437))
-    gl_batch = sample_gln_pos_window(3, 10, 3, spec, RngStream(437), count=1)
+    gl_one = sample_gln_pos_window(3, 10, spec, RngStream(437))
+    gl_batch = sample_gln_pos_window(3, 10, spec, RngStream(437), count=1)
     assert gl_one.matrices.shape == (3, 3) and np.ndim(gl_one.det) == 0
     assert np.array_equal(gl_one.matrices, gl_batch.matrices[0])
     assert gl_one.det == gl_batch.det[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_windowed_samplers_consume_the_documented_words(n):
+    # One uniform is one word; the counts are those the docstrings state.
+    c = 7
+    spec = WindowSpec(eps=0.5, m=2)
+    triangular_words = n * (n + 1) // 2 * c
+    sln_words = n * (n - 1) * c + (n - 1) * c
+    cases = [
+        (lambda st: sample_log_uniform(10, 2, st, c), c),
+        (lambda st: sample_power_density(10, 2.5, 2, st, c), c),
+        (lambda st: sample_upper_triangular_window(n, 10, spec, "left", st, c), triangular_words),
+        (lambda st: sample_diagonal_window(n, 10, 2, st, c), n * c),
+        (lambda st: sample_diagonal_window(n, 10, 2, st, c, det_one=True), (n - 1) * c),
+        (lambda st: sample_sln_lud_window(n, 10, spec, st, c), sln_words),
+        (lambda st: sample_gln_pos_window(n, 10, spec, st, c), sln_words + c),
+    ]
+    for draw, words in cases:
+        st = RngStream(491)
+        draw(st)
+        assert st.counter == words
 
 
 # --- permutations --------------------------------------------------------------
@@ -558,9 +588,6 @@ def test_apply_even_permutations_rejects_odd():
         apply_even_permutations(A, odd, even)
     with pytest.raises(DomainError):
         apply_even_permutations(A, even, odd)
-    # Explicitly allowed when SL enforcement is off.
-    out = apply_even_permutations(A, odd, even, require_even=False)
-    assert np.allclose(out, odd)
     with pytest.raises(DomainError):
         apply_even_permutations(A, np.full((3, 3), 0.5), even)
 
@@ -569,8 +596,8 @@ def test_apply_even_permutations_rejects_odd():
 
 
 def test_gln_pos_window_determinant():
-    spec = WindowSpec(eps=0.5, m=2)
-    sample = sample_gln_pos_window(3, 10, 3, spec, RngStream(461), count=2000)
+    spec = WindowSpec(eps=0.5, m=3)
+    sample = sample_gln_pos_window(3, 10, spec, RngStream(461), count=2000)
     assert isinstance(sample, GlnSample)
     assert sample.matrices.shape == (2000, 3, 3)
     assert np.all(sample.det > 0.0)
@@ -582,8 +609,8 @@ def test_gln_pos_window_determinant():
 
 
 def test_gln_pos_window_det_is_benford():
-    spec = WindowSpec(eps=0.5, m=2)
-    sample = sample_gln_pos_window(2, 10, 3, spec, RngStream(463), count=30000)
+    spec = WindowSpec(eps=0.5, m=3)
+    sample = sample_gln_pos_window(2, 10, spec, RngStream(463), count=30000)
     ok, d = _ks_passes(sample.det, Benford(10))
     assert ok, f"determinant KS statistic {d}"
 
@@ -591,9 +618,7 @@ def test_gln_pos_window_det_is_benford():
 def test_gln_pos_window_validation():
     rng = RngStream(1)
     with pytest.raises(DomainError):
-        sample_gln_pos_window(2, 10, 0, WindowSpec(), rng, count=4)
-    with pytest.raises(DomainError):
-        sample_gln_pos_window(1, 10, 2, WindowSpec(), rng, count=4)
+        sample_gln_pos_window(1, 10, WindowSpec(), rng, count=4)
 
 
 # --- significand consistency across samplers -------------------------------------

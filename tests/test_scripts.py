@@ -19,11 +19,6 @@ def _load(name):
     "name, argv, header",
     [
         (
-            "fig_digit_frequencies",
-            ["--dims", "5,10", "--N", "2000"],
-            "# N=2000 per dimension, seed=42, base=10",
-        ),
-        (
             "erf_gap_table",
             ["--dims", "100,300", "--points", "9"],
             "# sup-gap between exact and erf CDF on 9 grid points, base 10",
@@ -38,14 +33,6 @@ def _load(name):
 def test_script_runs(capsys, name, argv, header):
     assert _load(name).main(argv) == 0
     assert capsys.readouterr().out.splitlines()[0] == header
-
-
-def test_fig_digit_frequencies_writes_csv(tmp_path, capsys):
-    out = tmp_path / "fig.csv"
-    assert _load("fig_digit_frequencies").main(["--dims", "5", "--N", "500", "--out", str(out)]) == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "dimension,digit,mc_freq,predicted_freq"
-    assert len(lines) == 1 + 9
 
 
 @pytest.mark.parametrize("edges", ["1", "2,1", "0.5", "", "two"])

@@ -171,6 +171,43 @@ def test_betainc_reference_values(a, b, x, expected):
     assert betainc(a, b, x) == pytest.approx(expected, rel=1e-13)
 
 
+def test_betainc_a_above_b_converges_near_one():
+    # Past the mean with a > b, the direct continued fraction does not
+    # converge; these two raised ConvergenceError. mpmath at 40 digits.
+    assert betainc(5000.0, 0.5, 0.9999998089981643) == pytest.approx(
+        0.96514141385872591541, abs=1e-15
+    )
+    assert betainc(5e7, 0.5, 1.0 - 1e-12) == pytest.approx(0.9920213756396509827, abs=1e-15)
+
+
+# I_x(a, b) for a > b on 1 - x = 1e-12 ... 0.1, mpmath at 40 digits; rows are
+# a, columns are 1 - x. The documented error is up to about max(a, b) ulp.
+BETAINC_NEAR_ONE_T = (1e-12, 1e-8, 1e-4, 1e-2, 0.1)
+BETAINC_NEAR_ONE = {
+    (2.0, 0.5): (0.9999985000165914, 0.9998500000001231, 0.9850005000000008, 0.8504999999999999,
+                 0.5414697392755851),
+    (5.0, 1.0): (0.9999999999950001, 0.9999999500000007, 0.9995000999900006, 0.9509900498999999,
+                 0.5904900000000001),
+    (50.0, 0.5): (0.9999920411642944, 0.9992041077541244, 0.92054057138263, 0.3173043978741974,
+                  0.001204149832559813),
+    (50.0, 2.0): (1.0, 0.9999999999998725, 0.9999872915751239, 0.9075091007063049,
+                  0.030922651243920712),
+    (5e3, 0.5): (0.9999202144212509, 0.9920214867894201, 0.31731050725795346,
+                 1.1849636488949232e-23, 4.1123160890507657e-231),
+    (5e3, 1.0): (0.9999999950001106, 0.999950001249478, 0.6065154956247782,
+                 1.499591560997954e-22, 1.631350185342827e-229),
+    (5e3, 2.0): (1.0, 0.9999999987497916, 0.9097732434371341, 7.647916961089572e-21,
+                 8.173064428567562e-227),
+}
+
+
+@pytest.mark.parametrize("a,b", list(BETAINC_NEAR_ONE))
+def test_betainc_a_above_b_grid(a, b):
+    x = 1.0 - np.array(BETAINC_NEAR_ONE_T)
+    got = betainc(a, b, x)
+    assert np.allclose(got, BETAINC_NEAR_ONE[a, b], rtol=0.0, atol=4 * max(a, b) * 2.0**-52)
+
+
 def test_betainc_arrays_endpoints_and_symmetry():
     x = np.array([[0.0, 1e-300, 0.2], [0.6, 1.0 - 1e-12, 1.0]])
     values = betainc(0.5, 4.5, x)
