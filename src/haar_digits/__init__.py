@@ -10,6 +10,7 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 from .laws import (
     Benford,
     DigitLaw,
+    FlatWindowSignificand,
     PowerLaw,
     ProductLaw,
     UniformSignificand,
@@ -37,14 +38,18 @@ from .samplers import (
     nilpotent_exp,
     permutation_parity,
     random_even_permutation,
+    sample_diagonal_entry,
     sample_diagonal_window,
+    sample_gln_det,
     sample_gln_pos_window,
     sample_log_uniform,
     sample_orthogonal_haar,
     sample_power_density,
+    sample_sln_dfactor_entry,
     sample_sln_lud_window,
     sample_sphere,
     sample_sphere_coords,
+    sample_triangular_entry,
     sample_unitary_haar,
     sample_upper_triangular_window,
     triangular_component_law,

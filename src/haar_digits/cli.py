@@ -298,8 +298,9 @@ class _Group:
 
 
 def _sln_entry(a, spec, i, j, st, c):
-    sample = samplers.sample_sln_lud_window(a.n, a.base, spec, st, c)
-    return sample.diag[:, i] if a.component == "dfactor" else sample.g[:, i, i]
+    if a.component == "dfactor":
+        return samplers.sample_sln_dfactor_entry(a.n, a.base, spec, i, st, c)
+    return samplers.sample_sln_lud_window(a.n, a.base, spec, st, c).g[:, i, i]
 
 
 _GROUPS = {
@@ -317,16 +318,18 @@ _GROUPS = {
         requires="k",
     ),
     "triangular": _Group(
-        draw=lambda a, spec, i, j, st, c: samplers.sample_upper_triangular_window(
-            a.n, a.base, spec, a.side, st, c
-        )[:, i, j],
-        law=lambda a, i, j: samplers.triangular_component_law(a.n, a.base, i, j, a.side),
+        draw=lambda a, spec, i, j, st, c: samplers.sample_triangular_entry(
+            a.n, a.base, spec, a.side, i, j, st, c
+        ),
+        law=lambda a, i, j: samplers.triangular_component_law(
+            a.n, a.base, i, j, a.side, eps=a.eps
+        ),
         echoes=("n", "side", "entry"),
     ),
     "diagonal": _Group(
-        draw=lambda a, spec, i, j, st, c: samplers.sample_diagonal_window(
-            a.n, a.base, a.m, st, c, det_one=a.det_one
-        )[:, i],
+        draw=lambda a, spec, i, j, st, c: samplers.sample_diagonal_entry(
+            a.n, a.base, a.m, i, st, c, det_one=a.det_one
+        ),
         law=lambda a, i, j: Benford(a.base),
         echoes=("n", "det_one", "entry"),
         diagonal_only="--group diagonal: --entry must be on the diagonal",
@@ -340,9 +343,7 @@ _GROUPS = {
         min_n=2,
     ),
     "gln-det": _Group(
-        draw=lambda a, spec, i, j, st, c: samplers.sample_gln_pos_window(
-            a.n, a.base, spec, st, c
-        ).det,
+        draw=lambda a, spec, i, j, st, c: samplers.sample_gln_det(a.n, a.base, spec, st, c),
         law=lambda a, i, j: Benford(a.base),
         echoes=("n",),
         min_n=2,

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .significand import check_base
+from .significand import check_base, significand
 
 __all__ = [
     "DigitLaw",
     "Benford",
     "PowerLaw",
     "UniformSignificand",
+    "FlatWindowSignificand",
     "ProductLaw",
     "windowed_power_cdf",
 ]
@@ -136,6 +137,38 @@ class UniformSignificand(DigitLaw):
         arr, scalar = self._check_sig(s)
         out = np.full_like(arr, 1.0 / (self.base - 1.0))
         return self._ret(out, scalar)
+
+
+@dataclass(frozen=True)
+class FlatWindowSignificand(DigitLaw):
+    """Significand law of a coordinate uniform on [-eps, eps].
+
+    With eps = t B^e, t in [1, B): the top partial decade [B^e, t B^e)
+    holds (t - 1)/t of the mass with a flat significand on [1, t), and the
+    whole decades below it hold 1/t with a flat significand on [1, B), so
+    CDF [min(s, t) - 1 + (s - 1)/(B - 1)] / t. t = 1 (eps a power of B)
+    is UniformSignificand.
+    """
+
+    base: int = 10
+    eps: float = 1.0
+    t: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", check_base(self.base))
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise DomainError(f"FlatWindowSignificand: eps must be > 0, got {self.eps}")
+        object.__setattr__(self, "t", significand(self.eps, self.base).significand)
+
+    def cdf(self, s):
+        arr, scalar = self._check_sig(s)
+        out = np.minimum(arr, self.t) - 1.0 + (arr - 1.0) / (self.base - 1.0)
+        return self._ret(out / self.t, scalar)
+
+    def density(self, s):
+        arr, scalar = self._check_sig(s)
+        out = np.where(arr < self.t, 1.0, 0.0) + 1.0 / (self.base - 1.0)
+        return self._ret(out / self.t, scalar)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,16 @@ Windowed samplers draw Haar-density coordinates restricted to finite
 windows: diagonal coordinates from x^(-k)-type densities on [1, B^m) and
 unipotent (strictly triangular) coordinates uniformly from [-eps, eps].
 The induced significand laws are window-independent for the diagonal
-coordinates; for the uniform coordinates the flat significand law is exact
-when eps is an integer power of B (WindowSpec defaults to eps = 1).
+coordinates; a uniform coordinate follows FlatWindowSignificand(B, eps),
+which is the flat law when eps is an integer power of B (WindowSpec
+defaults to eps = 1).
+
+Each windowed sampler consumes one block of `count` uniforms per
+coordinate, in an order its layout fixes. The one-entry reads
+(sample_triangular_entry, sample_diagonal_entry, sample_sln_dfactor_entry,
+sample_gln_det) draw only the blocks their entry is made of and skip the
+rest, so they advance the counter past the whole layout, exactly as the
+full draw does, and give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .laws import Benford, DigitLaw, PowerLaw, UniformSignificand
-from .rng import RngStream
+from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
+from .rng import TILE, RngStream
 from .significand import check_base
 
 __all__ = [
@@ -38,13 +46,17 @@ __all__ = [
     "sample_power_density",
     "triangular_component_law",
     "sample_upper_triangular_window",
+    "sample_triangular_entry",
     "sample_diagonal_window",
+    "sample_diagonal_entry",
     "nilpotent_exp",
     "sample_sln_lud_window",
+    "sample_sln_dfactor_entry",
     "random_even_permutation",
     "permutation_parity",
     "apply_even_permutations",
     "sample_gln_pos_window",
+    "sample_gln_det",
 ]
 
 
@@ -94,6 +106,9 @@ class GlnSample:
         g = _lud_product(self.sln)
         g *= np.power(self.det, 1.0 / g.shape[-1])[..., None, None]
         return g
+
+
+_QR_SLICE = 4096  # matrices per np.linalg.qr call
 
 
 def _check_dim(n: int, minimum: int = 1) -> int:
@@ -169,11 +184,12 @@ def sample_orthogonal_haar(n: int, rng: RngStream, count=None, return_info: bool
     """
     n = _check_dim(n)
     c, single = _batch(count)
-    out, ok = _signed_qr(rng.normal((c, n, n)))
-    todo = np.flatnonzero(~ok)
+    out = rng.normal((c, n, n))
+    todo = np.flatnonzero(~_qr_in_place(out, _signs))
     resampled = todo.size
     while todo.size:
-        q, ok = _signed_qr(rng.normal((todo.size, n, n)))
+        q = rng.normal((todo.size, n, n))
+        ok = _qr_in_place(q, _signs)
         out[todo[ok]] = q[ok]
         todo = todo[~ok]
         resampled += todo.size
@@ -183,13 +199,39 @@ def sample_orthogonal_haar(n: int, rng: RngStream, count=None, return_info: bool
     return result
 
 
-def _signed_qr(g: np.ndarray):
-    """Q factors of a stack, columns flipped so diag(R) > 0, and a mask of
-    the draws whose R has a nonzero diagonal (the others must be redrawn)."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= np.where(d < 0.0, -1.0, 1.0)[:, None, :]
-    return q, np.all(d != 0.0, axis=1)
+def _qr_in_place(g: np.ndarray, phase) -> np.ndarray:
+    """Overwrites a stack with its Q factors, column j of each multiplied by
+    phase(d)_j, d the diagonal of its R, and returns a mask of the matrices
+    whose R has a nonzero diagonal (the others must be redrawn).
+
+    QR runs over _QR_SLICE matrices at a time, so its R and workspace stay
+    small; each matrix's factors do not depend on the slicing.
+    """
+    ok = np.empty(g.shape[0], dtype=bool)
+    for start in range(0, g.shape[0], _QR_SLICE):
+        q, r = np.linalg.qr(g[start : start + _QR_SLICE])
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q *= phase(d)[:, None, :]
+        g[start : start + _QR_SLICE] = q
+        ok[start : start + _QR_SLICE] = np.all(d != 0.0, axis=1)
+    return ok
+
+
+def _signs(d: np.ndarray) -> np.ndarray:
+    """The column flips that make a real R's diagonal positive."""
+    return np.where(d < 0.0, -1.0, 1.0)
+
+
+def _phases(d: np.ndarray) -> np.ndarray:
+    """The column rephasings that make a complex R's diagonal positive."""
+    mags = np.abs(d)
+    return np.where(mags > 0.0, d / np.where(mags > 0.0, mags, 1.0), 1.0)
+
+
+def _fill_normals(dest: np.ndarray, rng: RngStream) -> None:
+    """Writes the next dest.size normals into the 1-d dest, a tile at a time."""
+    for start in range(0, dest.size, TILE):
+        dest[start : start + TILE] = rng.normal(min(TILE, dest.size - start))
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count=None):
@@ -201,26 +243,26 @@ def sample_unitary_haar(n: int, rng: RngStream, count=None):
     n = _check_dim(n)
     c, single = _batch(count)
     z = np.empty((c, n, n), dtype=complex)
-    z.real = rng.normal((c, n, n))
-    z.imag = rng.normal((c, n, n))
+    parts = z.view(np.float64).reshape(-1, 2)  # (real, imaginary) per entry
+    _fill_normals(parts[:, 0], rng)
+    _fill_normals(parts[:, 1], rng)
     z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mags = np.abs(d)
-    q *= np.where(mags > 0.0, d / np.where(mags > 0.0, mags, 1.0), 1.0)[:, None, :]
-    return _squeeze(q, single)
+    _qr_in_place(z, _phases)
+    return _squeeze(z, single)
 
 
 # --- scalar windowed densities ----------------------------------------------
 
 
-def _power_inverse(base: int, k: float, m: int, u: np.ndarray) -> np.ndarray:
-    """Maps uniforms u on [0, 1) to the density proportional to x^(-k) on [1, B^m).
+def _power_block(base: int, k: float, m: int):
+    """draw(rng, count): `count` values of the density proportional to
+    x^(-k) on [1, B^m), one uniform u each, by inversion: k = 1 is dx/x and
+    gives x = B^(m u); other k invert the closed-form window CDF.
 
-    k = 1 is dx/x and gives x = B^(m u); other k invert the closed-form
-    window CDF. Every windowed density is drawn here, and this is the one
-    check of a decade count: m must be a positive integer with B^m a finite
-    double, so that the window is m whole decades.
+    Every windowed density is drawn through here, and this is the one check
+    of a decade count: m must be a positive integer with B^m a finite
+    double, so that the window is m whole decades. The check runs when the
+    block is made, before any word of a layout is drawn or skipped.
     """
     if not (m >= 1 and m % 1 == 0):  # false for NaN and inf too
         raise DomainError(f"m must be a positive integer, got {m}")
@@ -228,10 +270,23 @@ def _power_inverse(base: int, k: float, m: int, u: np.ndarray) -> np.ndarray:
         math.pow(base, m)
     except OverflowError:
         raise DomainError(f"window [1, B^m) with m={m}, base {base} overflows a double") from None
-    if k == 1.0:
-        return np.power(float(base), m * u)
-    r = math.expm1((1.0 - k) * m * math.log(base))  # B^(m(1-k)) - 1
-    return np.exp(np.log1p(u * r) / (1.0 - k))
+
+    def draw(rng: RngStream, count: int) -> np.ndarray:
+        u = rng.random(count)
+        if k == 1.0:
+            u *= m
+            return np.power(float(base), u, out=u)
+        u *= math.expm1((1.0 - k) * m * math.log(base))  # B^(m(1-k)) - 1
+        np.log1p(u, out=u)
+        u /= 1.0 - k
+        return np.exp(u, out=u)
+
+    return draw
+
+
+def _flat_block(eps: float):
+    """draw(rng, count): `count` values uniform on [-eps, eps), one uniform each."""
+    return lambda rng, count: rng.uniform(-eps, eps, count)
 
 
 def sample_log_uniform(base: int, m: int, rng: RngStream, count=None):
@@ -242,7 +297,7 @@ def sample_log_uniform(base: int, m: int, rng: RngStream, count=None):
     """
     base = check_base(base)
     c, single = _batch(count)
-    return _squeeze(_power_inverse(base, 1.0, m, rng.random(c)), single)
+    return _squeeze(_power_block(base, 1.0, m)(rng, c), single)
 
 
 def sample_power_density(base: int, k: float, m: int, rng: RngStream, count=None):
@@ -255,7 +310,96 @@ def sample_power_density(base: int, k: float, m: int, rng: RngStream, count=None
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"k must be > 0, got {k}")
     c, single = _batch(count)
-    return _squeeze(_power_inverse(base, k, m, rng.random(c)), single)
+    return _squeeze(_power_block(base, k, m)(rng, c), single)
+
+
+# --- window layouts ------------------------------------------------------------
+#
+# A windowed sampler's draw is a layout: its blocks in stream order, each a
+# (key, draw) pair for `count` uniforms of one coordinate. The key is a name
+# and an index, ("U", i, j) for entry (i, j) of the matrix named U. The layout
+# function is the one owner of the order; full draws and one-entry reads both
+# walk it.
+
+
+def _walk(layout, rng: RngStream, count: int, read=None):
+    """Yields (key, values) for each block of `layout` whose key is in
+    `read` (every block when read is None) and passes any other block with
+    RngStream.skip, never generating its words. Run to the end, it leaves
+    the counter count * len(layout) words on, whatever was read."""
+    for key, draw in layout:
+        if read is None or key in read:
+            yield key, draw(rng, count)
+        else:
+            rng.skip(count)
+
+
+def _read(layout, rng: RngStream, count: int, key):
+    """The values of one block, walking the whole layout."""
+    return dict(_walk(layout, rng, count, {key}))[key]
+
+
+def _fill(blocks, canvases: dict) -> None:
+    """Writes each block (name, *index) to canvases[name][:, *index]."""
+    for (name, *index), vals in blocks:
+        canvases[name][(slice(None), *index)] = vals
+
+
+def _close_det_one(d: np.ndarray) -> np.ndarray:
+    """Sets the last column of a (count, n) diagonal to 1 / (product of the others)."""
+    d[:, -1] = 1.0 / np.prod(d[:, :-1], axis=1)
+    return d
+
+
+def _triangular_layout(n: int, base: int, spec: WindowSpec, side: str) -> list:
+    """Entries ("U", i, j), j >= i, row-major: diagonal entries from their
+    Haar power density, strictly upper ones flat on [-eps, eps]."""
+    layout = []
+    for i in range(n):
+        layout.append((("U", i, i), _power_block(base, float(_haar_exponent(n, i, side)), spec.m)))
+        layout += [(("U", i, j), _flat_block(spec.eps)) for j in range(i + 1, n)]
+    return layout
+
+
+def _diagonal_layout(n: int, base: int, m: int, det_one: bool) -> list:
+    """Free diagonal entries ("d", i), i < n (i < n - 1 with det_one), log-uniform."""
+    draw = _power_block(base, 1.0, m)
+    return [(("d", i), draw) for i in range(n - 1 if det_one else n)]
+
+
+def _sln_layout(n: int, base: int, spec: WindowSpec) -> list:
+    """X entries ("X", i, j), i > j, then Y entries ("Y", i, j), i < j, each
+    row-major and flat on [-eps, eps], then the det-one diagonal factor."""
+    flat = _flat_block(spec.eps)
+    layout = [(("X", i, j), flat) for i in range(n) for j in range(i)]
+    layout += [(("Y", i, j), flat) for i in range(n) for j in range(i + 1, n)]
+    return layout + _diagonal_layout(n, base, spec.m, det_one=True)
+
+
+def _gln_layout(n: int, base: int, spec: WindowSpec) -> list:
+    """The determinant ("r",), log-uniform, then the SL_n layout."""
+    return [(("r",), _power_block(base, 1.0, spec.m))] + _sln_layout(n, base, spec)
+
+
+def _diagonal_entry(layout: list, n: int, i: int, det_one: bool, rng: RngStream, c: int):
+    """Entry i of a layout's ("d", k) diagonal, drawing only the blocks it
+    is made of: its own, or every free one for a det-one last entry."""
+    if not 0 <= i < n:
+        raise DomainError(f"diagonal entry {i} out of range for n={n}")
+    if det_one and i == n - 1:
+        d = np.empty((c, n))
+        _fill(_walk(layout, rng, c, {("d", k) for k in range(n - 1)}), {"d": d})
+        return _close_det_one(d)[:, i]
+    return _read(layout, rng, c, ("d", i))
+
+
+def _lud_draw(layout: list, n: int, rng: RngStream, c: int, single: bool, **more) -> SlnSample:
+    """The SL_n factors from every block of `layout`; blocks of other names
+    go to the canvases in `more`."""
+    canvases = {"X": np.zeros((c, n, n)), "Y": np.zeros((c, n, n)), "d": np.empty((c, n)), **more}
+    _fill(_walk(layout, rng, c), canvases)
+    _close_det_one(canvases["d"])
+    return SlnSample(*(_squeeze(canvases[name], single) for name in "XYd"))
 
 
 # --- triangular and diagonal groups ------------------------------------------
@@ -268,25 +412,32 @@ def _haar_exponent(n: int, i: int, side: str) -> int:
     return (i + 1) if side == "left" else (n - i)
 
 
-def triangular_component_law(n: int, base: int, i: int, j: int, side: str) -> DigitLaw:
+def _check_upper_entry(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError(f"entry ({i}, {j}) out of range for n={n}")
+    if i > j:
+        raise DomainError(f"entry ({i}, {j}) is structurally zero below the diagonal")
+
+
+def triangular_component_law(
+    n: int, base: int, i: int, j: int, side: str, eps: float = 1.0
+) -> DigitLaw:
     """Predicted significand law for entry (i, j) (0-based) of the windowed
     invertible upper-triangular group under left or right Haar measure.
 
     Diagonal entry (i, i): PowerLaw with exponent i+1 (left Haar) or n-i
     (right Haar); exponent 1 is exactly Benford. Strictly upper entries are
-    Lebesgue-windowed and get the flat significand law (exact when the
-    window half-width is a power of the base). Entries below the diagonal
-    are structurally zero and have no law.
+    flat on [-eps, eps] and get FlatWindowSignificand(base, eps), which is
+    UniformSignificand when eps is a power of the base. Entries below the
+    diagonal are structurally zero and have no law.
     """
     n = _check_dim(n)
     base = check_base(base)
     expo = _haar_exponent(n, i, side)
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"entry ({i}, {j}) out of range for n={n}")
-    if i > j:
-        raise DomainError(f"entry ({i}, {j}) is structurally zero below the diagonal")
+    _check_upper_entry(n, i, j)
     if i < j:
-        return UniformSignificand(base)
+        law = FlatWindowSignificand(base, eps)
+        return UniformSignificand(base) if law.t == 1.0 else law
     if expo == 1:
         return Benford(base)
     return PowerLaw(base, float(expo))
@@ -307,17 +458,46 @@ def sample_upper_triangular_window(
     are uniform on [-eps, eps]. Entries are drawn row-major, each as a batch
     of `count`, so the draw consumes n(n+1)/2 * count uniforms. Returns the
     matrices; triangular_component_law gives each entry's predicted law.
+    sample_triangular_entry reads one entry and skips the other blocks, so
+    it too advances the counter past all n(n+1)/2 * count words.
     """
     n = _check_dim(n)
     base = check_base(base)
     c, single = _batch(count)
     mats = np.zeros((c, n, n))
-    for i in range(n):
-        k = float(_haar_exponent(n, i, side))
-        mats[:, i, i] = _power_inverse(base, k, spec.m, rng.random(c))
-        for j in range(i + 1, n):
-            mats[:, i, j] = rng.uniform(-spec.eps, spec.eps, c)
+    _fill(_walk(_triangular_layout(n, base, spec, side), rng, c), {"U": mats})
     return _squeeze(mats, single)
+
+
+def sample_triangular_entry(
+    n: int,
+    base: int,
+    spec: WindowSpec,
+    side: str,
+    i: int,
+    j: int,
+    rng: RngStream,
+    count=None,
+) -> np.ndarray:
+    """Entry (i, j) (0-based, i <= j) of sample_upper_triangular_window.
+
+    Bit for bit the column that the full draw gives, but only this entry's
+    `count` words are generated: the others are skipped, and the counter
+    still advances past the whole layout, n(n+1)/2 * count words.
+    """
+    n = _check_dim(n)
+    base = check_base(base)
+    _check_upper_entry(n, i, j)
+    c, single = _batch(count)
+    layout = _triangular_layout(n, base, spec, side)
+    return _squeeze(_read(layout, rng, c, ("U", i, j)), single)
+
+
+def _check_diagonal(n: int, det_one: bool) -> int:
+    n = _check_dim(n)
+    if det_one and n < 2:
+        raise DomainError(f"det_one needs n >= 2 (n = 1 would pin the entry to 1), got n={n}")
+    return n
 
 
 def sample_diagonal_window(
@@ -337,18 +517,37 @@ def sample_diagonal_window(
     entries of the diagonal, shape (count, n).
 
     Consumes (n-1 if det_one else n)*count uniforms, one batch per entry.
+    sample_diagonal_entry reads one entry and skips the blocks it is not
+    made of, so it too advances the counter past all of them.
     """
-    n = _check_dim(n)
-    if det_one and n < 2:
-        raise DomainError(f"det_one needs n >= 2 (n = 1 would pin the entry to 1), got n={n}")
+    n = _check_diagonal(n, det_one)
     base = check_base(base)
     c, single = _batch(count)
-    entries = np.empty((c, n))
-    for idx in range(n - 1 if det_one else n):
-        entries[:, idx] = _power_inverse(base, 1.0, m, rng.random(c))
-    if det_one:
-        entries[:, n - 1] = 1.0 / np.prod(entries[:, : n - 1], axis=1)
-    return _squeeze(entries, single)
+    d = np.empty((c, n))
+    _fill(_walk(_diagonal_layout(n, base, m, det_one), rng, c), {"d": d})
+    return _squeeze(_close_det_one(d) if det_one else d, single)
+
+
+def sample_diagonal_entry(
+    n: int,
+    base: int,
+    m: int,
+    i: int,
+    rng: RngStream,
+    count=None,
+    det_one: bool = False,
+):
+    """Entry i (0-based) of sample_diagonal_window, bit for bit.
+
+    Draws only the blocks the entry is made of (its own, or all n - 1 for
+    the det-one last entry) and skips the rest; the counter still advances
+    past the whole layout, (n-1 if det_one else n)*count words.
+    """
+    n = _check_diagonal(n, det_one)
+    base = check_base(base)
+    c, single = _batch(count)
+    layout = _diagonal_layout(n, base, m, det_one)
+    return _squeeze(_diagonal_entry(layout, n, i, det_one, rng, c), single)
 
 
 def nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -389,27 +588,41 @@ def sample_sln_lud_window(
 
     X is a uniform box in the strictly lower algebra, Y a uniform box in
     the strictly upper algebra (entries on [-eps, eps], drawn row-major: X
-    first, then Y), and d comes from sample_diagonal_window(det_one=True),
+    first, then Y), and d is drawn as sample_diagonal_window(det_one=True),
     so det(g) = 1 exactly: n(n-1)*count uniforms for X and Y, then
     (n-1)*count for d. The free diagonal entries d_11..d_{n-1,n-1} are iid
     with exactly Benford significands; the matrix diagonal g_ii =
     (unit-triangular factor) * d_ii inherits the Benford significand by
     scale invariance. Returns the factors; g is formed on first read of
-    ``.g``.
+    ``.g``. sample_sln_dfactor_entry reads one entry of d and skips the
+    other blocks, so it too advances the counter past all (n-1)(n+1)*count
+    words.
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
     c, single = _batch(count)
-    X = np.zeros((c, n, n))
-    for i in range(n):
-        for j in range(i):
-            X[:, i, j] = rng.uniform(-spec.eps, spec.eps, c)
-    Y = np.zeros((c, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            Y[:, i, j] = rng.uniform(-spec.eps, spec.eps, c)
-    diag = sample_diagonal_window(n, base, spec.m, rng, c, det_one=True)
-    return SlnSample(_squeeze(X, single), _squeeze(Y, single), _squeeze(diag, single))
+    return _lud_draw(_sln_layout(n, base, spec), n, rng, c, single)
+
+
+def sample_sln_dfactor_entry(
+    n: int,
+    base: int,
+    spec: WindowSpec,
+    i: int,
+    rng: RngStream,
+    count=None,
+):
+    """Entry i (0-based) of the diagonal factor d of sample_sln_lud_window.
+
+    Bit for bit the values of ``.diag[:, i]``, drawing only the blocks d_ii
+    is made of (its own, or all n - 1 free ones for d_nn); the counter
+    still advances past the whole layout, (n-1)(n+1)*count words.
+    """
+    n = _check_dim(n, minimum=2)
+    base = check_base(base)
+    c, single = _batch(count)
+    layout = _sln_layout(n, base, spec)
+    return _squeeze(_diagonal_entry(layout, n, i, True, rng, c), single)
 
 
 def _lud_product(sample: SlnSample) -> np.ndarray:
@@ -500,11 +713,24 @@ def sample_gln_pos_window(
     and y is an SL_n LUD sample (as sample_sln_lud_window consumes it), so
     the determinant significand is exactly Benford. Returns the SL_n factor
     y and the determinant vector; the matrices are formed from them on
-    first read of ``.matrices``.
+    first read of ``.matrices``. sample_gln_det reads r and skips y, so it
+    too advances the counter past all n^2 * count words.
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
     c, single = _batch(count)
-    r = _power_inverse(base, 1.0, spec.m, rng.random(c))
-    y = sample_sln_lud_window(n, base, spec, rng, count)
+    r = np.empty(c)
+    y = _lud_draw(_gln_layout(n, base, spec), n, rng, c, single, r=r)
     return GlnSample(y, _squeeze(r, single))
+
+
+def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count=None):
+    """The determinants r of sample_gln_pos_window, bit for bit.
+
+    Draws only r's `count` words; the SL_n factor is skipped, and the
+    counter still advances past the whole layout, n^2 * count words.
+    """
+    n = _check_dim(n, minimum=2)
+    base = check_base(base)
+    c, single = _batch(count)
+    return _squeeze(_read(_gln_layout(n, base, spec), rng, c, ("r",)), single)

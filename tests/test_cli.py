@@ -6,6 +6,7 @@ python -m entry point.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import pytest
 
 from haar_digits import cli, lie
 from haar_digits.cli import main
+from haar_digits.laws import UniformSignificand
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +158,9 @@ def test_diagonal_det_one_needs_two_entries(capsys):
         (("--group", "rplus", "--m", "400"), "m=400, base 10"),
         (("--group", "rplus", "--base", "2", "--m", "2000"), "m=2000, base 2"),
         (("--group", "power", "--k", "0.5", "--m", "400"), "m=400, base 10"),
+        # Entries that read no power-density block still check the window.
+        (("--group", "triangular", "--entry", "1,2", "--m", "400"), "m=400, base 10"),
+        (("--group", "sln", "--n", "2", "--m", "400"), "m=400, base 10"),
     ],
 )
 def test_window_past_the_double_range_is_blamed_on_m(capsys, args, named):
@@ -269,6 +274,41 @@ def test_sample_stdout_digest_is_frozen(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_SAMPLE_DIGESTS[args]
 
 
+# sha256 of (stdout, --samples-out file) at --N 100000 --seed 7. At this size
+# the uniform, normal and gamma kernels cross several tile edges, and the
+# one-entry reads skip most of each windowed layout; the digests were taken
+# from untiled kernels that drew every entry.
+FROZEN_LARGE_SAMPLE_DIGESTS = {
+    ("--group", "sphere", "--n", "9"): (
+        "2ae4980236fa32c2b6a26b31e133086ef18fe4f7e06ea6bf4bc1b8dfac683e51",
+        "cc5600b246ba5fbf4360c66cdf174f1d56ea98dd96a681217aef1bc7026aa33d",
+    ),
+    ("--group", "triangular", "--n", "5", "--entry", "3,3"): (
+        "60ce2b714b4af1423a39d4bcac41ce9c710425fe28a3c1f2faa0d954902ead8c",
+        "83b80f2f6db0bca2b9010b70aa112505888d10fce5b35ea8c0ab4615f7056dec",
+    ),
+    ("--group", "sln", "--n", "4", "--entry", "4,4"): (
+        "709f3e5a6143eedbebc7e470ffb66204c0e018a0fc35c56758581e3a8e1fe1bd",
+        "8e5cbc79c64ddf96733395a90920fa72423e3a6509d535d7f410863c2ec1e7ba",
+    ),
+    ("--group", "diagonal", "--n", "4", "--entry", "3,3"): (
+        "203adc4a525f7265885d81bb24d81a237a34b11b73d7630ea77cd0d4b95bb2ca",
+        "6b73df0b46aa4a08d777fc6e6779918979dc4778e21482b367e448ba320f8196",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(FROZEN_LARGE_SAMPLE_DIGESTS), ids=lambda a: a[1])
+def test_large_sample_digests_are_frozen(capsys, tmp_path, args):
+    path = tmp_path / "samples.csv"
+    code, out, _ = run_cli(
+        capsys, "sample", *args, "--N", "100000", "--seed", "7", "--samples-out", str(path)
+    )
+    assert code == 0
+    got = tuple(hashlib.sha256(b).hexdigest() for b in (out.encode("utf-8"), path.read_bytes()))
+    assert got == FROZEN_LARGE_SAMPLE_DIGESTS[args]
+
+
 # --- sample ---------------------------------------------------------------------
 
 
@@ -311,10 +351,13 @@ def test_sample_small_n_skips_chi2(capsys):
     assert payload["pass"] is (code == 0)
 
 
-def test_sample_mispredicted_law_exits_1(capsys):
-    # eps = 0.3 is not a power of the base, so the flat significand law for
-    # an off-diagonal triangular entry is genuinely wrong; the GOF tests
-    # must reject it and the exit code must say so.
+def test_sample_mispredicted_law_exits_1(capsys, monkeypatch):
+    # Predict the flat significand law for an off-diagonal triangular entry
+    # at eps = 0.3, which is not a power of the base: the law is genuinely
+    # wrong, the GOF tests must reject it and the exit code must say so.
+    flat = lambda a, i, j: UniformSignificand(a.base)  # noqa: E731
+    group = dataclasses.replace(cli._GROUPS["triangular"], law=flat)
+    monkeypatch.setitem(cli._GROUPS, "triangular", group)
     code, out, _ = run_cli(
         capsys,
         "sample",
@@ -335,6 +378,19 @@ def test_sample_mispredicted_law_exits_1(capsys):
     payload = json.loads(out)
     assert payload["pass"] is False
     assert payload["tests"]["ks"]["pass"] is False
+
+
+def test_sample_flat_entry_off_a_power_of_the_base_passes(capsys):
+    # eps = 0.3 = 3 * 10^-1: the entry's significand law is
+    # FlatWindowSignificand with t = 3, not the flat law (KS D was 0.517).
+    code, out, _ = run_cli(
+        capsys, "sample", "--group", "triangular", "--n", "4", "--entry", "1,2",
+        "--eps", "0.3", "--N", "200000", "--seed", "7",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True
+    assert payload["law"] == "FlatWindowSignificand(base=10, eps=0.3)"
+    assert payload["tests"]["ks"]["statistic"] < 0.005
 
 
 def test_sample_workers_sharding(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from haar_digits.errors import DomainError
 from haar_digits.laws import (
     Benford,
+    FlatWindowSignificand,
     PowerLaw,
     ProductLaw,
     UniformSignificand,
@@ -71,6 +72,36 @@ def test_uniform_significand():
     assert law.cdf(5.5) == pytest.approx(0.5, abs=1e-15)
     assert law.density(3.0) == pytest.approx(1.0 / 9.0, abs=1e-16)
     assert law.first_digit_probs().tolist() == pytest.approx([1.0 / 9.0] * 9)
+
+
+@pytest.mark.parametrize("base, eps, t", [(10, 0.3, 3.0), (10, 45.0, 4.5), (7, 3.7, 3.7), (2, 0.75, 1.5)])
+def test_flat_window_significand(base, eps, t):
+    law = FlatWindowSignificand(base, eps)
+    assert law.t == pytest.approx(t, rel=1e-15)
+    s = np.linspace(1.0, base, 1001)
+    # P(S(eps U) <= s) summed decade by decade: the length of
+    # [B^k, s B^k) inside [0, eps], over eps.
+    lows = float(base) ** np.arange(-80.0, 5.0)[:, None]
+    direct = np.clip(np.minimum(s * lows, eps) - lows, 0.0, None).sum(axis=0) / eps
+    assert np.max(np.abs(law.cdf(s) - direct)) < 1e-12
+    assert law.cdf(1.0) == 0.0 and law.cdf(float(base)) == pytest.approx(1.0, abs=1e-15)
+    # The density is the CDF's slope: B / ((B - 1) t) below t, 1 / ((B - 1) t) above.
+    assert law.density(1.0 + 0.5 * (t - 1.0)) == pytest.approx(base / ((base - 1) * t))
+    assert law.density(t + 0.5 * (base - t)) == pytest.approx(1.0 / ((base - 1) * t))
+    mass = integrate(lambda x: law.density(x), np.array([1.0, law.t, float(base)]))
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert law.first_digit_probs().sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_flat_window_significand_is_flat_at_powers_of_the_base():
+    for eps in (1.0, 100.0, 0.001):
+        law = FlatWindowSignificand(10, eps)
+        assert law.t == 1.0
+        s = np.linspace(1.0, 10.0, 37)
+        assert np.array_equal(law.cdf(s), UniformSignificand(10).cdf(s))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            FlatWindowSignificand(10, bad)
 
 
 def test_domain_validation_on_significand_argument():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from haar_digits.errors import DomainError
-from haar_digits.rng import RngStream
+from haar_digits.rng import TILE, RngStream
 
 
 def _reference_words(seed, stream_id, count):
@@ -280,12 +280,31 @@ def test_kernels_match_reference_over_call_sequences(seed, stream_id, calls):
         assert fast._pending_normal == ref._pending_normal
 
 
+@pytest.mark.parametrize("size", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+@pytest.mark.parametrize(
+    "call",
+    [("random",), ("normal",), ("gamma", 0.3), ("gamma", 4.5)],
+    ids=["random", "normal", "gamma0.3", "gamma4.5"],
+)
+def test_kernels_match_reference_at_tile_edges(call, size):
+    # An odd normal first leaves a carried variate; the second request then
+    # starts one word past a tile boundary of the first.
+    kind, *shape = call
+    fast, ref = RngStream(61, 2), _ReferenceStream(61, 2)
+    for k, sz, *sh in [("normal", 1), (kind, size, *shape), (kind, size, *shape)]:
+        got, want = _call(fast, k, sz, *sh), _call(ref, k, sz, *sh)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, sz)
+        assert fast.counter == ref.counter
+        assert fast._pending_normal == ref._pending_normal
+
+
 @pytest.mark.parametrize(
     "draw, bound",
     [
-        (lambda s: s.random(1_000_000), 2.5),  # the words, then the doubles
-        (lambda s: s.normal(1_000_000), 4.5),
-        (lambda s: s.gamma(49.5, 1_000_000), 7.5),
+        # The output, plus one tile's temporaries (measured 1.10, 1.18, 1.23).
+        (lambda s: s.random(1_000_000), 1.15),
+        (lambda s: s.normal(1_000_000), 1.25),
+        (lambda s: s.gamma(49.5, 1_000_000), 1.3),
     ],
     ids=["random", "normal", "gamma"],
 )

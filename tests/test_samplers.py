@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from haar_digits import samplers
 from haar_digits.errors import DomainError
-from haar_digits.laws import Benford, PowerLaw, UniformSignificand
+from haar_digits.laws import Benford, FlatWindowSignificand, PowerLaw, UniformSignificand
 from haar_digits.rng import RngStream
 from haar_digits.samplers import (
     GlnSample,
@@ -20,14 +21,18 @@ from haar_digits.samplers import (
     nilpotent_exp,
     permutation_parity,
     random_even_permutation,
+    sample_diagonal_entry,
     sample_diagonal_window,
+    sample_gln_det,
     sample_gln_pos_window,
     sample_log_uniform,
     sample_orthogonal_haar,
     sample_power_density,
+    sample_sln_dfactor_entry,
     sample_sln_lud_window,
     sample_sphere,
     sample_sphere_coords,
+    sample_triangular_entry,
     sample_unitary_haar,
     sample_upper_triangular_window,
     triangular_component_law,
@@ -203,9 +208,36 @@ def test_unitary_haar_entry_moment():
 
 
 def test_unitary_haar_footprint(traced_peak):
-    # The complex Gaussian stack is filled in place and rephased in place.
+    # The complex Gaussian stack is filled a tile at a time and overwritten
+    # by its rephased Q factors one QR slice at a time.
     us, peak = traced_peak(lambda: sample_unitary_haar(3, RngStream(37), count=100_000))
-    assert peak <= 4.5 * us.nbytes
+    assert peak <= 1.3 * us.nbytes
+
+
+def test_haar_qr_slices_match_one_whole_stack_qr():
+    # Past one QR slice, the sliced in-place QR gives the bytes that one
+    # np.linalg.qr over the whole stack gives, with the same sign and phase fix.
+    c = 2 * samplers._QR_SLICE + 5
+    g = RngStream(41).normal((c, 4, 4))
+    q, r = np.linalg.qr(g)
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[:, None, :]
+    assert sample_orthogonal_haar(4, RngStream(41), count=c).tobytes() == q.tobytes()
+    st = RngStream(43)
+    z = np.empty((c, 3, 3), dtype=complex)
+    z.real = st.normal((c, 3, 3))
+    z.imag = st.normal((c, 3, 3))
+    z /= math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[:, None, :]
+    assert sample_unitary_haar(3, RngStream(43), count=c).tobytes() == q.tobytes()
+
+
+def test_orthogonal_haar_footprint(traced_peak):
+    # The Gaussian stack is overwritten by its signed Q factors one QR slice
+    # at a time.
+    qs, peak = traced_peak(lambda: sample_orthogonal_haar(4, RngStream(37), count=100_000))
+    assert peak <= 1.3 * qs.nbytes
 
 
 # --- scalar windowed densities --------------------------------------------------
@@ -310,6 +342,26 @@ def test_triangular_component_law_table():
     law = triangular_component_law(3, 10, 0, 0, "right")
     assert isinstance(law, PowerLaw) and law.k == 3.0
     assert isinstance(triangular_component_law(3, 10, 0, 2, "left"), UniformSignificand)
+
+
+def test_triangular_component_law_reads_eps():
+    # A flat entry's law is FlatWindowSignificand(B, eps), which is the flat
+    # law exactly when eps is a power of the base (1000 and 0.01 included,
+    # which floor(log10) misreads).
+    for eps in (1.0, 1000.0, 0.01, 1e7):
+        assert isinstance(triangular_component_law(3, 10, 0, 2, "left", eps), UniformSignificand)
+    law = triangular_component_law(3, 10, 0, 2, "left", 0.3)
+    assert law == FlatWindowSignificand(10, 0.3) and law.t == pytest.approx(3.0, rel=1e-15)
+    assert isinstance(triangular_component_law(3, 10, 1, 1, "left", 0.3), PowerLaw)
+
+
+@pytest.mark.parametrize("eps, base", [(0.3, 10), (0.5, 10), (3.7, 7), (1.0, 10)])
+def test_flat_entry_follows_its_window_law(eps, base):
+    spec = WindowSpec(eps=eps, m=2)
+    vals = sample_triangular_entry(3, base, spec, "left", 0, 1, RngStream(227), count=50_000)
+    law = triangular_component_law(3, base, 0, 1, "left", eps)
+    ok, d = _ks_passes(vals, law, base)
+    assert ok, f"KS statistic {d}"
 
 
 def test_triangular_component_law_validation():
@@ -487,16 +539,17 @@ def test_sln_lud_window_footprint(traced_peak):
 @pytest.mark.parametrize(
     "read",
     [
-        lambda: sample_sln_lud_window(3, 10, WindowSpec(), RngStream(43), 250_000).diag,
-        lambda: sample_gln_pos_window(3, 10, WindowSpec(), RngStream(43), 250_000).det,
+        lambda: sample_sln_dfactor_entry(3, 10, WindowSpec(), 0, RngStream(43), 250_000),
+        lambda: sample_gln_det(3, 10, WindowSpec(), RngStream(43), 250_000),
     ],
     ids=["sln-diag", "gln-det"],
 )
 def test_windowed_factors_without_products_footprint(traced_peak, read):
-    # A caller that reads only the diagonal factor or the determinant never
-    # forms the 250k 3x3 products, whose bytes are the unit here.
+    # A caller that reads one diagonal-factor entry or the determinant draws
+    # one block of 250k values and skips the rest: the peak is that block
+    # plus the uniform kernel's tile temporaries.
     _, peak = traced_peak(read)
-    assert peak <= 3.0 * 250_000 * 9 * 8
+    assert peak <= 1.5 * 250_000 * 8
 
 
 def test_sln_and_gln_single_draws():
@@ -528,10 +581,75 @@ def test_windowed_samplers_consume_the_documented_words(n):
         (lambda st: sample_sln_lud_window(n, 10, spec, st, c), sln_words),
         (lambda st: sample_gln_pos_window(n, 10, spec, st, c), sln_words + c),
     ]
+    # A one-entry read skips the blocks it does not read, but the counter
+    # still ends past the whole layout.
+    for i in range(n):
+        cases.append((lambda st, i=i: sample_diagonal_entry(n, 10, 2, i, st, c), n * c))
+        cases.append(
+            (lambda st, i=i: sample_diagonal_entry(n, 10, 2, i, st, c, det_one=True), (n - 1) * c)
+        )
+        cases.append((lambda st, i=i: sample_sln_dfactor_entry(n, 10, spec, i, st, c), sln_words))
+        for j in range(i, n):
+            cases.append(
+                (lambda st, i=i, j=j: sample_triangular_entry(n, 10, spec, "left", i, j, st, c),
+                 triangular_words)
+            )
+    cases.append((lambda st: sample_gln_det(n, 10, spec, st, c), sln_words + c))
     for draw, words in cases:
         st = RngStream(491)
         draw(st)
         assert st.counter == words
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_one_entry_reads_equal_the_full_draws(n):
+    # Each one-entry route gives bit for bit the column the full draw gives,
+    # and leaves the stream where the full draw leaves it.
+    c = 9
+    spec = WindowSpec(eps=0.3, m=2)
+
+    def same(one_entry, full):
+        a, b = RngStream(503, 1), RngStream(503, 1)
+        assert one_entry(a).tobytes() == np.ascontiguousarray(full(b)).tobytes()
+        assert a.counter == b.counter
+        assert a.random(3).tobytes() == b.random(3).tobytes()
+
+    for side in ("left", "right"):
+        for i in range(n):
+            for j in range(i, n):
+                same(
+                    lambda st: sample_triangular_entry(n, 7, spec, side, i, j, st, c),
+                    lambda st: sample_upper_triangular_window(n, 7, spec, side, st, c)[:, i, j],
+                )
+    for i in range(n):
+        for det_one in (False, True):
+            same(
+                lambda st: sample_diagonal_entry(n, 10, 2, i, st, c, det_one=det_one),
+                lambda st: sample_diagonal_window(n, 10, 2, st, c, det_one=det_one)[:, i],
+            )
+        same(
+            lambda st: sample_sln_dfactor_entry(n, 10, spec, i, st, c),
+            lambda st: sample_sln_lud_window(n, 10, spec, st, c).diag[:, i],
+        )
+    same(
+        lambda st: sample_gln_det(n, 10, spec, st, c),
+        lambda st: sample_gln_pos_window(n, 10, spec, st, c).det,
+    )
+
+
+def test_one_entry_reads_validate_the_entry():
+    spec = WindowSpec()
+    for i, j in ((1, 0), (0, 3), (-1, 0)):
+        with pytest.raises(DomainError):
+            sample_triangular_entry(3, 10, spec, "left", i, j, RngStream(1), 4)
+    for i in (-1, 3):
+        with pytest.raises(DomainError):
+            sample_diagonal_entry(3, 10, 2, i, RngStream(1), 4)
+        with pytest.raises(DomainError):
+            sample_sln_dfactor_entry(3, 10, spec, i, RngStream(1), 4)
+    single = sample_gln_det(3, 10, spec, RngStream(437))
+    assert np.ndim(single) == 0
+    assert single == sample_gln_pos_window(3, 10, spec, RngStream(437)).det
 
 
 # --- permutations --------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haar_digits.errors import DomainError
-from haar_digits.laws import Benford, DigitLaw, PowerLaw, UniformSignificand
+from haar_digits.laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from haar_digits.rng import RngStream
 from haar_digits.samplers import sample_log_uniform, sample_sphere_coords
 from haar_digits.significand import significand_values
@@ -141,6 +141,7 @@ KS_LAWS = [
     PowerLaw(10, 2.0),
     PowerLaw(10, 1.0 + 1e-9),
     UniformSignificand(10),
+    FlatWindowSignificand(10, 0.3),
     SphereExact(10, 1),
     SphereExact(10, 2),
     SphereExact(10, 9),
