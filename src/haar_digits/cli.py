@@ -2,22 +2,23 @@
 
 Subcommands
 -----------
-law     Tabulate a significand law (CDF, density, first-digit masses) on a
-        99-point grid.
-sample  Draw a seeded Monte Carlo sample of one component of a matrix
-        group / sphere, reduce to significands, and test against the
-        predicted analytic law (KS + first-digit chi-square).
+law     Tabulate a significand law of the `_LAWS` table (CDF, density,
+        first-digit masses) on a 99-point grid.
+sample  Draw a seeded Monte Carlo sample of one component of a `_GROUPS`
+        row (matrix group / sphere), reduce to significands, and test it
+        against the predicted analytic law (KS + first-digit chi-square).
 fig1    First-digit frequencies of the leading sphere coordinate across a
         list of dimensions, with the limiting-law predictions alongside.
-verify  Structural checks: adjoint-determinant product identity and the
-        cone-volume law behind the SL_2 window.
+verify  Run the checks of the `_SUITES` rows: adjoint-determinant product
+        identity and the cone-volume law behind the SL_2 window.
 
-All randomness derives from a single 64-bit seed (--seed, else the
+Each command returns a `_Report`; `main` alone writes it, as JSON or CSV,
+through the one emitter `_emit`, and maps it to the exit code: 0 success,
+1 a verification or goodness-of-fit check failed, 2 usage error. All
+randomness derives from a single 64-bit seed (--seed, else the
 HAAR_DIGITS_SEED environment variable, else 42) through named substreams,
 so identical flags produce byte-identical output. Floats are printed with
-12 significant digits; JSON payloads carry {"schema": 1} and no
-timestamps. Exit codes: 0 success, 1 a verification or goodness-of-fit
-check failed, 2 usage error.
+12 significant digits; JSON payloads carry {"schema": 1} and no timestamps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -63,8 +64,9 @@ _SAMPLES_BLOCK = 1 << 16  # rows per write of --samples-out
 # --- output plumbing ---------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".12g")
+def _fmt(value):
+    """Floats as text at 12 significant digits, anything else as is."""
+    return format(float(value), ".12g") if isinstance(value, (float, np.floating)) else value
 
 
 def _jsonable(obj):
@@ -81,7 +83,7 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(_fmt_float(obj)) if math.isfinite(obj) else None
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     return obj
 
 
@@ -93,28 +95,31 @@ def _open_out(path: str):
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@dataclass(frozen=True)
+class _Report:
+    """A command's result: `payload` for JSON, `header` and `rows` for CSV, and `passed`."""
+
+    payload: dict
+    header: tuple
+    rows: Iterable
+    passed: bool
+
+
+def _emit(report: _Report, fmt: str, out: Optional[str]) -> None:
+    """Write the report in the chosen format to `out`, or to stdout."""
+    if fmt == "json":
+        text = json.dumps(_jsonable(report.payload), sort_keys=True, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows([_fmt(v) for v in row] for row in report.rows)
+        text = buf.getvalue()
     if out is None:
         sys.stdout.write(text)
     else:
         with _open_out(out) as fh:
             fh.write(text)
-
-
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    body = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    _emit(body + "\n", out)
-
-
-def _emit_csv(header, rows, out: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_fmt_float(v) if isinstance(v, (float, np.floating)) else v for v in row]
-        )
-    _emit(buf.getvalue(), out)
 
 
 def _write_samples(values: np.ndarray, path: str) -> None:
@@ -131,7 +136,7 @@ def _write_samples(values: np.ndarray, path: str) -> None:
 
 
 def _flatten(payload: dict, prefix: str = ""):
-    """Depth-first key,value rows for CSV emission of report payloads."""
+    """Depth-first (key, value) pairs of a payload; list entries become `key.i`."""
     for key in sorted(payload):
         val = payload[key]
         name = f"{prefix}{key}"
@@ -142,13 +147,6 @@ def _flatten(payload: dict, prefix: str = ""):
                 yield (f"{name}.{idx}", item)
         else:
             yield (name, val)
-
-
-def _emit_report(payload: dict, fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        _emit_json(payload, out)
-    else:
-        _emit_csv(("key", "value"), _flatten(payload), out)
 
 
 # --- shared flag handling -----------------------------------------------------
@@ -248,31 +246,28 @@ def _build_law(args) -> DigitLaw:
     return make(args.base, args.k, args.n)
 
 
-def _cmd_law(args) -> int:
+def _cmd_law(args) -> _Report:
     law = _build_law(args)
     base = args.base
     grid = _grid(base)
     cdf = np.asarray(law.cdf(grid), dtype=float)
     density = np.asarray(law.density(grid), dtype=float)
     digit_probs = np.asarray(law.first_digit_probs(), dtype=float)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "law",
-            "law": repr(law),
-            "base": base,
-            "grid": grid,
-            "cdf": cdf,
-            "density": density,
-            "digit_masses": {str(d + 1): digit_probs[d] for d in range(base - 1)},
-        }
-        _emit_json(payload, args.out)
-    else:
-        rows = [("cdf", _fmt_float(s), v) for s, v in zip(grid, cdf)]
-        rows += [("density", _fmt_float(s), v) for s, v in zip(grid, density)]
-        rows += [("digit_mass", str(d + 1), digit_probs[d]) for d in range(base - 1)]
-        _emit_csv(("quantity", "arg", "value"), rows, args.out)
-    return 0
+    masses = {str(d + 1): digit_probs[d] for d in range(base - 1)}
+    payload = {
+        "schema": 1,
+        "command": "law",
+        "law": repr(law),
+        "base": base,
+        "grid": grid,
+        "cdf": cdf,
+        "density": density,
+        "digit_masses": masses,
+    }
+    rows = [("cdf", s, v) for s, v in zip(grid, cdf)]
+    rows += [("density", s, v) for s, v in zip(grid, density)]
+    rows += [("digit_mass", d, v) for d, v in masses.items()]
+    return _Report(payload, ("quantity", "arg", "value"), rows, passed=True)
 
 
 # --- sample command -----------------------------------------------------------
@@ -373,7 +368,7 @@ _GROUP_FLAGS = {
 }
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> _Report:
     seed = _resolve_seed(args.seed)
     if not (0.0 < args.alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {args.alpha}")
@@ -439,14 +434,13 @@ def _cmd_sample(args) -> int:
     # Samples first: a run that cannot write them prints no report.
     if args.samples_out is not None:
         _write_samples(empirical.values, args.samples_out)
-    _emit_report(payload, args.format, args.out)
-    return 0 if all_passed else 1
+    return _Report(payload, ("key", "value"), _flatten(payload), payload["pass"])
 
 
 # --- fig1 command --------------------------------------------------------------
 
 
-def _cmd_fig1(args) -> int:
+def _cmd_fig1(args) -> _Report:
     seed = _resolve_seed(args.seed)
     dims = _parse_dims(args.dims)
     base = args.base
@@ -467,20 +461,16 @@ def _cmd_fig1(args) -> int:
         predicted = np.asarray(SphereLimit(base=base, n=dim).first_digit_probs())
         for digit in range(1, base):
             rows.append((dim, digit, float(freqs[digit - 1]), float(predicted[digit - 1])))
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "fig1",
-            "base": base,
-            "seed": seed,
-            "workers": args.workers,
-            "N": args.N,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit_json(payload, args.out)
-    else:
-        _emit_csv(header, rows, args.out)
-    return 0
+    payload = {
+        "schema": 1,
+        "command": "fig1",
+        "base": base,
+        "seed": seed,
+        "workers": args.workers,
+        "N": args.N,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    return _Report(payload, header, rows, passed=True)
 
 
 # --- verify command -------------------------------------------------------------
@@ -495,6 +485,11 @@ def _random_ud(stream: RngStream, n: int, draws: int):
     u = np.tile(np.eye(n), (draws, 1, 1))
     u[:, rows, cols] = stream.uniform(-3.0, 3.0, (draws, rows.size))
     return mags * signs, u
+
+
+def _check(name: str, passed, **detail) -> dict:
+    """One verify check: its name, whether it passed, and what it measured."""
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 def _verify_adjoint(stream: RngStream, draws: int = 100):
@@ -517,13 +512,8 @@ def _verify_adjoint(stream: RngStream, draws: int = 100):
             )
         detail["max_product_residual"] = product
         detail["max_u_dependence"] = u_dependence
-        checks.append(
-            {
-                "name": f"adjoint_product_n{n}",
-                "passed": product < 1e-9 and u_dependence < 1e-9,
-                "detail": detail,
-            }
-        )
+        passed = product < 1e-9 and u_dependence < 1e-9
+        checks.append(_check(f"adjoint_product_n{n}", passed, **detail))
     return checks
 
 
@@ -538,26 +528,23 @@ def _mc_check(name: str, analytic: float, mc, **setup) -> dict:
         "relative_gap": gap,
         "threshold": 0.02,
     }
-    return {"name": name, "passed": gap < 0.02, "detail": detail}
+    return _check(name, gap < 0.02, **detail)
 
 
 def _verify_cone(stream: RngStream, eps: float, trials: int):
-    checks = []
     ratios = [
         sl2_cone_volume(ConeProblem(x, eps)) / math.log(x) for x in (2.0, 5.0, 10.0)
     ]
     spread = (max(ratios) - min(ratios)) / max(ratios)
-    checks.append(
-        {
-            "name": "cone_log_slope_constant",
-            "passed": spread < 1e-9,
-            "detail": {
-                "ratios": ratios,
-                "relative_spread": spread,
-                "threshold": 1e-9,
-            },
-        }
-    )
+    checks = [
+        _check(
+            "cone_log_slope_constant",
+            spread < 1e-9,
+            ratios=ratios,
+            relative_spread=spread,
+            threshold=1e-9,
+        )
+    ]
     problem = ConeProblem(10.0, eps)
     analytic = sl2_cone_volume(problem)
     mc = sl2_cone_volume_mc(problem, stream.substream(1), trials)
@@ -568,11 +555,13 @@ def _verify_cone(stream: RngStream, eps: float, trials: int):
     benford = np.log(grid) / math.log(base)
     sup_gap = float(np.abs(induced - benford).max())
     checks.append(
-        {
-            "name": "cone_induced_cdf_is_benford",
-            "passed": sup_gap < 1e-9,
-            "detail": {"sup_gap": sup_gap, "threshold": 1e-9, "grid_points": len(grid)},
-        }
+        _check(
+            "cone_induced_cdf_is_benford",
+            sup_gap < 1e-9,
+            sup_gap=sup_gap,
+            threshold=1e-9,
+            grid_points=len(grid),
+        )
     )
     a, b = 0.5, 4.0
     area = hyperbolic_cone_area(a, b)
@@ -581,38 +570,46 @@ def _verify_cone(stream: RngStream, eps: float, trials: int):
     return checks
 
 
-def _cmd_verify(args) -> int:
+@dataclass(frozen=True)
+class _Suite:
+    """What `verify --suite NAME` checks."""
+
+    label: int  # the substream of the verify root it draws from
+    run: Callable  # run(stream, **flags) returns its checks
+    flags: dict  # flag -> default, for each flag it reads; no other suite reads it
+
+
+_SUITES = {
+    "adjoint": _Suite(label=0, run=_verify_adjoint, flags={}),
+    "cone": _Suite(label=1, run=_verify_cone, flags={"eps": 0.1, "trials": 1_000_000}),
+}
+
+
+def _cmd_verify(args) -> _Report:
     seed = _resolve_seed(args.seed)
     root = RngStream(seed)
+    chosen = list(_SUITES.values()) if args.suite == "all" else [_SUITES[args.suite]]
+    for name, suite in _SUITES.items():
+        for flag, default in suite.flags.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif suite not in chosen:
+                raise DomainError(f"--{flag} is only valid with --suite {name}|all")
     checks = []
-    if args.suite in ("adjoint", "all"):
-        checks.extend(_verify_adjoint(root.substream(0)))
-    if args.suite in ("cone", "all"):
-        checks.extend(_verify_cone(root.substream(1), args.eps, args.trials))
-    all_passed = all(c["passed"] for c in checks)
+    for suite in chosen:
+        flags = {flag: getattr(args, flag) for flag in suite.flags}
+        checks.extend(suite.run(root.substream(suite.label), **flags))
     payload = {
         "schema": 1,
         "command": "verify",
         "suite": args.suite,
         "seed": seed,
         "checks": checks,
-        "pass": all_passed,
+        "pass": all(c["passed"] for c in checks),
     }
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    else:
-        rows = [
-            (c["name"], str(bool(c["passed"])).lower())
-            + tuple(
-                f"{k}={_fmt_float(v) if isinstance(v, float) else v}"
-                for k, v in sorted(c["detail"].items())
-                if not isinstance(v, (list, tuple, np.ndarray))
-            )
-            for c in checks
-        ]
-        rows = [(name, ok, ";".join(rest)) for (name, ok, *rest) in rows]
-        _emit_csv(("check", "passed", "detail"), rows, args.out)
-    return 0 if all_passed else 1
+    details = [";".join(f"{k}={_fmt(v)}" for k, v in _flatten(c["detail"])) for c in checks]
+    rows = [(c["name"], str(c["passed"]).lower(), d) for c, d in zip(checks, details)]
+    return _Report(payload, ("check", "passed", "detail"), rows, payload["pass"])
 
 
 # --- parser -------------------------------------------------------------------
@@ -692,11 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run structural verification suites")
     common(p_verify)
-    p_verify.add_argument("--suite", choices=("adjoint", "cone", "all"), default="all")
-    p_verify.add_argument("--eps", type=float, default=0.1, help="cone box half-width")
-    p_verify.add_argument(
-        "--trials", type=int, default=1_000_000, help="Monte Carlo trials per cone check"
-    )
+    p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
+    p_verify.add_argument("--eps", type=float, help="cone box half-width (default 0.1)")
+    p_verify.add_argument("--trials", type=int, help="MC trials per cone check (default 1e6)")
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -705,13 +700,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        _emit(report, args.format, args.out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,8 @@ def test_law_other_base(capsys):
         ("fig1", "--N", "0"),
         ("fig1", "--workers", "0"),
         ("sample", "--group", "orthogonal", "--n", "1"),  # O(1) entries are +-1
+        ("verify", "--suite", "adjoint", "--trials", "10"),  # only the cone suite reads it
+        ("verify", "--suite", "adjoint", "--eps", "0.5"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -214,6 +218,7 @@ def _choices(command, flag):
 def test_parser_choices_are_the_table_keys():
     assert tuple(_choices("sample", "--group")) == tuple(cli._GROUPS)
     assert tuple(_choices("law", "--law")) == tuple(cli._LAWS)
+    assert tuple(_choices("verify", "--suite")) == (*cli._SUITES, "all")
 
 
 @pytest.mark.parametrize("law", list(cli._LAWS))
@@ -615,6 +620,66 @@ def test_verify_cone_stdout_digest_is_frozen(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_CONE_DIGEST
 
 
+# sha256 of stdout of law, fig1 and verify runs in JSON and CSV, taken before
+# the commands shared one report route. The adjoint rows take determinants
+# and inverses, so, like the orthogonal and unitary sample rows, they also pin
+# the LAPACK build.
+FROZEN_REPORT_DIGESTS = {
+    ("law", "--law", "benford"):
+        "b3aea2929dc802ac9299ff543bd4ff4971c95869b481b00b732092d4dd608a8b",
+    ("law", "--law", "sphere-exact", "--n", "9", "--format", "csv"):
+        "2294fbd10541da31d317af80f179403b9527099a972de29ea9debb2c8775a371",
+    ("fig1", "--dims", "5,100", "--N", "20000", "--seed", "7"):
+        "c91afcb839ab00b2682645741c36ad3bcebcca134b3ff81b8aec1f7422d75057",
+    ("fig1", "--dims", "5,100", "--N", "20000", "--seed", "7", "--format", "csv"):
+        "2e3240aea8d8dff14b653446a3da26126b9bff355e2053d86b725d8e004a4273",
+    ("verify", "--suite", "adjoint", "--seed", "3", "--format", "csv"):
+        "6ebc2d20249bc08666de68448703c2c1bf7a925bffa43249ef70b7d77d5445eb",
+    ("verify", "--trials", "200000", "--seed", "7"):
+        "3bb24f1b7d10ca83d0b699e8f1ff934b8d859bfcd1c630055d50056c5c9d03e4",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_REPORT_DIGESTS), ids=" ".join)
+def test_report_stdout_digest_is_frozen(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_REPORT_DIGESTS[argv]
+
+
+def test_verify_csv_detail_keeps_list_entries(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "cone", "--trials", "20000", "--seed", "7", "--format", "csv"
+    )
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("cone_log_slope_constant,"))
+    name, passed, detail = row.split(",")
+    pairs = dict(pair.split("=") for pair in detail.split(";"))
+    assert list(pairs) == ["ratios.0", "ratios.1", "ratios.2", "relative_spread", "threshold"]
+    _, out_json, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "20000", "--seed", "7")
+    ratios = json.loads(out_json)["checks"][0]["detail"]["ratios"]
+    assert [float(pairs[f"ratios.{i}"]) for i in range(3)] == ratios
+
+
+def test_verify_all_is_adjoint_then_cone(capsys):
+    def checks(*argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "7")
+        assert code == 0
+        return json.loads(out)["checks"]
+
+    cone = ("--trials", "200000", "--eps", "0.2")
+    assert checks("--suite", "all", *cone) == checks("--suite", "adjoint") + checks(
+        "--suite", "cone", *cone
+    )
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "10"), ("--eps", "0.5")])
+def test_verify_flag_no_suite_reads_is_named(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", "adjoint", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} is only valid with --suite cone|all")
+
+
 def test_verify_adjoint_reports_consistency_failure(capsys, monkeypatch):
     # A negative tolerance makes the matrix route and the closed form disagree
     # on every draw; each check must fail with the error in its detail.
@@ -641,11 +706,15 @@ def test_verify_deterministic(capsys):
 
 
 def test_python_dash_m_entry_point():
+    # The child imports the package from the tree under test, as this process does.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "haar_digits", "law", "--law", "benford"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
