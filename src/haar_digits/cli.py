@@ -39,6 +39,7 @@ from . import samplers
 from .errors import ConsistencyError, DomainError
 from .laws import Benford, DigitLaw, PowerLaw, UniformSignificand
 from .lie import (
+    MC_SIGMAS,
     ConeProblem,
     adjoint_det_on_l,
     adjoint_det_on_u,
@@ -60,6 +61,7 @@ _GRID_POINTS = 99
 _SCALAR_CHUNK = 1 << 22
 _MATRIX_CHUNK_SCALARS = 1 << 24
 _SAMPLES_BLOCK = 1 << 16  # rows per write of --samples-out
+_ADJOINT_DRAWS = 100  # (d, u) pairs per matrix size in verify --suite adjoint
 
 # --- output plumbing ---------------------------------------------------------
 
@@ -166,6 +168,23 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
     return _DEFAULT_SEED
 
 
+def _route(args, option: str, reads: dict, chosen: str, defaults: dict) -> None:
+    """Refuse each flag of `defaults` given to table row `chosen` that the row
+    does not read (row r reads reads[r]), and each flag it reads that has no
+    default (None) and was not given; fill in the others' defaults."""
+    for flag in defaults:
+        if getattr(args, flag) is not None and flag not in reads[chosen]:
+            users = "|".join(row for row, flags in reads.items() if flag in flags)
+            raise DomainError(
+                f"--{flag.replace('_', '-')} is only valid with {option} {users}, not {chosen}"
+            )
+    for flag, default in defaults.items():
+        if getattr(args, flag) is None:
+            if default is None and flag in reads[chosen]:
+                raise DomainError(f"{option} {chosen} requires --{flag}")
+            setattr(args, flag, default)
+
+
 def _parse_entry(text: str, n: int) -> tuple:
     try:
         i_str, j_str = text.split(",")
@@ -225,29 +244,21 @@ def _power_law(base: int, k: float) -> DigitLaw:
     return Benford(base) if k == 1.0 else PowerLaw(base, k)
 
 
-# law name -> (law from (base, k, n), the one of --k / --n it takes, if any)
+# law name -> (law from (base, k, n), the flags of _LAW_FLAGS it reads)
 _LAWS = {
-    "benford": (lambda base, k, n: Benford(base), None),
-    "power": (lambda base, k, n: _power_law(base, k), "k"),
-    "uniform": (lambda base, k, n: UniformSignificand(base), None),
-    "sphere-exact": (lambda base, k, n: SphereExact(base=base, n=n), "n"),
-    "sphere-erf": (lambda base, k, n: SphereErf(base=base, n=n), "n"),
-    "sphere-limit": (lambda base, k, n: SphereLimit(base=base, n=n), "n"),
+    "benford": (lambda base, k, n: Benford(base), ()),
+    "power": (lambda base, k, n: _power_law(base, k), ("k",)),
+    "uniform": (lambda base, k, n: UniformSignificand(base), ()),
+    "sphere-exact": (lambda base, k, n: SphereExact(base=base, n=n), ("n",)),
+    "sphere-erf": (lambda base, k, n: SphereErf(base=base, n=n), ("n",)),
+    "sphere-limit": (lambda base, k, n: SphereLimit(base=base, n=n), ("n",)),
 }
-
-
-def _build_law(args) -> DigitLaw:
-    make, takes = _LAWS[args.law]
-    for flag, users in (("k", "--law power"), ("n", "the sphere laws")):
-        if getattr(args, flag) is not None and flag != takes:
-            raise DomainError(f"--{flag} is only valid with {users}, not {args.law}")
-    if takes is not None and getattr(args, takes) is None:
-        raise DomainError(f"--law {args.law} requires --{takes}")
-    return make(args.base, args.k, args.n)
+_LAW_FLAGS = {"k": None, "n": None}  # no default: a law that reads one requires it
 
 
 def _cmd_law(args) -> _Report:
-    law = _build_law(args)
+    _route(args, "--law", {name: row[1] for name, row in _LAWS.items()}, args.law, _LAW_FLAGS)
+    law = _LAWS[args.law][0](args.base, args.k, args.n)
     base = args.base
     grid = _grid(base)
     cdf = np.asarray(law.cdf(grid), dtype=float)
@@ -286,8 +297,7 @@ class _Group:
     draw: Callable
     law: Callable
     matrix: bool = True  # draws _MATRIX_CHUNK_SCALARS // n^2 a call
-    echoes: tuple = ("n", "entry")  # flags it reads, copied into the payload
-    requires: Optional[str] = None  # a flag that must be given
+    reads: tuple = ("n", "entry")  # the flags of _SAMPLE_FLAGS it reads
     min_n: int = 1  # the least --n it takes, checked before --entry is read
     diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
 
@@ -303,14 +313,13 @@ _GROUPS = {
         draw=lambda a, spec, i, j, st, c: samplers.sample_log_uniform(a.base, a.m, st, c),
         law=lambda a, i, j: Benford(a.base),
         matrix=False,
-        echoes=(),
+        reads=("m",),
     ),
     "power": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_power_density(a.base, a.k, a.m, st, c),
         law=lambda a, i, j: _power_law(a.base, a.k),
         matrix=False,
-        echoes=("k",),
-        requires="k",
+        reads=("k", "m"),
     ),
     "triangular": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_triangular_entry(
@@ -319,20 +328,20 @@ _GROUPS = {
         law=lambda a, i, j: samplers.triangular_component_law(
             a.n, a.base, i, j, a.side, eps=a.eps
         ),
-        echoes=("n", "side", "entry"),
+        reads=("n", "side", "entry", "m", "eps"),
     ),
     "diagonal": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_diagonal_entry(
             a.n, a.base, a.m, i, st, c, det_one=a.det_one
         ),
         law=lambda a, i, j: Benford(a.base),
-        echoes=("n", "det_one", "entry"),
+        reads=("n", "det_one", "entry", "m"),
         diagonal_only="--group diagonal: --entry must be on the diagonal",
     ),
     "sln": _Group(
         draw=_sln_entry,
         law=lambda a, i, j: Benford(a.base),
-        echoes=("n", "component", "entry"),
+        reads=("n", "component", "entry", "m", "eps"),
         diagonal_only="--group sln: only diagonal components carry a predicted law; "
         "use --entry i,i",
         min_n=2,
@@ -340,7 +349,7 @@ _GROUPS = {
     "gln-det": _Group(
         draw=lambda a, spec, i, j, st, c: samplers.sample_gln_det(a.n, a.base, spec, st, c),
         law=lambda a, i, j: Benford(a.base),
-        echoes=("n",),
+        reads=("n", "m"),
         min_n=2,
     ),
     "orthogonal": _Group(
@@ -356,15 +365,15 @@ _GROUPS = {
         draw=lambda a, spec, i, j, st, c: samplers.sample_sphere_coords(a.n, 1, st, c)[:, 0],
         law=lambda a, i, j: SphereExact(base=a.base, n=a.n),
         matrix=False,
-        echoes=("n",),
+        reads=("n",),
     ),
 }
 
 
-# flag -> the value a group that reads it gets when it is not given. A flag
-# given to a group that does not read it is a usage error.
-_GROUP_FLAGS = {
-    "n": 3, "k": None, "entry": "1,1", "side": "left", "component": "dfactor", "det_one": False
+# flag -> its value when it is not given; a group that reads k requires it.
+_SAMPLE_FLAGS = {
+    "n": 3, "k": None, "m": 3, "eps": 1.0, "entry": "1,1", "side": "left",
+    "component": "dfactor", "det_one": False,
 }
 
 
@@ -372,25 +381,16 @@ def _cmd_sample(args) -> _Report:
     seed = _resolve_seed(args.seed)
     if not (0.0 < args.alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {args.alpha}")
-    spec = samplers.WindowSpec(eps=args.eps, m=args.m)
     group = _GROUPS[args.group]
-    for flag, default in _GROUP_FLAGS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif flag not in group.echoes:
-            users = [name for name, g in _GROUPS.items() if flag in g.echoes]
-            raise DomainError(
-                f"--{flag.replace('_', '-')} is only valid with --group {'|'.join(users)}, "
-                f"not {args.group}"
-            )
-    if group.requires is not None and getattr(args, group.requires) is None:
-        raise DomainError(f"--group {args.group} requires --{group.requires}")
-    if "n" in group.echoes and args.n < group.min_n:
+    _route(args, "--group", {r: g.reads for r, g in _GROUPS.items()}, args.group, _SAMPLE_FLAGS)
+    spec = samplers.WindowSpec(eps=args.eps, m=args.m)
+    if "n" in group.reads and args.n < group.min_n:
         raise DomainError(f"--group {args.group} needs --n >= {group.min_n}, got --n {args.n}")
+    # Every payload names the window; the other flags only where they are read.
     meta = {"group": args.group, "base": args.base, "window_m": args.m, "window_eps": args.eps}
-    meta.update((flag, getattr(args, flag)) for flag in group.echoes)
+    meta.update((flag, getattr(args, flag)) for flag in group.reads if flag not in ("m", "eps"))
     i = j = 0
-    if "entry" in group.echoes:
+    if "entry" in group.reads:
         i, j = _parse_entry(args.entry, args.n)
         if group.diagonal_only is not None and i != j:
             raise DomainError(group.diagonal_only)
@@ -492,11 +492,11 @@ def _check(name: str, passed, **detail) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _verify_adjoint(stream: RngStream, draws: int = 100):
+def _verify_adjoint(stream: RngStream):
     checks = []
     for n in range(2, 9):
-        d, u = _random_ud(stream.substream(n), n, draws)
-        detail = {"n": n, "draws": draws, "threshold": 1e-9}
+        d, u = _random_ud(stream.substream(n), n, _ADJOINT_DRAWS)
+        detail = {"n": n, "draws": _ADJOINT_DRAWS, "threshold": 1e-9}
         # NaN (written null) when the matrix route failed; it fails the check.
         product = u_dependence = math.nan
         try:
@@ -518,17 +518,17 @@ def _verify_adjoint(stream: RngStream, draws: int = 100):
 
 
 def _mc_check(name: str, analytic: float, mc, **setup) -> dict:
-    """A check that the Monte Carlo estimate `mc` is within 2% of `analytic`."""
-    gap = abs(mc.estimate - analytic) / analytic
+    """A check that the Monte Carlo estimate `mc` agrees with `analytic` (MCVolume.agrees)."""
     detail = {
         **setup,
         "analytic": analytic,
         "mc_estimate": mc.estimate,
         "mc_stderr": mc.stderr,
-        "relative_gap": gap,
-        "threshold": 0.02,
+        "relative_gap": abs(mc.estimate - analytic) / analytic,
+        "sigma_gap": mc.sigma_gap(analytic),
+        "threshold": MC_SIGMAS,
     }
-    return _check(name, gap < 0.02, **detail)
+    return _check(name, mc.agrees(analytic), **detail)
 
 
 def _verify_cone(stream: RngStream, eps: float, trials: int):
@@ -576,28 +576,25 @@ class _Suite:
 
     label: int  # the substream of the verify root it draws from
     run: Callable  # run(stream, **flags) returns its checks
-    flags: dict  # flag -> default, for each flag it reads; no other suite reads it
+    reads: tuple  # the flags of _VERIFY_FLAGS it reads
 
 
 _SUITES = {
-    "adjoint": _Suite(label=0, run=_verify_adjoint, flags={}),
-    "cone": _Suite(label=1, run=_verify_cone, flags={"eps": 0.1, "trials": 1_000_000}),
+    "adjoint": _Suite(label=0, run=_verify_adjoint, reads=()),
+    "cone": _Suite(label=1, run=_verify_cone, reads=("eps", "trials")),
 }
+_VERIFY_FLAGS = {"eps": 0.1, "trials": 1_000_000}  # flag -> its value when not given
 
 
 def _cmd_verify(args) -> _Report:
     seed = _resolve_seed(args.seed)
     root = RngStream(seed)
     chosen = list(_SUITES.values()) if args.suite == "all" else [_SUITES[args.suite]]
-    for name, suite in _SUITES.items():
-        for flag, default in suite.flags.items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-            elif suite not in chosen:
-                raise DomainError(f"--{flag} is only valid with --suite {name}|all")
+    reads = {name: suite.reads for name, suite in _SUITES.items()} | {"all": tuple(_VERIFY_FLAGS)}
+    _route(args, "--suite", reads, args.suite, _VERIFY_FLAGS)
     checks = []
     for suite in chosen:
-        flags = {flag: getattr(args, flag) for flag in suite.flags}
+        flags = {flag: getattr(args, flag) for flag in suite.reads}
         checks.extend(suite.run(root.substream(suite.label), **flags))
     payload = {
         "schema": 1,
@@ -623,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, seeded=True):
-        p.add_argument("--base", type=int, default=10, help="significand base (default 10)")
+    def common(p, seeded=True, based=True):
+        if based:
+            p.add_argument("--base", type=int, default=10, help="significand base (default 10)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         if seeded:
@@ -655,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--N", type=int, default=100_000, help="sample count")
     p_sample.add_argument("--n", type=int, default=None, help="matrix size / sphere dimension")
     p_sample.add_argument("--k", type=float, default=None, help="power-density exponent")
-    p_sample.add_argument("--m", type=int, default=3, help="window decades [1, B^m)")
-    p_sample.add_argument("--eps", type=float, default=1.0, help="unipotent box half-width")
+    p_sample.add_argument("--m", type=int, help="window decades [1, B^m) (default 3)")
+    p_sample.add_argument("--eps", type=float, help="unipotent box half-width (default 1)")
     p_sample.add_argument(
         "--entry", default=None, help="matrix entry, 1-based 'row,col' (default 1,1)"
     )
@@ -688,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig1.set_defaults(handler=_cmd_fig1)
 
     p_verify = sub.add_parser("verify", help="run structural verification suites")
-    common(p_verify)
+    common(p_verify, based=False)  # no check reads a base: the cone is base 10
     p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p_verify.add_argument("--eps", type=float, help="cone box half-width (default 0.1)")
     p_verify.add_argument("--trials", type=int, help="MC trials per cone check (default 1e6)")

@@ -35,6 +35,7 @@ from .significand import check_base
 __all__ = [
     "ConeProblem",
     "MCVolume",
+    "MC_SIGMAS",
     "adjoint_det_on_u",
     "adjoint_det_on_l",
     "adjoint_product",
@@ -49,6 +50,7 @@ __all__ = [
 _REL_TOL = 1e-10
 _TRI_TOL = 1e-12
 _MC_BATCH = 1_000_000  # rejection Monte Carlo points drawn per batch
+MC_SIGMAS = 5.0  # an estimate agrees with a value fewer standard errors away
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,16 @@ class MCVolume:
     accepted: int
     trials: int
     box_volume: float
+
+    def sigma_gap(self, exact: float) -> float:
+        """|estimate - exact| in standard errors; with a zero error bar (every
+        trial rejected, or every one accepted) a nonzero gap is infinite."""
+        gap = abs(self.estimate - exact)
+        return gap / self.stderr if self.stderr > 0.0 else (math.inf if gap else 0.0)
+
+    def agrees(self, exact: float) -> bool:
+        """The Monte Carlo verdict: fewer than MC_SIGMAS standard errors from exact."""
+        return self.sigma_gap(exact) < MC_SIGMAS
 
 
 def _check_stack(d, u):

@@ -166,7 +166,8 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count=None):
     c, single = _batch(count)
     z = rng.normal((c, k))
     norm = np.asarray(rng.chi_square(n + 1 - k, c), dtype=float).reshape(c)
-    norm += np.sum(z * z, axis=1)
+    for start in range(0, c, TILE):  # |z|^2 a tile of rows at a time
+        norm[start : start + TILE] += np.sum(np.square(z[start : start + TILE]), axis=1)
     z /= np.sqrt(norm, out=norm)[:, None]
     return _squeeze(z, single)
 

@@ -2,11 +2,14 @@
 
 Every finite x != 0 factors uniquely as |x| = s * B^e with s in [1, B) and
 integer e; s is the significand of x in base B and floor(s) its leading
-digit. The reconstruction s * B^e matches |x| to a few ulp.
+digit. s is |x| divided by B^e rounded once to the nearest double, so the
+double nearest an exact power of B (1e-5, say) has significand exactly 1;
+the reconstruction s * B^e matches |x| to a few ulp.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +47,7 @@ def significand(x: float, base: int = 10) -> SignificandDecomposition:
     """Decompose a nonzero finite real into sign, significand and exponent.
 
     Thin scalar wrapper over significand_parts so scalar and vectorized
-    callers agree bit-for-bit (pow implementations differ in the last ulp
-    at exact powers of the base, so two code paths would drift apart).
+    callers agree bit-for-bit.
     """
     x = float(x)
     if x == 0.0 or not math.isfinite(x):
@@ -79,21 +81,26 @@ def _reduce(values, base: int):
     idx = np.floor(e, out=e).astype(np.int64)
     del e
     # B^e underflows for the smallest x (10^-324 is 0), so below the least
-    # exponent whose power is a normal double, lanes divide in two steps.
+    # exponent whose power is a normal double, lanes divide in two steps, by
+    # B^(e - e_min) and then by B^e_min. The fix-up below moves a lane by at
+    # most one per pass and makes at most two passes.
     e_min = math.ceil(math.log(np.finfo(float).tiny) / math.log(base))
-    # B^k for every k the fix-up below can reach: it moves a lane by at
-    # most one per pass and makes at most two passes. Until the end, idx
-    # holds k - lo, the table index, so indexing makes no copy of it.
-    lo = int(idx.min()) - 2
+    two_step = idx.min() - 2 < e_min
+    # Until the end, idx holds k - lo, the table index, so indexing makes no
+    # copy of it.
+    lo, table = _powers(base)
     idx -= lo
+
+    def divide_in_two_steps(lanes):
+        s[lanes] = ax[lanes] / table[idx[lanes] - e_min] / table[e_min - lo]
+
     # Powers past the top of the double range are inf (s = 0, fixed up);
     # those below it are 0 (s = inf, redone in two steps).
     with np.errstate(over="ignore", divide="ignore"):
-        table = np.power(float(base), np.arange(lo, int(idx.max()) + lo + 3, dtype=float))
         s = np.take(table, idx)
         np.divide(ax, s, out=s)
-        if lo < e_min:
-            _divide_in_two_steps(s, ax, idx + lo, base, e_min, idx < e_min - lo)
+        if two_step:
+            divide_in_two_steps(idx < e_min - lo)
         for _ in range(2):  # fix log rounding at decade boundaries
             high = s >= base
             low = s < 1.0
@@ -103,17 +110,30 @@ def _reduce(values, base: int):
             idx += high
             idx -= low
             s[moved] = ax[moved] / table[idx[moved]]
-            if lo < e_min:
-                _divide_in_two_steps(s, ax, idx + lo, base, e_min, moved & (idx < e_min - lo))
+            if two_step:
+                divide_in_two_steps(moved & (idx < e_min - lo))
     idx += lo
     return s.reshape(x.shape)[()], idx.reshape(x.shape)[()]
 
 
-def _divide_in_two_steps(s, ax, idx, base: int, e_min: int, lanes) -> None:
-    """s = ax / B^idx on the masked lanes, dividing by B^(idx - e_min) and
-    then by B^e_min, so that no power is subnormal or zero."""
-    b = float(base)
-    s[lanes] = ax[lanes] / np.power(b, idx[lanes] - e_min) / np.power(b, e_min)
+@functools.lru_cache(maxsize=64)
+def _powers(base: int):
+    """(lo, table): table[k - lo] is B^k rounded once for every k that _reduce
+    can reach, 0 below the least subnormal and inf past the largest double."""
+    log_b = math.log(base)
+    lo = math.floor(math.log(math.ulp(0.0)) / log_b) - 3
+    hi = math.ceil(math.log(np.finfo(float).max) / log_b) + 3
+    return lo, np.array([_power(base, k) for k in range(lo, hi + 1)])
+
+
+def _power(base: int, k: int) -> float:
+    """B^k rounded once: integer arithmetic is exact up to the one correctly
+    rounded int-to-float conversion or division (np.power misses B^k by an
+    ulp at 10^-5 and 10^106)."""
+    try:
+        return float(base**k) if k >= 0 else 1 / base**-k
+    except OverflowError:
+        return math.inf
 
 
 def significand_values(values, base: int = 10) -> np.ndarray:

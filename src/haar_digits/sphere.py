@@ -21,7 +21,7 @@ scales that carry its mass, in fixed-size blocks of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ _SATURATE = 6.0
 _BLOCK = 1 << 12
 # Joint band boxes per quadrature call; bounds the nodes each level holds.
 _JOINT_COLUMNS = 64
+_TAIL_TOL = 1e-12  # the largest tail a sphere law's scale sum omits (see _scales)
 # A band spans at most ln(1e18) = 41 e-folds of its weight; 20-node
 # Gauss-Legendre integrates exp(-41 t) on one panel to 7e-14 relative.
 _WEIGHT_CUT = 1e-18
@@ -108,32 +109,32 @@ def _band(n: int, lo, hi):
     return np.where(m_lo, t_lo - upper_hi, lower_hi - t_lo)
 
 
-def sphere_sig_cdf_exact(n: int, base: int, s, tail_tol: float = 1e-12) -> float:
+def sphere_sig_cdf_exact(n: int, base: int, s) -> float:
     """Exact significand CDF of the first S^n coordinate at s in [1, B].
 
     P(S_B(x_1) <= s) = sum_{i>=1} [I_{min(1, s B^-i)^2} - I_{B^-2i}](1/2, n/2);
     see SphereExact.
     """
-    return SphereExact(base=base, n=n, tail_tol=tail_tol).cdf(float(s))
+    return SphereExact(base=base, n=n).cdf(float(s))
 
 
-def sphere_sig_cdf_erf(n: int, base: int, s, tail_tol: float = 1e-12) -> float:
+def sphere_sig_cdf_erf(n: int, base: int, s) -> float:
     """Large-n error-function approximation to the significand CDF.
 
     Replaces each band integral with erf(sqrt(n/2) s/B^i) - erf(sqrt(n/2)/B^i);
     the approximation tightens like O(1/n) as the dimension grows. Needs
     n >= 2; see SphereErf.
     """
-    return SphereErf(base=base, n=n, tail_tol=tail_tol).cdf(float(s))
+    return SphereErf(base=base, n=n).cdf(float(s))
 
 
-def sphere_limit_cdf(n: int, base: int, x, tail_tol: float = 1e-12) -> float:
+def sphere_limit_cdf(n: int, base: int, x) -> float:
     """Two-sided limit family F_n(x) on [1, B]; satisfies F_n = F_{n B^2}.
 
     F_n(1) = 0 and F_n(B) = 1 hold exactly (the two-sided sum telescopes at
     x = B); see SphereLimit.
     """
-    return SphereLimit(base=base, n=n, tail_tol=tail_tol).cdf(float(x))
+    return SphereLimit(base=base, n=n).cdf(float(x))
 
 
 def sphere_joint_band_prob(n: int, bounds) -> float:
@@ -208,14 +209,14 @@ def _joint_edges(n: int, a: np.ndarray, b: np.ndarray, rest: np.ndarray) -> np.n
     return np.append(end[:, None] - depth, end[:, None], axis=1)
 
 
-def sphere_joint_sig_approx(n: int, base: int, bounds, tail_tol: float = 1e-12) -> float:
+def sphere_joint_sig_approx(n: int, base: int, bounds) -> float:
     """Asymptotic joint significand probability: product of erf band sums.
 
     P(S_B(x_j) in [a_j, b_j) for all j) ~ prod_j sum_{i>=1}
     [erf(sqrt(n/2) b_j/B^i) - erf(sqrt(n/2) a_j/B^i)]; the coordinates
     decouple in the large-n limit, and each factor is a SphereErf mass.
     """
-    law = SphereErf(base=base, n=n, tail_tol=tail_tol)
+    law = SphereErf(base=base, n=n)
     out = 1.0
     for a, b in bounds:
         a = float(a)
@@ -242,8 +243,6 @@ class _SphereLawBase(DigitLaw):
     def _check_fields(self):
         object.__setattr__(self, "base", check_base(self.base))
         object.__setattr__(self, "n", _check_n(self.n))
-        if not (0.0 < self.tail_tol < 1e-3):
-            raise DomainError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
 
     def _blocked(self, block_fn, s):
         arr, scalar = self._check_sig(s)
@@ -270,7 +269,7 @@ class SphereExact(_SphereLawBase):
 
     base: int = 10
     n: int = 2
-    tail_tol: float = 1e-12
+    tail_tol: float = field(default=_TAIL_TOL, init=False)
 
     def __post_init__(self):
         self._check_fields()
@@ -323,7 +322,7 @@ class SphereErf(_ErfBandLaw):
 
     base: int = 10
     n: int = 2
-    tail_tol: float = 1e-12
+    tail_tol: float = field(default=_TAIL_TOL, init=False)
     _first = 1
 
     def __post_init__(self):
@@ -338,4 +337,4 @@ class SphereLimit(_ErfBandLaw):
 
     base: int = 10
     n: int = 1
-    tail_tol: float = 1e-12
+    tail_tol: float = field(default=_TAIL_TOL, init=False)

@@ -22,7 +22,7 @@ raw statistics to hard-coded quantiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,15 +85,7 @@ class GOFReport:
         return self.p_approx >= self.alpha
 
     def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_approx": self.p_approx,
-            "alpha": self.alpha,
-            "n": self.n,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
@@ -119,9 +111,11 @@ def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
 
 
 def _as_empirical(sample, base: int) -> EmpiricalDigitDistribution:
-    if isinstance(sample, EmpiricalDigitDistribution):
-        return sample
-    return build_empirical(sample, base)
+    if not isinstance(sample, EmpiricalDigitDistribution):
+        return build_empirical(sample, base)
+    if sample.base != base:
+        raise DomainError(f"sample base {sample.base} != law base {base}")
+    return sample
 
 
 def ks_statistic(sample, law: DigitLaw) -> float:
@@ -129,8 +123,6 @@ def ks_statistic(sample, law: DigitLaw) -> float:
     significands and the law's CDF, by the bounded sweep the module describes.
     The law is evaluated wherever a term can reach the maximum, so D is exact."""
     emp = _as_empirical(sample, law.base)
-    if emp.base != law.base:
-        raise DomainError(f"sample base {emp.base} != law base {law.base}")
     n = emp.n
 
     def terms(idx, cdf):
@@ -176,14 +168,7 @@ def ks_test(sample, law: DigitLaw, alpha: float = 0.001) -> GOFReport:
     """Kolmogorov-Smirnov goodness-of-fit report against a significand law."""
     emp = _as_empirical(sample, law.base)
     d = ks_statistic(emp, law)
-    return GOFReport(
-        test="ks",
-        statistic=d,
-        dof=None,
-        p_approx=ks_p_approx(d, emp.n),
-        alpha=alpha,
-        n=emp.n,
-    )
+    return GOFReport("ks", d, None, ks_p_approx(d, emp.n), alpha, emp.n)
 
 
 def _chi_square_p(stat: float, dof: int) -> float:
@@ -204,8 +189,6 @@ def chi_square_first_digit(sample, law: DigitLaw, alpha: float = 0.001) -> GOFRe
     freedom. Requires enough samples for every expected count to clear
     the usual >= 5 rule."""
     emp = _as_empirical(sample, law.base)
-    if emp.base != law.base:
-        raise DomainError(f"sample base {emp.base} != law base {law.base}")
     probs = np.asarray(law.first_digit_probs(), dtype=float)
     expected = emp.n * probs
     if np.any(expected < 5.0):
@@ -215,14 +198,7 @@ def chi_square_first_digit(sample, law: DigitLaw, alpha: float = 0.001) -> GOFRe
         )
     stat = float(np.sum((emp.digit_counts - expected) ** 2 / expected))
     dof = emp.base - 2
-    return GOFReport(
-        test="chi2_first_digit",
-        statistic=stat,
-        dof=dof,
-        p_approx=_chi_square_p(stat, dof),
-        alpha=alpha,
-        n=emp.n,
-    )
+    return GOFReport("chi2_first_digit", stat, dof, _chi_square_p(stat, dof), alpha, emp.n)
 
 
 def digit_contingency(values_a, values_b, base: int = 10) -> np.ndarray:
@@ -273,12 +249,7 @@ def chi_square_independence(table, alpha: float = 0.001) -> GOFReport:
     stat = float(np.sum((t - expected) ** 2 / expected))
     dof = (t.shape[0] - 1) * (t.shape[1] - 1)
     return GOFReport(
-        test="chi2_independence",
-        statistic=stat,
-        dof=dof,
-        p_approx=_chi_square_p(stat, dof),
-        alpha=alpha,
-        n=int(round(total)),
+        "chi2_independence", stat, dof, _chi_square_p(stat, dof), alpha, int(round(total))
     )
 
 
@@ -301,9 +272,7 @@ def _digit_profile(x):
         return x.base, x.digit_freqs()
     if isinstance(x, DigitLaw):
         return x.base, np.asarray(x.first_digit_probs(), dtype=float)
-    raise DomainError(
-        "digit_tv expects EmpiricalDigitDistribution or DigitLaw operands"
-    )
+    raise DomainError("digit_tv expects EmpiricalDigitDistribution or DigitLaw operands")
 
 
 def digit_tv(a, b) -> float:

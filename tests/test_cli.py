@@ -124,6 +124,10 @@ def test_law_other_base(capsys):
         ("sample", "--group", "orthogonal", "--n", "1"),  # O(1) entries are +-1
         ("verify", "--suite", "adjoint", "--trials", "10"),  # only the cone suite reads it
         ("verify", "--suite", "adjoint", "--eps", "0.5"),
+        # the window flags reach only the groups whose draws or law read them
+        ("sample", "--group", "sphere", "--m", "6"),
+        ("sample", "--group", "gln-det", "--eps", "0.5"),
+        ("sample", "--group", "rplus", "--eps", "0"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -224,7 +228,8 @@ def test_parser_choices_are_the_table_keys():
 @pytest.mark.parametrize("law", list(cli._LAWS))
 def test_every_law_tabulates(capsys, law):
     # n = 100 keeps the erf law's mass beyond |x| = 1 below 1e-20.
-    flag = {"k": ("--k", "2"), "n": ("--n", "100"), None: ()}[cli._LAWS[law][1]]
+    values = {"k": "2", "n": "100"}
+    flag = [arg for f in cli._LAWS[law][1] for arg in (f"--{f}", values[f])]
     code, out, err = run_cli(capsys, "law", "--law", law, *flag)
     assert code == 0 and err == ""
     payload = json.loads(out)
@@ -236,14 +241,98 @@ def test_every_law_tabulates(capsys, law):
 
 @pytest.mark.parametrize("group", list(cli._GROUPS))
 def test_every_group_samples(capsys, group):
-    flag = ("--k", "2") if cli._GROUPS[group].requires == "k" else ()
+    flag = ("--k", "2") if "k" in cli._GROUPS[group].reads else ()
     code, out, err = run_cli(capsys, "sample", "--group", group, *flag, "--N", "3000", "--seed", "5")
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["group"] == group and payload["pass"] is True
     assert payload["tests"]["ks"]["n"] == 3000
-    reads_entry = "entry" in cli._GROUPS[group].echoes
+    reads_entry = "entry" in cli._GROUPS[group].reads
     assert payload.get("entry") == ("1,1" if reads_entry else None)
+
+
+# --- flag routing -------------------------------------------------------------------
+
+# The options every row of a command reads. Each other option of law, sample
+# and verify is routed: a table row reads it, and any other row refuses it.
+COMMAND_WIDE = {
+    "law": {"help", "law", "base", "format", "out"},
+    "sample": {"help", "group", "base", "format", "out", "seed", "workers", "N", "alpha",
+               "samples_out"},
+    "verify": {"help", "suite", "format", "out", "seed"},
+}
+FLAG_VALUES = {"k": "2", "n": "5", "m": "2", "eps": "0.5", "entry": "1,1", "trials": "10",
+               "base": "7"}
+
+
+def _row_reads(command):
+    """(selector option, {row: the flags it reads}) of a routed command."""
+    if command == "law":
+        return "--law", {name: row[1] for name, row in cli._LAWS.items()}
+    if command == "sample":
+        return "--group", {name: group.reads for name, group in cli._GROUPS.items()}
+    reads = {name: suite.reads for name, suite in cli._SUITES.items()}
+    return "--suite", {**reads, "all": tuple(f for flags in reads.values() for f in flags)}
+
+
+def _routed_options(command):
+    """(dest, option string, argv tail giving it) of each routed option."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "cmd").choices[command]
+    for action in sub._actions:
+        if action.dest not in COMMAND_WIDE[command]:
+            value = () if action.nargs == 0 else (
+                action.choices[0] if action.choices else FLAG_VALUES.get(action.dest, "1"),
+            )
+            yield action.dest, action.option_strings[0], (action.option_strings[0], *value)
+
+
+ROUTED = [(c, *opt) for c in COMMAND_WIDE for opt in _routed_options(c)]
+UNREAD = [
+    (command, row, option, argv)
+    for command, dest, option, argv in ROUTED
+    for row, reads in _row_reads(command)[1].items()
+    if dest not in reads
+]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_WIDE))
+def test_rows_read_exactly_the_routed_flags(command):
+    # A routed option that no row reads would be refused by every row, and a
+    # row entry that is no option could never be given.
+    read = {flag for flags in _row_reads(command)[1].values() for flag in flags}
+    assert read == {dest for c, dest, _, _ in ROUTED if c == command}
+
+
+@pytest.mark.parametrize(
+    "command, row, option, argv", UNREAD, ids=[" ".join(u[:3]) for u in UNREAD]
+)
+def test_flag_a_row_does_not_read_exits_2(capsys, command, row, option, argv):
+    # A flag given to a row that does not read it is refused by name, not
+    # echoed into the payload or dropped.
+    selector, _ = _row_reads(command)
+    code, out, err = run_cli(capsys, command, selector, row, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} is only valid with {selector} ")
+    assert err.rstrip().endswith(f", not {row}")
+
+
+def test_verify_has_no_base_flag(capsys):
+    # No verify check reads a base (the cone suite is base 10).
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "adjoint", "--base", "7"])
+    assert exc.value.code == 2
+    assert "--base" in capsys.readouterr().err
+
+
+def test_missing_required_flag_is_named(capsys):
+    for argv, message in [
+        (("law", "--law", "power"), "error: --law power requires --k"),
+        (("law", "--law", "sphere-erf"), "error: --law sphere-erf requires --n"),
+        (("sample", "--group", "power"), "error: --group power requires --k"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.strip() == message
 
 
 # sha256 of stdout at --N 4000 --seed 7. A change here is a change to the
@@ -292,9 +381,11 @@ FROZEN_LARGE_SAMPLE_DIGESTS = {
         "60ce2b714b4af1423a39d4bcac41ce9c710425fe28a3c1f2faa0d954902ead8c",
         "83b80f2f6db0bca2b9010b70aa112505888d10fce5b35ea8c0ab4615f7056dec",
     ),
+    # Re-taken when the significand reduction began to divide by B^k rounded
+    # once: 3 of the 10^5 rows moved in the last printed digit.
     ("--group", "sln", "--n", "4", "--entry", "4,4"): (
         "709f3e5a6143eedbebc7e470ffb66204c0e018a0fc35c56758581e3a8e1fe1bd",
-        "8e5cbc79c64ddf96733395a90920fa72423e3a6509d535d7f410863c2ec1e7ba",
+        "781b03c8983aa2cc01e073a2566373a63b777c9b4700e7781883e688e025ab87",
     ),
     ("--group", "diagonal", "--n", "4", "--entry", "3,3"): (
         "203adc4a525f7265885d81bb24d81a237a34b11b73d7630ea77cd0d4b95bb2ca",
@@ -396,6 +487,16 @@ def test_sample_flat_entry_off_a_power_of_the_base_passes(capsys):
     assert code == 0 and payload["pass"] is True
     assert payload["law"] == "FlatWindowSignificand(base=10, eps=0.3)"
     assert payload["tests"]["ks"]["statistic"] < 0.005
+
+
+def test_sample_flat_entry_at_a_power_of_the_base_predicts_the_flat_law(capsys):
+    # eps = 1e-5 is the double nearest 10^-5, whose significand is exactly 1.
+    code, out, _ = run_cli(
+        capsys, "sample", "--group", "triangular", "--entry", "1,2", "--eps", "1e-5",
+        "--N", "20000", "--seed", "7",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["law"] == "UniformSignificand(base=10)"
 
 
 def test_sample_workers_sharding(capsys):
@@ -610,7 +711,9 @@ def test_verify_has_no_workers_flag(capsys):
 # sha256 of `verify --suite cone --trials 2500001 --seed 7` stdout: three Monte
 # Carlo batches per rejection estimate (two full, one of a single point) and no
 # BLAS or LAPACK call, so a change here is a change to the draws or the count.
-FROZEN_CONE_DIGEST = "dd17c57f3a9e0a8b34cb5013969125b14d764feabf3d7818e80dbba273848781"
+# Re-taken when the Monte Carlo checks began to report their gap in standard
+# errors.
+FROZEN_CONE_DIGEST = "0cee964b2b9642ec7d3aa4c5e58530c0438c1e45edfb1e277bb4ff5ab0d4626d"
 
 
 def test_verify_cone_stdout_digest_is_frozen(capsys):
@@ -623,7 +726,7 @@ def test_verify_cone_stdout_digest_is_frozen(capsys):
 # sha256 of stdout of law, fig1 and verify runs in JSON and CSV, taken before
 # the commands shared one report route. The adjoint rows take determinants
 # and inverses, so, like the orthogonal and unitary sample rows, they also pin
-# the LAPACK build.
+# the LAPACK build. The verify row was re-taken with the cone digest.
 FROZEN_REPORT_DIGESTS = {
     ("law", "--law", "benford"):
         "b3aea2929dc802ac9299ff543bd4ff4971c95869b481b00b732092d4dd608a8b",
@@ -636,7 +739,7 @@ FROZEN_REPORT_DIGESTS = {
     ("verify", "--suite", "adjoint", "--seed", "3", "--format", "csv"):
         "6ebc2d20249bc08666de68448703c2c1bf7a925bffa43249ef70b7d77d5445eb",
     ("verify", "--trials", "200000", "--seed", "7"):
-        "3bb24f1b7d10ca83d0b699e8f1ff934b8d859bfcd1c630055d50056c5c9d03e4",
+        "a5d8101d69b2d22042da731707ec61ce2e8d849eda8d3f7c418657481283b4b1",
 }
 
 
@@ -678,6 +781,41 @@ def test_verify_flag_no_suite_reads_is_named(capsys, flag, value):
     code, out, err = run_cli(capsys, "verify", "--suite", "adjoint", flag, value)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} is only valid with --suite cone|all")
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_verify_cone_passes_at_few_trials(capsys, seed):
+    # The Monte Carlo verdict is in standard errors, so it holds at any
+    # trial count; a fixed 2 % failed half of these seeds at 20000 trials.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "20000",
+                           "--seed", str(seed))
+    assert code == 0, out
+
+
+@pytest.mark.parametrize(
+    "name, formula",
+    [("cone_volume_mc", "sl2_cone_volume"), ("hyperbolic_area_mc", "hyperbolic_cone_area")],
+)
+def test_verify_mc_check_catches_a_planted_error(capsys, monkeypatch, name, formula):
+    # A closed form 5 % off is ~18 (cone) and ~30 (hyperbolic) standard
+    # errors away at the default 10^6 trials.
+    exact = getattr(cli, formula)
+    monkeypatch.setattr(cli, formula, lambda *a: 1.05 * exact(*a))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--seed", "7")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks[name]["passed"] and checks[name]["detail"]["sigma_gap"] > 5.0
+    assert checks["cone_induced_cdf_is_benford"]["passed"]
+
+
+def test_verify_one_trial_fails(capsys):
+    # One trial rejected gives estimate 0 with a zero standard error: an
+    # infinite gap (JSON null), not a pass.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "1", "--seed", "7")
+    assert code == 1
+    for check in json.loads(out)["checks"]:
+        if check["name"].endswith("_mc"):
+            assert not check["passed"] and check["detail"]["sigma_gap"] is None
 
 
 def test_verify_adjoint_reports_consistency_failure(capsys, monkeypatch):

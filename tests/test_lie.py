@@ -206,6 +206,27 @@ def test_hyperbolic_cone_area_mc_deterministic_and_validated():
         hyperbolic_cone_area_mc(1.0, 2.0, RngStream(1), trials=0)
 
 
+def _mc(estimate, stderr):
+    return MCVolume(estimate=estimate, stderr=stderr, accepted=0, trials=1, box_volume=1.0)
+
+
+def test_mc_verdict_in_standard_errors():
+    assert lie.MC_SIGMAS == 5.0
+    assert _mc(1.0, 0.1).sigma_gap(1.3) == pytest.approx(3.0)
+    assert _mc(1.0, 0.1).agrees(1.49) and not _mc(1.0, 0.1).agrees(1.51)
+    assert not _mc(1.0, 0.1).agrees(0.5)  # exactly 5 standard errors fails
+
+
+def test_mc_verdict_without_an_error_bar():
+    # Every trial rejected (or every one accepted) leaves a zero standard
+    # error: the gap is infinite unless the estimate is exact.
+    assert _mc(0.0, 0.0).sigma_gap(0.0139) == math.inf
+    assert not _mc(0.0, 0.0).agrees(0.0139)
+    assert _mc(2.0, 0.0).sigma_gap(2.0) == 0.0 and _mc(2.0, 0.0).agrees(2.0)
+    one = sl2_cone_volume_mc(ConeProblem(2.0), RngStream(42), trials=1)
+    assert one.stderr == 0.0 and not one.agrees(sl2_cone_volume(ConeProblem(2.0)))
+
+
 # --- the SL_2 cone ---------------------------------------------------------------
 
 

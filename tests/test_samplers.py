@@ -12,7 +12,7 @@ import pytest
 from haar_digits import samplers
 from haar_digits.errors import DomainError
 from haar_digits.laws import Benford, FlatWindowSignificand, PowerLaw, UniformSignificand
-from haar_digits.rng import RngStream
+from haar_digits.rng import TILE, RngStream
 from haar_digits.samplers import (
     GlnSample,
     SlnSample,
@@ -115,6 +115,30 @@ def test_sample_sphere_coords_second_moment():
     n, k = 9, 2
     coords = sample_sphere_coords(n, k, rng, count=20000)
     assert np.allclose(np.mean(coords**2, axis=0), 1.0 / (n + 1), atol=0.004)
+
+
+def _sphere_coords_reference(n, k, rng, count):
+    """sample_sphere_coords with |z|^2 summed over all rows in one expression."""
+    z = rng.normal((count, k))
+    norm = np.asarray(rng.chi_square(n + 1 - k, count), dtype=float).reshape(count)
+    norm += np.sum(z * z, axis=1)
+    return z / np.sqrt(norm)[:, None]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+def test_sample_sphere_coords_matches_one_expression_reference(k):
+    # The row sums are taken a tile at a time; every bit stays the same,
+    # across tile edges too.
+    count = 2 * TILE + 17
+    got = sample_sphere_coords(9, k, RngStream(29), count)
+    assert np.array_equal(got, _sphere_coords_reference(9, k, RngStream(29), count))
+
+
+def test_sample_sphere_coords_footprint(traced_peak):
+    # The output, the chi-square draw and one tile of squares; no
+    # output-sized z * z temporary or row sum.
+    coords, peak = traced_peak(lambda: sample_sphere_coords(9, 1, RngStream(31), 1_000_000))
+    assert peak <= 2.5 * coords.nbytes
 
 
 def test_sphere_significands_match_exact_law():

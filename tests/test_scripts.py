@@ -35,6 +35,13 @@ def test_script_runs(capsys, name, argv, header):
     assert capsys.readouterr().out.splitlines()[0] == header
 
 
+def test_cone_volume_scan_fails_without_an_error_bar(capsys):
+    # One trial per edge is rejected: estimate 0, standard error 0. That is
+    # an infinite gap, not a pass.
+    assert _load("cone_volume_scan").main(["--edges", "2,10", "--trials", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "# worst deviation: inf standard errors"
+
+
 @pytest.mark.parametrize("edges", ["1", "2,1", "0.5", "", "two"])
 def test_cone_volume_scan_rejects_bad_edges(capsys, edges):
     # ln(1) = 0 used to end in ZeroDivisionError; it is a usage error.

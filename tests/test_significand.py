@@ -138,7 +138,37 @@ def test_first_digits_in_range_bulk():
         assert d.min() >= 1 and d.max() <= base - 1
 
 
+@pytest.mark.parametrize("x, exponent", [(1e-5, -5), (1e-17, -17), (1e106, 106)])
+def test_exact_decimal_powers_have_significand_one(x, exponent):
+    # The double nearest 10^k is what B^k rounds to once; np.power(10.0, k)
+    # misses it by an ulp for these k, which read as 1.0000000000000002.
+    d = significand(x)
+    assert d.significand == 1.0 and d.exponent == exponent
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10, 36])
+def test_the_double_nearest_each_power_of_the_base(base):
+    # At or above B^k it has significand exactly 1 and exponent k. Below,
+    # either that or exponent k - 1 and a significand just under B.
+    ks = range(math.floor(math.log(np.finfo(float).tiny) / math.log(base)) + 1,
+               math.floor(math.log(np.finfo(float).max) / math.log(base)))
+    xs = [float(Fraction(base) ** k) for k in ks]
+    s, e, _ = significand_parts(np.array(xs), base)
+    above = np.array([Fraction(x) >= Fraction(base) ** k for x, k in zip(xs, ks)])
+    assert np.all(s[above] == 1.0) and np.array_equal(e[above], np.array(ks)[above])
+    one = (s == 1.0) & (e == np.array(ks))
+    under = (e == np.array(ks) - 1) & (s < base) & (s > base * (1 - 1e-15))
+    assert np.all(one | under)
+
+
 # --- the power-table route against a per-lane reference ---------------------------
+
+
+def _rounded_power(base, k):
+    try:
+        return float(Fraction(base) ** k)
+    except OverflowError:
+        return math.inf
 
 
 def _per_lane_parts(values, base):
@@ -150,10 +180,14 @@ def _per_lane_parts(values, base):
     e = np.floor(np.log(ax) / math.log(base))
     e_min = math.ceil(math.log(np.finfo(float).tiny) / math.log(base))
 
+    def power(k):
+        # B^k rounded once, per distinct exponent; inf past the double range.
+        ks, where = np.unique(k, return_inverse=True)
+        return np.array([_rounded_power(base, int(j)) for j in ks])[where].reshape(k.shape)
+
     def divide(e):
         e_hi = np.maximum(e, e_min)
-        with np.errstate(over="ignore"):
-            return ax / np.power(float(base), e - e_hi) / np.power(float(base), e_hi)
+        return ax / power(e - e_hi) / power(e_hi)
 
     s = divide(e)
     for _ in range(2):

@@ -147,6 +147,14 @@ def test_erf_approximation_error_shrinks_with_n():
     assert gaps[10_000] < 0.005
 
 
+@pytest.mark.parametrize("cls", [SphereExact, SphereErf, SphereLimit])
+def test_tail_tolerance_is_fixed(cls):
+    # One tail tolerance for every sphere law; it stays in the repr.
+    assert repr(cls(base=10, n=9)) == f"{cls.__name__}(base=10, n=9, tail_tol=1e-12)"
+    with pytest.raises(TypeError):
+        cls(base=10, n=9, tail_tol=1e-6)
+
+
 def test_erf_cdf_requires_n_at_least_two():
     with pytest.raises(DomainError):
         sphere_sig_cdf_erf(1, 10, 2.0)
