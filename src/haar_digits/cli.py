@@ -205,6 +205,9 @@ def _parse_dims(text: str):
         raise DomainError(f"--dims expects comma-separated integers, got {text!r}") from None
     if not dims or any(d < 1 for d in dims):
         raise DomainError(f"--dims needs positive dimensions, got {text!r}")
+    for i, d in enumerate(dims):  # each draws from root.substream(d): list it once
+        if d in dims[:i]:
+            raise DomainError(f"--dims repeats dimension {d}")
     return dims
 
 

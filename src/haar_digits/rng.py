@@ -144,9 +144,9 @@ class RngStream:
         return out.reshape(shape)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniform doubles in [low, high): low + (high - low) * U."""
-        if not (math.isfinite(low) and math.isfinite(high) and low < high):
-            raise DomainError(f"uniform: need finite low < high, got [{low}, {high})")
+        """Uniform doubles in [low, high): low + (high - low) * U, high - low finite."""
+        if not (low < high and math.isfinite(high - low)):
+            raise DomainError(f"uniform: need low < high, high - low finite, got [{low}, {high})")
         vals = self.random(size)
         if size is None:
             return low + (high - low) * vals

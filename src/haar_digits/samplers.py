@@ -2,8 +2,8 @@
 
 Every sampler takes an RngStream and documents the order in which it
 consumes the stream, so a fixed (seed, stream_id) and call sequence
-reproduces samples bit-exactly. Batched variants (``count`` not None)
-return arrays with the batch as the leading axis.
+reproduces samples bit-exactly. Every sampler draws a required `count`
+and returns arrays with the batch as the leading axis.
 
 Windowed samplers draw Haar-density coordinates restricted to finite
 windows: diagonal coordinates from x^(-k)-type densities on [1, B^m) and
@@ -24,6 +24,7 @@ full draw does, and give the same values bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,14 +63,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Finite sampling window: unipotent box half-width and decade count."""
+    """Finite sampling window: unipotent box half-width and decade count.
+
+    eps is a normal double (a subnormal box holds too few doubles to be
+    flat) with 2 eps finite, so that [-eps, eps) is a finite uniform range.
+    """
 
     eps: float = 1.0
     m: int = 3
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise DomainError(f"WindowSpec: eps must be > 0, got {self.eps}")
+        if not (sys.float_info.min <= self.eps <= sys.float_info.max / 2):  # false for NaN
+            raise DomainError(
+                f"WindowSpec: eps must be in [{sys.float_info.min}, {sys.float_info.max / 2}], "
+                f"got {self.eps}"
+            )
         if not (self.m >= 1 and self.m % 1 == 0):  # false for NaN and inf too
             raise DomainError(f"WindowSpec: m must be a positive integer, got {self.m}")
 
@@ -117,92 +125,109 @@ def _check_dim(n: int, minimum: int = 1) -> int:
     return int(n)
 
 
-def _batch(count):
-    if count is None:
-        return 1, True
+def _count(count) -> int:
     c = int(count)
     if c < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    return c, False
-
-
-def _squeeze(arr: np.ndarray, single: bool):
-    return arr[0] if single else arr
+    return c
 
 
 # --- spheres ----------------------------------------------------------------
 
 
-def sample_sphere(n: int, rng: RngStream, count=None):
-    """Uniform points on S^n in R^(n+1) by normalizing Gaussian vectors.
-
-    Consumes count*(n+1) normal variates (rows in order); zero-norm rows
-    (probability ~0) are resampled in place.
-    """
-    n = _check_dim(n)
-    c, single = _batch(count)
-    pts = rng.normal((c, n + 1))
-    while True:
-        norms = np.linalg.norm(pts, axis=1)
-        bad = norms == 0.0
-        if not bad.any():
-            break
-        pts[bad] = rng.normal((int(bad.sum()), n + 1))  # pragma: no cover
-    return _squeeze(pts / norms[:, None], single)
+def sample_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
+    """Uniform points on S^n in R^(n+1): sample_sphere_coords at k = n + 1,
+    count*(n+1) normals (rows in order), each row divided by its norm."""
+    return sample_sphere_coords(n, n + 1, rng, count)
 
 
-def sample_sphere_coords(n: int, k: int, rng: RngStream, count=None):
-    """First k coordinates of uniform S^n points without the full vector.
+def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarray:
+    """First k (1 <= k <= n + 1) coordinates of uniform S^n points.
 
     Uses (z_1..z_k)/sqrt(|z|^2 + W) with W chi-square on n+1-k degrees of
     freedom, which has exactly the joint law of the first k coordinates.
-    Consumes count*k normals, then the chi-square draws. Essential when n
-    is large (S^10000 histograms would otherwise need 10^10 normals).
+    Consumes count*k normals, then the chi-square draws; at k = n + 1, W = 0
+    and no chi-square is drawn. Essential when n is large (S^10000
+    histograms would otherwise need 10^10 normals).
     """
     n = _check_dim(n)
     k = _check_dim(k)
-    if k > n:
-        raise DomainError(f"need k <= n (k=n+1 is the full sphere), got k={k}, n={n}")
-    c, single = _batch(count)
+    if k > n + 1:
+        raise DomainError(f"S^n has n + 1 coordinates, got k={k}, n={n}")
+    c = _count(count)
     z = rng.normal((c, k))
-    norm = np.asarray(rng.chi_square(n + 1 - k, c), dtype=float).reshape(c)
+    norm = rng.chi_square(n + 1 - k, c) if k <= n else np.zeros(c)
     for start in range(0, c, TILE):  # |z|^2 a tile of rows at a time
         norm[start : start + TILE] += np.sum(np.square(z[start : start + TILE]), axis=1)
     z /= np.sqrt(norm, out=norm)[:, None]
-    return _squeeze(z, single)
+    return z
 
 
 # --- compact groups ---------------------------------------------------------
 
 
-def sample_orthogonal_haar(n: int, rng: RngStream, count=None, return_info: bool = False):
+def sample_orthogonal_haar(n: int, rng: RngStream, count: int, return_info: bool = False):
     """Haar-distributed O(n) matrices via Gaussian QR with sign correction.
 
-    Consumes count*n*n normals (row-major per matrix); the QR factor is
-    fixed up by the signs of diag(R) so the distribution is exactly Haar.
-    Numerically singular draws (some |R_jj| = 0) are resampled and counted;
-    pass return_info=True to receive the count.
+    Consumes count*n*n normals (row-major per matrix), then those of the
+    redraws: a numerically singular draw (a zero on the diagonal of R) is
+    drawn again. Pass return_info=True to receive the number of redraws.
     """
-    n = _check_dim(n)
-    c, single = _batch(count)
-    out = rng.normal((c, n, n))
-    todo = np.flatnonzero(~_qr_in_place(out, _signs))
+    q, resampled = _haar_qr(_check_dim(n), rng, _count(count), float)
+    return (q, {"resampled": resampled}) if return_info else q
+
+
+def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
+    """Haar-distributed U(n) matrices via complex Gaussian QR.
+
+    Consumes 2*count*n*n normals (real parts row-major, then imaginary
+    parts row-major, per batch), then those of the redraws of numerically
+    singular draws, as sample_orthogonal_haar does.
+    """
+    return _haar_qr(_check_dim(n), rng, _count(count), complex)[0]
+
+
+def _haar_qr(n: int, rng: RngStream, count: int, dtype) -> tuple:
+    """`count` Haar matrices of O(n) (dtype float) or U(n) (complex), and
+    the number of redraws (Mezzadri 2007: one QR algorithm over R and C).
+
+    Each Gaussian stack is overwritten by its Q factors with the columns
+    rephased so that diag(R) > 0, which makes the law exactly Haar. A
+    matrix whose R has a zero on its diagonal is numerically singular: the
+    failed ones are redrawn, in order, as one stack per round.
+    """
+    out = _gaussian_stack(rng, count, n, dtype)
+    todo = np.flatnonzero(~_qr_in_place(out))
     resampled = todo.size
     while todo.size:
-        q = rng.normal((todo.size, n, n))
-        ok = _qr_in_place(q, _signs)
-        out[todo[ok]] = q[ok]
+        g = _gaussian_stack(rng, todo.size, n, dtype)
+        ok = _qr_in_place(g)
+        out[todo[ok]] = g[ok]
         todo = todo[~ok]
         resampled += todo.size
-    result = _squeeze(out, single)
-    if return_info:
-        return result, {"resampled": resampled}
-    return result
+    return out, resampled
 
 
-def _qr_in_place(g: np.ndarray, phase) -> np.ndarray:
+def _gaussian_stack(rng: RngStream, count: int, n: int, dtype) -> np.ndarray:
+    """`count` n x n standard Gaussian matrices over R or C (E|z|^2 = 1).
+
+    A complex stack takes the real parts of the whole stack row-major, then
+    the imaginary parts, writing each a tile of normals at a time.
+    """
+    if dtype is float:
+        return rng.normal((count, n, n))
+    g = np.empty((count, n, n), dtype=complex)
+    parts = g.view(np.float64).reshape(-1, 2)  # (real, imaginary) per entry
+    for part in parts.T:
+        for start in range(0, part.size, TILE):
+            part[start : start + TILE] = rng.normal(min(TILE, part.size - start))
+    g /= math.sqrt(2.0)
+    return g
+
+
+def _qr_in_place(g: np.ndarray) -> np.ndarray:
     """Overwrites a stack with its Q factors, column j of each multiplied by
-    phase(d)_j, d the diagonal of its R, and returns a mask of the matrices
+    d_j / |d_j|, d the diagonal of its R, and returns a mask of the matrices
     whose R has a nonzero diagonal (the others must be redrawn).
 
     QR runs over _QR_SLICE matrices at a time, so its R and workspace stay
@@ -212,44 +237,12 @@ def _qr_in_place(g: np.ndarray, phase) -> np.ndarray:
     for start in range(0, g.shape[0], _QR_SLICE):
         q, r = np.linalg.qr(g[start : start + _QR_SLICE])
         d = np.diagonal(r, axis1=-2, axis2=-1)
-        q *= phase(d)[:, None, :]
+        mags = np.abs(d)
+        ok[start : start + _QR_SLICE] = np.all(mags > 0.0, axis=1)
+        mags[mags == 0.0] = 1.0  # such a matrix is redrawn; no 0 / 0
+        q *= (d / mags)[:, None, :]
         g[start : start + _QR_SLICE] = q
-        ok[start : start + _QR_SLICE] = np.all(d != 0.0, axis=1)
     return ok
-
-
-def _signs(d: np.ndarray) -> np.ndarray:
-    """The column flips that make a real R's diagonal positive."""
-    return np.where(d < 0.0, -1.0, 1.0)
-
-
-def _phases(d: np.ndarray) -> np.ndarray:
-    """The column rephasings that make a complex R's diagonal positive."""
-    mags = np.abs(d)
-    return np.where(mags > 0.0, d / np.where(mags > 0.0, mags, 1.0), 1.0)
-
-
-def _fill_normals(dest: np.ndarray, rng: RngStream) -> None:
-    """Writes the next dest.size normals into the 1-d dest, a tile at a time."""
-    for start in range(0, dest.size, TILE):
-        dest[start : start + TILE] = rng.normal(min(TILE, dest.size - start))
-
-
-def sample_unitary_haar(n: int, rng: RngStream, count=None):
-    """Haar-distributed U(n) matrices via complex Gaussian QR.
-
-    Consumes 2*count*n*n normals (real parts row-major, then imaginary
-    parts row-major, per batch); columns are rephased so diag(R) > 0.
-    """
-    n = _check_dim(n)
-    c, single = _batch(count)
-    z = np.empty((c, n, n), dtype=complex)
-    parts = z.view(np.float64).reshape(-1, 2)  # (real, imaginary) per entry
-    _fill_normals(parts[:, 0], rng)
-    _fill_normals(parts[:, 1], rng)
-    z /= math.sqrt(2.0)
-    _qr_in_place(z, _phases)
-    return _squeeze(z, single)
 
 
 # --- scalar windowed densities ----------------------------------------------
@@ -290,28 +283,33 @@ def _flat_block(eps: float):
     return lambda rng, count: rng.uniform(-eps, eps, count)
 
 
-def sample_log_uniform(base: int, m: int, rng: RngStream, count=None):
+def sample_log_uniform(base: int, m: int, rng: RngStream, count: int):
     """Draws from density 1/x on [1, B^m): x = B^(m U).
 
     The significand is exactly Benford for every integer m >= 1 and the
     significand exponent is uniform on {0..m-1}. Consumes count uniforms.
     """
     base = check_base(base)
-    c, single = _batch(count)
-    return _squeeze(_power_block(base, 1.0, m)(rng, c), single)
+    return _power_block(base, 1.0, m)(rng, _count(count))
 
 
-def sample_power_density(base: int, k: float, m: int, rng: RngStream, count=None):
+def sample_power_density(base: int, k: float, m: int, rng: RngStream, count: int):
     """Draws from density proportional to x^(-k) on [1, B^m) by inversion.
 
     k = 1 is sample_log_uniform. The induced significand law is
     PowerLaw(base, k) exactly, for every m. Consumes count uniforms.
+
+    Draws near s = 1 are 2^-53 apart, so their CDF can miss the law's by
+    density(1) * 2^-53, which must stay within the DigitLaw contract's 1e-9:
+    k up to about 9.0e6.
     """
     base = check_base(base)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be > 0, got {k}")
-    c, single = _batch(count)
-    return _squeeze(_power_block(base, k, m)(rng, c), single)
+    if PowerLaw(base, k).density(1.0) * 2.0**-53 > 1e-9:  # PowerLaw checks k > 0
+        raise DomainError(
+            f"k must be <= about 9.0e6 (draws 2^-53 apart near s = 1 would miss "
+            f"PowerLaw's CDF by more than 1e-9), got {k}"
+        )
+    return _power_block(base, k, m)(rng, _count(count))
 
 
 # --- window layouts ------------------------------------------------------------
@@ -394,13 +392,13 @@ def _diagonal_entry(layout: list, n: int, i: int, det_one: bool, rng: RngStream,
     return _read(layout, rng, c, ("d", i))
 
 
-def _lud_draw(layout: list, n: int, rng: RngStream, c: int, single: bool, **more) -> SlnSample:
+def _lud_draw(layout: list, n: int, rng: RngStream, c: int, **more) -> SlnSample:
     """The SL_n factors from every block of `layout`; blocks of other names
     go to the canvases in `more`."""
     canvases = {"X": np.zeros((c, n, n)), "Y": np.zeros((c, n, n)), "d": np.empty((c, n)), **more}
     _fill(_walk(layout, rng, c), canvases)
     _close_det_one(canvases["d"])
-    return SlnSample(*(_squeeze(canvases[name], single) for name in "XYd"))
+    return SlnSample(canvases["X"], canvases["Y"], canvases["d"])
 
 
 # --- triangular and diagonal groups ------------------------------------------
@@ -450,7 +448,7 @@ def sample_upper_triangular_window(
     spec: WindowSpec,
     side: str,
     rng: RngStream,
-    count=None,
+    count: int,
 ) -> np.ndarray:
     """Windowed Haar draws from the invertible upper-triangular group.
 
@@ -464,10 +462,10 @@ def sample_upper_triangular_window(
     """
     n = _check_dim(n)
     base = check_base(base)
-    c, single = _batch(count)
+    c = _count(count)
     mats = np.zeros((c, n, n))
     _fill(_walk(_triangular_layout(n, base, spec, side), rng, c), {"U": mats})
-    return _squeeze(mats, single)
+    return mats
 
 
 def sample_triangular_entry(
@@ -478,7 +476,7 @@ def sample_triangular_entry(
     i: int,
     j: int,
     rng: RngStream,
-    count=None,
+    count: int,
 ) -> np.ndarray:
     """Entry (i, j) (0-based, i <= j) of sample_upper_triangular_window.
 
@@ -489,9 +487,8 @@ def sample_triangular_entry(
     n = _check_dim(n)
     base = check_base(base)
     _check_upper_entry(n, i, j)
-    c, single = _batch(count)
     layout = _triangular_layout(n, base, spec, side)
-    return _squeeze(_read(layout, rng, c, ("U", i, j)), single)
+    return _read(layout, rng, _count(count), ("U", i, j))
 
 
 def _check_diagonal(n: int, det_one: bool) -> int:
@@ -506,7 +503,7 @@ def sample_diagonal_window(
     base: int,
     m: int,
     rng: RngStream,
-    count=None,
+    count: int,
     det_one: bool = False,
 ):
     """Diagonal-entry draws from the windowed diagonal group (Haar = prod dx/x).
@@ -523,10 +520,10 @@ def sample_diagonal_window(
     """
     n = _check_diagonal(n, det_one)
     base = check_base(base)
-    c, single = _batch(count)
+    c = _count(count)
     d = np.empty((c, n))
     _fill(_walk(_diagonal_layout(n, base, m, det_one), rng, c), {"d": d})
-    return _squeeze(_close_det_one(d) if det_one else d, single)
+    return _close_det_one(d) if det_one else d
 
 
 def sample_diagonal_entry(
@@ -535,7 +532,7 @@ def sample_diagonal_entry(
     m: int,
     i: int,
     rng: RngStream,
-    count=None,
+    count: int,
     det_one: bool = False,
 ):
     """Entry i (0-based) of sample_diagonal_window, bit for bit.
@@ -546,9 +543,8 @@ def sample_diagonal_entry(
     """
     n = _check_diagonal(n, det_one)
     base = check_base(base)
-    c, single = _batch(count)
     layout = _diagonal_layout(n, base, m, det_one)
-    return _squeeze(_diagonal_entry(layout, n, i, det_one, rng, c), single)
+    return _diagonal_entry(layout, n, i, det_one, rng, _count(count))
 
 
 def nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -583,7 +579,7 @@ def sample_sln_lud_window(
     base: int,
     spec: WindowSpec,
     rng: RngStream,
-    count=None,
+    count: int,
 ) -> SlnSample:
     """Windowed SL_n draws g = exp(X) exp(Y) d.
 
@@ -601,8 +597,7 @@ def sample_sln_lud_window(
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    c, single = _batch(count)
-    return _lud_draw(_sln_layout(n, base, spec), n, rng, c, single)
+    return _lud_draw(_sln_layout(n, base, spec), n, rng, _count(count))
 
 
 def sample_sln_dfactor_entry(
@@ -611,7 +606,7 @@ def sample_sln_dfactor_entry(
     spec: WindowSpec,
     i: int,
     rng: RngStream,
-    count=None,
+    count: int,
 ):
     """Entry i (0-based) of the diagonal factor d of sample_sln_lud_window.
 
@@ -621,9 +616,8 @@ def sample_sln_dfactor_entry(
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    c, single = _batch(count)
     layout = _sln_layout(n, base, spec)
-    return _squeeze(_diagonal_entry(layout, n, i, True, rng, c), single)
+    return _diagonal_entry(layout, n, i, True, rng, _count(count))
 
 
 def _lud_product(sample: SlnSample) -> np.ndarray:
@@ -690,7 +684,7 @@ def apply_even_permutations(A, P, Q) -> np.ndarray:
     """P A Q for even permutation matrices P, Q, preserving SL membership.
 
     Both permutations must be even (det +1, i.e. P, Q in SL_n) or a
-    DomainError is raised. A may be a single matrix or a stack (..., n, n);
+    DomainError is raised. A may be one matrix or a stack (..., n, n);
     the diagonal of P A Q picks out one A-entry per row, so Benford
     components stay Benford.
     """
@@ -706,7 +700,7 @@ def sample_gln_pos_window(
     base: int,
     spec: WindowSpec,
     rng: RngStream,
-    count=None,
+    count: int,
 ) -> GlnSample:
     """Windowed GL_n^+ draws g = r^(1/n) * y with det(g) = r.
 
@@ -719,13 +713,13 @@ def sample_gln_pos_window(
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    c, single = _batch(count)
+    c = _count(count)
     r = np.empty(c)
-    y = _lud_draw(_gln_layout(n, base, spec), n, rng, c, single, r=r)
-    return GlnSample(y, _squeeze(r, single))
+    y = _lud_draw(_gln_layout(n, base, spec), n, rng, c, r=r)
+    return GlnSample(y, r)
 
 
-def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count=None):
+def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count: int):
     """The determinants r of sample_gln_pos_window, bit for bit.
 
     Draws only r's `count` words; the SL_n factor is skipped, and the
@@ -733,5 +727,4 @@ def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count=No
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    c, single = _batch(count)
-    return _squeeze(_read(_gln_layout(n, base, spec), rng, c, ("r",)), single)
+    return _read(_gln_layout(n, base, spec), rng, _count(count), ("r",))

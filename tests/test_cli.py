@@ -119,6 +119,7 @@ def test_law_other_base(capsys):
         ("fig1", "--dims", "abc"),
         ("fig1", "--dims", ""),
         ("fig1", "--dims", "0,5"),
+        ("fig1", "--dims", "5,5"),  # one substream per dimension: listed once
         ("fig1", "--N", "0"),
         ("fig1", "--workers", "0"),
         ("sample", "--group", "orthogonal", "--n", "1"),  # O(1) entries are +-1
@@ -176,6 +177,42 @@ def test_window_past_the_double_range_is_blamed_on_m(capsys, args, named):
     code, out, err = run_cli(capsys, "sample", *args, "--N", "1000")
     assert code == 2 and out == ""
     assert err.startswith("error: window [1, B^m)") and named in err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("--group", "triangular", "--entry", "1,2", "--eps", "9e307"), "eps must be in"),
+        (("--group", "triangular", "--entry", "1,2", "--eps", "1e-322"), "eps must be in"),
+        (("--group", "power", "--k", "1e15"), "k must be <= about 9.0e6"),
+        (("--group", "power", "--k", "9007201"), "k must be <= about 9.0e6"),
+    ],
+)
+def test_window_a_double_cannot_sample_exits_2(capsys, args, named):
+    # A box of 2 eps past the largest double, a subnormal box, or draws that
+    # round onto a handful of doubles near 1 would answer wrongly.
+    code, out, err = run_cli(capsys, "sample", *args, "--N", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--group", "triangular", "--n", "2", "--entry", "1,2", "--eps", "2.3e-308"),
+        ("--group", "triangular", "--n", "2", "--entry", "1,2", "--eps", "8.9e307"),
+        ("--group", "power", "--k", "1e6"),
+        ("--group", "power", "--k", "9007200"),
+    ],
+)
+def test_window_inside_the_double_bounds_passes(capsys, args):
+    code, out, err = run_cli(capsys, "sample", *args, "--N", "20000")
+    assert code == 0 and err == "" and json.loads(out)["pass"]
+
+
+def test_fig1_names_a_repeated_dimension(capsys):
+    code, out, err = run_cli(capsys, "fig1", "--dims", "2,5,5")
+    assert code == 2 and out == "" and "repeats dimension 5" in err
 
 
 @pytest.mark.parametrize(

@@ -28,8 +28,10 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("name, params", SAMPLER_SIGNATURES, ids=[s[0] for s in SAMPLER_SIGNATURES])
 def test_readme_sampler_signature(name, params):
-    documented = [p.split("=")[0].strip() for p in params.split(",")]
-    assert documented == list(inspect.signature(getattr(samplers, name)).parameters)
+    # A documented `name=...` has a default; a bare name is required.
+    documented = [(p.split("=")[0].strip(), "=" in p) for p in params.split(",")]
+    parameters = inspect.signature(getattr(samplers, name)).parameters.values()
+    assert documented == [(p.name, p.default is not p.empty) for p in parameters]
 
 
 @pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])

@@ -1,6 +1,7 @@
 """Deterministic stream: bit-exactness, batching invariance, moments."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ def test_uniform_bounds_and_validation():
         RngStream(1).uniform(1.0, 1.0)
     with pytest.raises(DomainError):
         RngStream(1).uniform(0.0, float("inf"))
+
+
+def test_uniform_range_must_be_a_finite_double():
+    # [low, high) is sampled as low + (high - low) * U, so high - low must
+    # not overflow: at the edge the values stay finite, past it they were inf.
+    top = sys.float_info.max / 2
+    u = RngStream(1).uniform(-top, top, 1000)
+    assert np.all(np.isfinite(u)) and u.min() >= -top and u.max() < top
+    for low, high in ((-top, math.nextafter(top, math.inf)), (-1e308, 1e308)):
+        with pytest.raises(DomainError, match="high - low finite"):
+            RngStream(1).uniform(low, high, 5)
 
 
 def test_index_below():

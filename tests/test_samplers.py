@@ -5,6 +5,7 @@ errors wide, so they are deterministic and far from flaky.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -62,13 +63,24 @@ def test_window_spec_defaults_and_validation():
             WindowSpec(m=bad_m)
 
 
+def test_window_spec_eps_bounds_at_the_edge_and_past_it():
+    # eps is a normal double with 2 eps finite: the box [-eps, eps) is a
+    # finite uniform range that holds enough doubles to be flat.
+    low, high = sys.float_info.min, sys.float_info.max / 2
+    for eps in (low, high):
+        vals = sample_triangular_entry(2, 10, WindowSpec(eps=eps), "left", 0, 1, RngStream(5), 100)
+        assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= eps)
+    for eps in (math.nextafter(low, 0.0), math.nextafter(high, math.inf)):
+        with pytest.raises(DomainError, match=r"eps must be in \["):
+            WindowSpec(eps=eps)
+
+
 # --- spheres ------------------------------------------------------------------
 
 
 def test_sample_sphere_shapes_and_norms():
     rng = RngStream(2024)
-    single = sample_sphere(4, rng)
-    assert single.shape == (5,)
+    assert sample_sphere(4, rng, count=1).shape == (1, 5)
     pts = sample_sphere(4, rng, count=500)
     assert pts.shape == (500, 5)
     norms = np.linalg.norm(pts, axis=1)
@@ -90,10 +102,19 @@ def test_sample_sphere_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 50])
+def test_sample_sphere_is_normalized_normals(n):
+    # S^n is sample_sphere_coords at k = n + 1: no chi-square term, and bit
+    # for bit the normals divided by their row norms, across tile edges too.
+    for count in (1, 7, TILE + 3):
+        z = RngStream(47).normal((count, n + 1))
+        reference = z / np.linalg.norm(z, axis=1)[:, None]
+        assert sample_sphere(n, RngStream(47), count).tobytes() == reference.tobytes()
+
+
 def test_sample_sphere_coords_shapes_and_range():
     rng = RngStream(5)
-    single = sample_sphere_coords(9, 3, rng)
-    assert single.shape == (3,)
+    assert sample_sphere_coords(9, 3, rng, count=1).shape == (1, 3)
     coords = sample_sphere_coords(9, 3, rng, count=1000)
     assert coords.shape == (1000, 3)
     assert np.all(np.sum(coords**2, axis=1) < 1.0)
@@ -103,7 +124,7 @@ def test_sample_sphere_coords_shapes_and_range():
 def test_sample_sphere_coords_validation():
     rng = RngStream(1)
     with pytest.raises(DomainError):
-        sample_sphere_coords(3, 4, rng, count=2)
+        sample_sphere_coords(3, 5, rng, count=2)  # S^3 has n + 1 = 4 coordinates
     with pytest.raises(DomainError):
         sample_sphere_coords(0, 1, rng, count=2)
     with pytest.raises(DomainError):
@@ -153,6 +174,35 @@ def test_sphere_significands_match_exact_law():
     assert ok_marg, f"marginal-sampler KS statistic {d_marg}"
 
 
+# Every public sampler with its arguments but `count`.
+_SAMPLER_ARGS = {
+    "sample_sphere": (3, RngStream(1)),
+    "sample_sphere_coords": (3, 1, RngStream(1)),
+    "sample_orthogonal_haar": (3, RngStream(1)),
+    "sample_unitary_haar": (3, RngStream(1)),
+    "sample_log_uniform": (10, 2, RngStream(1)),
+    "sample_power_density": (10, 2.0, 2, RngStream(1)),
+    "sample_upper_triangular_window": (3, 10, WindowSpec(), "left", RngStream(1)),
+    "sample_triangular_entry": (3, 10, WindowSpec(), "left", 0, 1, RngStream(1)),
+    "sample_diagonal_window": (3, 10, 2, RngStream(1)),
+    "sample_diagonal_entry": (3, 10, 2, 0, RngStream(1)),
+    "sample_sln_lud_window": (3, 10, WindowSpec(), RngStream(1)),
+    "sample_sln_dfactor_entry": (3, 10, WindowSpec(), 0, RngStream(1)),
+    "sample_gln_pos_window": (3, 10, WindowSpec(), RngStream(1)),
+    "sample_gln_det": (3, 10, WindowSpec(), RngStream(1)),
+}
+
+
+def test_every_public_sampler_is_listed():
+    assert sorted(_SAMPLER_ARGS) == sorted(n for n in samplers.__all__ if n.startswith("sample_"))
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLER_ARGS))
+def test_every_sampler_requires_count(name):
+    with pytest.raises(TypeError, match="count"):
+        getattr(samplers, name)(*_SAMPLER_ARGS[name])
+
+
 # --- compact groups -----------------------------------------------------------
 
 
@@ -168,8 +218,7 @@ def test_orthogonal_haar_is_orthogonal():
 
 
 def test_orthogonal_haar_shapes_info_and_determinism():
-    single = sample_orthogonal_haar(3, RngStream(9))
-    assert single.shape == (3, 3)
+    assert sample_orthogonal_haar(3, RngStream(9), count=1).shape == (1, 3, 3)
     mats, info = sample_orthogonal_haar(3, RngStream(9), count=4, return_info=True)
     assert mats.shape == (4, 3, 3)
     assert info == {"resampled": 0}
@@ -177,26 +226,28 @@ def test_orthogonal_haar_shapes_info_and_determinism():
     assert np.array_equal(mats, again)
 
 
-class _SingularFirstBatch:
-    """Stream wrapper whose first normal batch has an all-zero matrix at
-    row `row`; QR of it gives diag(R) = 0, so the sampler must redraw it."""
+class _SingularFirstDraw:
+    """Stream wrapper that zeroes matrix `row` of the first Gaussian stack of
+    `count` matrices: its first `calls` normal batches (one per field part,
+    real then imaginary) hold that stack. QR of the all-zero matrix gives
+    diag(R) = 0, so the sampler must redraw it."""
 
-    def __init__(self, stream, row):
+    def __init__(self, stream, row, count, calls):
         self.stream = stream
-        self.row = row
+        self.row, self.count, self.calls = row, count, calls
         self.batches = 0
 
     def normal(self, size):
         g = self.stream.normal(size)
-        if self.batches == 0:
-            g[self.row] = 0.0
+        if self.batches < self.calls:
+            g.reshape(self.count, -1)[self.row] = 0.0
         self.batches += 1
         return g
 
 
 def test_orthogonal_haar_resamples_singular_draw():
     plain = sample_orthogonal_haar(3, RngStream(31), count=6)
-    stub = _SingularFirstBatch(RngStream(31), row=2)
+    stub = _SingularFirstDraw(RngStream(31), row=2, count=6, calls=1)
     mats, info = sample_orthogonal_haar(3, stub, count=6, return_info=True)
     assert info == {"resampled": 1}
     assert stub.batches == 2
@@ -205,6 +256,20 @@ def test_orthogonal_haar_resamples_singular_draw():
     assert not np.array_equal(mats[2], plain[2])
     for q in mats:
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
+
+
+def test_unitary_haar_resamples_singular_draw():
+    # The same QR-and-redraw loop as O(n): the zero matrix is drawn again
+    # (its real parts, then its imaginary parts) and the others keep their bytes.
+    plain = sample_unitary_haar(3, RngStream(37), count=6)
+    stub = _SingularFirstDraw(RngStream(37), row=4, count=6, calls=2)
+    mats = sample_unitary_haar(3, stub, count=6)
+    assert stub.batches == 4
+    others = [0, 1, 2, 3, 5]
+    assert mats[others].tobytes() == plain[others].tobytes()
+    assert not np.array_equal(mats[4], plain[4])
+    for u in mats:
+        assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
 
 
 def test_orthogonal_haar_first_entry_moment():
@@ -331,6 +396,18 @@ def test_power_density_validation():
         sample_power_density(10, 2.0, 0, rng, count=4)
 
 
+@pytest.mark.parametrize("base", [2, 10])
+def test_power_density_k_bound_at_the_edge_and_past_it(base):
+    # Draws near s = 1 are 2^-53 apart; PowerLaw's density there is about
+    # k - 1, and (k - 1) * 2^-53 <= 1e-9 holds up to k = 1 + 1e-9 * 2^53.
+    edge = 1.0 + 1e-9 * 2.0**53  # 9007200.25...
+    assert PowerLaw(base, math.floor(edge)).density(1.0) * 2.0**-53 <= 1e-9
+    x = sample_power_density(base, math.floor(edge), 1, RngStream(3), count=100)
+    assert np.all((x >= 1.0) & (x < base))
+    with pytest.raises(DomainError, match=r"k must be <= about 9.0e6"):
+        sample_power_density(base, math.ceil(edge), 1, RngStream(3), count=100)
+
+
 @pytest.mark.parametrize("base,m", [(10, 309), (10, 400), (2, 1024), (7, 365)])
 def test_window_past_the_double_range_is_rejected(base, m):
     # B^m overflows, so the window would be cut short of m whole decades.
@@ -439,8 +516,7 @@ def test_upper_triangular_window_deterministic():
 
 def test_diagonal_window_shapes_and_range():
     rng = RngStream(307)
-    single = sample_diagonal_window(4, 10, 2, rng)
-    assert single.shape == (4,)
+    assert sample_diagonal_window(4, 10, 2, rng, count=1).shape == (1, 4)
     entries = sample_diagonal_window(4, 10, 2, rng, count=300)
     assert entries.shape == (300, 4)
     assert np.all((entries >= 1.0) & (entries < 100.0))
@@ -577,16 +653,14 @@ def test_windowed_factors_without_products_footprint(traced_peak, read):
 
 
 def test_sln_and_gln_single_draws():
+    # One draw is a batch of one, batch axis first.
     spec = WindowSpec(eps=0.5, m=2)
-    one = sample_sln_lud_window(3, 10, spec, RngStream(433))
-    batch = sample_sln_lud_window(3, 10, spec, RngStream(433), count=1)
-    assert one.g.shape == (3, 3) and one.diag.shape == (3,)
-    assert np.array_equal(one.g, batch.g[0])
-    gl_one = sample_gln_pos_window(3, 10, spec, RngStream(437))
-    gl_batch = sample_gln_pos_window(3, 10, spec, RngStream(437), count=1)
-    assert gl_one.matrices.shape == (3, 3) and np.ndim(gl_one.det) == 0
-    assert np.array_equal(gl_one.matrices, gl_batch.matrices[0])
-    assert gl_one.det == gl_batch.det[0]
+    one = sample_sln_lud_window(3, 10, spec, RngStream(433), count=1)
+    assert one.g.shape == (1, 3, 3) and one.diag.shape == (1, 3)
+    assert np.prod(one.diag) == pytest.approx(1.0, rel=1e-12)
+    gl_one = sample_gln_pos_window(3, 10, spec, RngStream(437), count=1)
+    assert gl_one.matrices.shape == (1, 3, 3) and gl_one.det.shape == (1,)
+    assert np.linalg.det(gl_one.matrices[0]) == pytest.approx(gl_one.det[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -671,9 +745,9 @@ def test_one_entry_reads_validate_the_entry():
             sample_diagonal_entry(3, 10, 2, i, RngStream(1), 4)
         with pytest.raises(DomainError):
             sample_sln_dfactor_entry(3, 10, spec, i, RngStream(1), 4)
-    single = sample_gln_det(3, 10, spec, RngStream(437))
-    assert np.ndim(single) == 0
-    assert single == sample_gln_pos_window(3, 10, spec, RngStream(437)).det
+    one = sample_gln_det(3, 10, spec, RngStream(437), 1)
+    assert one.shape == (1,)
+    assert one == sample_gln_pos_window(3, 10, spec, RngStream(437), 1).det
 
 
 # --- permutations --------------------------------------------------------------
