@@ -37,7 +37,7 @@ import numpy as np
 
 from . import samplers
 from .errors import ConsistencyError, DomainError
-from .laws import Benford, DigitLaw, PowerLaw, UniformSignificand
+from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .lie import (
     MC_SIGMAS,
     ConeProblem,
@@ -247,21 +247,22 @@ def _power_law(base: int, k: float) -> DigitLaw:
     return Benford(base) if k == 1.0 else PowerLaw(base, k)
 
 
-# law name -> (law from (base, k, n), the flags of _LAW_FLAGS it reads)
+# law name -> (law from the parsed args, the flags of _LAW_FLAGS it reads)
 _LAWS = {
-    "benford": (lambda base, k, n: Benford(base), ()),
-    "power": (lambda base, k, n: _power_law(base, k), ("k",)),
-    "uniform": (lambda base, k, n: UniformSignificand(base), ()),
-    "sphere-exact": (lambda base, k, n: SphereExact(base=base, n=n), ("n",)),
-    "sphere-erf": (lambda base, k, n: SphereErf(base=base, n=n), ("n",)),
-    "sphere-limit": (lambda base, k, n: SphereLimit(base=base, n=n), ("n",)),
+    "benford": (lambda a: Benford(a.base), ()),
+    "power": (lambda a: _power_law(a.base, a.k), ("k",)),
+    "uniform": (lambda a: UniformSignificand(a.base), ()),
+    "flat-window": (lambda a: FlatWindowSignificand(a.base, a.eps), ("eps",)),
+    "sphere-exact": (lambda a: SphereExact(base=a.base, n=a.n), ("n",)),
+    "sphere-erf": (lambda a: SphereErf(base=a.base, n=a.n), ("n",)),
+    "sphere-limit": (lambda a: SphereLimit(base=a.base, n=a.n), ("n",)),
 }
-_LAW_FLAGS = {"k": None, "n": None}  # no default: a law that reads one requires it
+_LAW_FLAGS = {"k": None, "n": None, "eps": None}  # no default: a law that reads one requires it
 
 
 def _cmd_law(args) -> _Report:
     _route(args, "--law", {name: row[1] for name, row in _LAWS.items()}, args.law, _LAW_FLAGS)
-    law = _LAWS[args.law][0](args.base, args.k, args.n)
+    law = _LAWS[args.law][0](args)
     base = args.base
     grid = _grid(base)
     cdf = np.asarray(law.cdf(grid), dtype=float)
@@ -645,6 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_law.add_argument("--k", type=float, default=None, help="power-law exponent")
     p_law.add_argument("--n", type=int, default=None, help="sphere dimension (S^n)")
+    p_law.add_argument("--eps", type=float, default=None, help="flat window half-width")
     p_law.set_defaults(handler=_cmd_law)
 
     p_sample = sub.add_parser(

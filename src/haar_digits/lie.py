@@ -24,6 +24,7 @@ Two families of checks live here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,12 @@ MC_SIGMAS = 5.0  # an estimate agrees with a value fewer standard errors away
 
 @dataclass(frozen=True)
 class ConeProblem:
-    """SL_2 window cone: a in [1, x], off-diagonal coordinates in [-eps, eps]."""
+    """SL_2 window cone: a in [1, x], off-diagonal coordinates in [-eps, eps].
+
+    eps^2 must be a normal double (eps >= 2^-511): below that the volume
+    2 eps^2 ln x is subnormal or 0, and its ratios and the induced CDF lose
+    their digits.
+    """
 
     x: float
     eps: float = 0.1
@@ -65,6 +71,11 @@ class ConeProblem:
             raise DomainError(f"ConeProblem: x must be >= 1, got {self.x}")
         if not (0.0 < self.eps <= 1.0):
             raise DomainError(f"ConeProblem: eps must be in (0, 1], got {self.eps}")
+        if self.eps * self.eps < sys.float_info.min:
+            raise DomainError(
+                f"ConeProblem: eps must be >= 2^-511 so that eps^2 is a normal double, "
+                f"got {self.eps}"
+            )
 
 
 @dataclass(frozen=True)

@@ -265,7 +265,7 @@ def test_parser_choices_are_the_table_keys():
 @pytest.mark.parametrize("law", list(cli._LAWS))
 def test_every_law_tabulates(capsys, law):
     # n = 100 keeps the erf law's mass beyond |x| = 1 below 1e-20.
-    values = {"k": "2", "n": "100"}
+    values = {"k": "2", "n": "100", "eps": "0.3"}
     flag = [arg for f in cli._LAWS[law][1] for arg in (f"--{f}", values[f])]
     code, out, err = run_cli(capsys, "law", "--law", law, *flag)
     assert code == 0 and err == ""
@@ -366,6 +366,7 @@ def test_missing_required_flag_is_named(capsys):
     for argv, message in [
         (("law", "--law", "power"), "error: --law power requires --k"),
         (("law", "--law", "sphere-erf"), "error: --law sphere-erf requires --n"),
+        (("law", "--law", "flat-window"), "error: --law flat-window requires --eps"),
         (("sample", "--group", "power"), "error: --group power requires --k"),
     ]:
         code, out, err = run_cli(capsys, *argv)
@@ -373,9 +374,9 @@ def test_missing_required_flag_is_named(capsys):
 
 
 # sha256 of stdout at --N 4000 --seed 7. A change here is a change to the
-# random streams, the samplers or the output format. All groups but orthogonal
-# and unitary make no BLAS or LAPACK call; those two go through QR, so their
-# rows also pin the LAPACK build.
+# random streams, the samplers or the output format. No row makes a BLAS or
+# LAPACK call; orthogonal and unitary sum their Gram-Schmidt steps through
+# np.einsum, so their rows also pin NumPy's einsum loops.
 FROZEN_SAMPLE_DIGESTS = {
     ("--group", "rplus", "--workers", "2"):
         "100051481bcbc5f1f3564db6937405a371c2b3f7895d348b73755f4b38b10d8f",
@@ -524,6 +525,18 @@ def test_sample_flat_entry_off_a_power_of_the_base_passes(capsys):
     assert code == 0 and payload["pass"] is True
     assert payload["law"] == "FlatWindowSignificand(base=10, eps=0.3)"
     assert payload["tests"]["ks"]["statistic"] < 0.005
+
+
+def test_law_flat_window_tabulates_the_law_a_flat_entry_is_tested_against(capsys):
+    # t = 3: the CDF is [min(s, 3) - 1 + (s - 1) / 9] / 3, with a kink at s = 3.
+    code, out, err = run_cli(capsys, "law", "--law", "flat-window", "--eps", "0.3")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["law"] == "FlatWindowSignificand(base=10, eps=0.3)"
+    grid = np.array(payload["grid"])
+    expected = (np.minimum(grid, 3.0) - 1.0 + (grid - 1.0) / 9.0) / 3.0
+    assert payload["cdf"] == pytest.approx(expected, rel=1e-10)  # printed to 12 digits
+    assert payload["digit_masses"]["1"] == pytest.approx((1.0 + 1.0 / 9.0) / 3.0, rel=1e-11)
 
 
 def test_sample_flat_entry_at_a_power_of_the_base_predicts_the_flat_law(capsys):
@@ -762,8 +775,8 @@ def test_verify_cone_stdout_digest_is_frozen(capsys):
 
 # sha256 of stdout of law, fig1 and verify runs in JSON and CSV, taken before
 # the commands shared one report route. The adjoint rows take determinants
-# and inverses, so, like the orthogonal and unitary sample rows, they also pin
-# the LAPACK build. The verify row was re-taken with the cone digest.
+# and inverses, so they also pin the LAPACK build. The verify row was
+# re-taken with the cone digest.
 FROZEN_REPORT_DIGESTS = {
     ("law", "--law", "benford"):
         "b3aea2929dc802ac9299ff543bd4ff4971c95869b481b00b732092d4dd608a8b",
@@ -827,6 +840,21 @@ def test_verify_cone_passes_at_few_trials(capsys, seed):
     code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "20000",
                            "--seed", str(seed))
     assert code == 0, out
+
+
+def test_verify_cone_eps_squared_bound_at_the_edge_and_past_it(capsys):
+    # eps = 2^-511 squares to the least normal double and every check passes;
+    # the next double below it is refused by name. Before the bound, 1e-160
+    # failed the induced-CDF check and 1e-320 ended in ZeroDivisionError.
+    edge = 2.0**-511
+    cone = ("verify", "--suite", "cone", "--trials", "20000", "--seed", "7", "--eps")
+    code, out, err = run_cli(capsys, *cone, repr(edge))
+    assert code == 0 and err == ""
+    assert all(check["passed"] for check in json.loads(out)["checks"])
+    for eps in (float(np.nextafter(edge, 0.0)), 1e-160, 1e-320):
+        code, out, err = run_cli(capsys, *cone, repr(eps))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ConeProblem: eps must be >= 2^-511"), err
 
 
 @pytest.mark.parametrize(

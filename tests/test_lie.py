@@ -243,6 +243,15 @@ def test_cone_problem_validation():
         ConeProblem(math.inf)
 
 
+def test_cone_problem_eps_squared_bound_at_the_edge_and_past_it():
+    # eps^2 must be a normal double: 2^-511 squares to the least one.
+    edge = 2.0**-511
+    problem = ConeProblem(10.0, eps=edge)
+    assert sl2_cone_volume(problem) == pytest.approx(2.0 * edge * edge * math.log(10.0), rel=1e-15)
+    with pytest.raises(DomainError, match="eps"):
+        ConeProblem(10.0, eps=float(np.nextafter(edge, 0.0)))
+
+
 def test_sl2_cone_volume_closed_form():
     assert sl2_cone_volume(ConeProblem(10.0, eps=0.1)) == pytest.approx(
         0.02 * math.log(10.0), rel=1e-15

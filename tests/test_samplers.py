@@ -298,33 +298,118 @@ def test_unitary_haar_entry_moment():
 
 def test_unitary_haar_footprint(traced_peak):
     # The complex Gaussian stack is filled a tile at a time and overwritten
-    # by its rephased Q factors one QR slice at a time.
+    # by its Q factors one Gram-Schmidt slice at a time.
     us, peak = traced_peak(lambda: sample_unitary_haar(3, RngStream(37), count=100_000))
     assert peak <= 1.3 * us.nbytes
 
 
-def test_haar_qr_slices_match_one_whole_stack_qr():
-    # Past one QR slice, the sliced in-place QR gives the bytes that one
-    # np.linalg.qr over the whole stack gives, with the same sign and phase fix.
-    c = 2 * samplers._QR_SLICE + 5
-    g = RngStream(41).normal((c, 4, 4))
-    q, r = np.linalg.qr(g)
-    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[:, None, :]
-    assert sample_orthogonal_haar(4, RngStream(41), count=c).tobytes() == q.tobytes()
-    st = RngStream(43)
-    z = np.empty((c, 3, 3), dtype=complex)
-    z.real = st.normal((c, 3, 3))
-    z.imag = st.normal((c, 3, 3))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+_HAAR_QR_CASES = [(n, dtype) for dtype in (float, complex) for n in (1, 2, 3, 4, 10)]
+_HAAR_QR_IDS = [f"{'R' if dtype is float else 'C'}{n}" for n, dtype in _HAAR_QR_CASES]
+
+
+def _qr_slice(n, dtype):
+    return samplers._qr_slice(n, 2 if dtype is complex else 1)
+
+
+def _haar_qr_count(n, dtype):
+    """Two whole Gram-Schmidt slices and a short one."""
+    return 2 * _qr_slice(n, dtype) + 5
+
+
+def _cgs2_reference(a: np.ndarray) -> np.ndarray:
+    """Q of one matrix by plain classical Gram-Schmidt run twice, with every
+    sum from 0 in samplers._cgs2's order: a column is the real vector of its
+    (entry, part) pairs, entry-major; over C it is orthogonalized against
+    q_0 .. q_k-1, then against i q_0 .. i q_k-1, i q = (-Im q, Re q)."""
+    n = a.shape[0]
+    cplx = np.iscomplexobj(a)
+    cols, turned = [], []
+    for k in range(n):
+        v = []
+        for i in range(n):
+            v += [a[i, k].real, a[i, k].imag] if cplx else [float(a[i, k])]
+        basis = cols + turned
+        for _ in range(2):
+            coef = []
+            for q in basis:
+                acc = 0.0
+                for x, y in zip(q, v):
+                    acc += x * y
+                coef.append(acc)
+            for r in range(len(v)):
+                acc = 0.0
+                for q, c in zip(basis, coef):
+                    acc += q[r] * c
+                v[r] -= acc
+        acc = 0.0
+        for x in v:
+            acc += x * x
+        norm = math.sqrt(acc)
+        v = [x / norm for x in v]
+        cols.append(v)
+        if cplx:
+            turned.append([y for re, im in zip(v[::2], v[1::2]) for y in (-im, re)])
+    q = np.empty((n, n), dtype=a.dtype)
+    for k, v in enumerate(cols):
+        q[:, k] = [complex(re, im) for re, im in zip(v[::2], v[1::2])] if cplx else v
+    return q
+
+
+def _haar_draw(n, dtype, seed, count):
+    """(Gaussian stack, Haar sample) of one seed: the stack the sampler draws."""
+    gauss = samplers._gaussian_stack(RngStream(seed), count, n, dtype)
+    return gauss, samplers._haar_qr(n, RngStream(seed), count, dtype)[0]
+
+
+@pytest.mark.parametrize("lone", [True, False], ids=["lone", "sliced"])
+@pytest.mark.parametrize("n, dtype", _HAAR_QR_CASES, ids=_HAAR_QR_IDS)
+def test_haar_qr_matches_per_matrix_reference(n, dtype, lone):
+    # Bit for bit, for a lone matrix and on both sides of each slice edge.
+    count = 1 if lone else _haar_qr_count(n, dtype)
+    gauss, q = _haar_draw(n, dtype, 41, count)
+    step = _qr_slice(n, dtype)
+    edges = {0, step - 1, step, 2 * step - 1, 2 * step, count - 1}
+    for b in sorted(edges & set(range(count))):
+        assert q[b].tobytes() == _cgs2_reference(gauss[b]).tobytes(), b
+
+
+@pytest.mark.parametrize("n, dtype", _HAAR_QR_CASES, ids=_HAAR_QR_IDS)
+def test_haar_qr_slices_match_one_slice(monkeypatch, n, dtype):
+    count = _haar_qr_count(n, dtype)
+    _, sliced = _haar_draw(n, dtype, 43, count)
+    monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", 4 * n * n * count)
+    _, whole = _haar_draw(n, dtype, 43, count)
+    assert sliced.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n, dtype", _HAAR_QR_CASES, ids=_HAAR_QR_IDS)
+def test_haar_qr_matches_lapack_q_up_to_phases(n, dtype):
+    # Q of the QR with diag(R) > 0 is unique: LAPACK's Q times the phases of
+    # its diag(R) is the same matrix, to rounding.
+    gauss, q = _haar_draw(n, dtype, 47, _haar_qr_count(n, dtype))
+    q_lapack, r = np.linalg.qr(gauss)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (d / np.abs(d))[:, None, :]
-    assert sample_unitary_haar(3, RngStream(43), count=c).tobytes() == q.tobytes()
+    q_lapack *= (d / np.abs(d))[:, None, :]
+    assert np.abs(q - q_lapack).max() <= 1e-12
+    assert np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(n)).max() <= 1e-14
+
+
+def test_haar_samplers_make_no_lapack_qr_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    def draw():
+        return sample_orthogonal_haar(4, RngStream(53), 9), sample_unitary_haar(3, RngStream(59), 9)
+
+    plain = draw()
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for a, b in zip(plain, draw()):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_orthogonal_haar_footprint(traced_peak):
-    # The Gaussian stack is overwritten by its signed Q factors one QR slice
-    # at a time.
+    # The Gaussian stack is overwritten by its Q factors one Gram-Schmidt
+    # slice at a time.
     qs, peak = traced_peak(lambda: sample_orthogonal_haar(4, RngStream(37), count=100_000))
     assert peak <= 1.3 * qs.nbytes
 
