@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""In-process cost of each layer a haar-digits run is built from.
+
+Times every layer below on fixed seeded inputs, best of --repeats calls,
+and reports milliseconds per 10^6 items. An item is a word, deviate,
+value or row; for the Haar samplers it is a matrix, and those draw
+--items / 10 matrices a call to keep the memory small. The table goes to
+stdout and, with --out, the same numbers go to that path as JSON
+(BENCH_layers.json by convention), together with the machine and the
+library versions. Run it on two checkouts to compare them.
+
+Usage:
+    PYTHONPATH=src python scripts/layer_costs.py --out BENCH_layers.json
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+from haar_digits import cli, samplers
+from haar_digits.rng import RngStream
+from haar_digits.significand import significand_values
+from haar_digits.sphere import SphereExact
+from haar_digits.stats import build_empirical, ks_test
+
+
+def _layers(items: int, seed: int, workdir: str):
+    """(name, item count, zero-argument call) for every layer."""
+    rng = RngStream(seed)
+    raw = samplers.sample_log_uniform(10, 3, RngStream(seed + 1), items)
+    empirical = build_empirical(raw, 10)
+    sphere = build_empirical(samplers.sample_sphere_coords(9, 1, RngStream(seed + 2), items), 10)
+    law = SphereExact(base=10, n=9)
+    law.cdf(np.linspace(1.0, 10.0, 99))  # warm: ks_test times the test, not the set-up
+    matrices = max(1, items // 10)
+    path = os.path.join(workdir, "samples.csv")
+    return [
+        ("raw", items, lambda: rng.raw(items)),
+        ("random", items, lambda: rng.random(items)),
+        ("normal", items, lambda: rng.normal(items)),
+        ("gamma(49.5)", items, lambda: rng.gamma(49.5, items)),
+        ("sample_sphere_coords(9, 1)", items,
+         lambda: samplers.sample_sphere_coords(9, 1, rng, items)),
+        ("significand_values", items, lambda: significand_values(raw, 10)),
+        ("build_empirical", items, lambda: build_empirical(raw, 10)),
+        ("ks_test (warm SphereExact(10, 9))", items, lambda: ks_test(sphere, law)),
+        ("sample_orthogonal_haar(4)", matrices,
+         lambda: samplers.sample_orthogonal_haar(4, rng, matrices)),
+        ("sample_unitary_haar(3)", matrices,
+         lambda: samplers.sample_unitary_haar(3, rng, matrices)),
+        ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
+    ]
+
+
+def _best(call, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--items", type=int, default=1_000_000, help="items per call")
+    parser.add_argument("--repeats", type=int, default=5, help="calls per layer; the best counts")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", default=None, help="also write the numbers here as JSON")
+    args = parser.parse_args(argv)
+    if args.items < 10 or args.repeats < 1:
+        parser.error("--items must be >= 10 and --repeats >= 1")
+
+    layers = {}
+    print(f"# best of {args.repeats}, {args.items} items a call, seed {args.seed}")
+    print(f"{'layer':36s} {'items':>9s} {'ms per 1e6':>11s}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, count, call in _layers(args.items, args.seed, workdir):
+            best = _best(call, args.repeats)
+            per_million = best / count * 1e9
+            layers[name] = {"items": count, "best_s": best, "ms_per_1e6": per_million}
+            print(f"{name:36s} {count:9d} {per_million:11.1f}")
+    if args.out is not None:
+        record = {
+            "machine": f"{platform.machine()}, {os.cpu_count()} cores, {platform.system()}",
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "items": args.items,
+            "repeats": args.repeats,
+            "seed": args.seed,
+            "layers": layers,
+        }
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

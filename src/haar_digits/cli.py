@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -61,6 +62,7 @@ _GRID_POINTS = 99
 _SCALAR_CHUNK = 1 << 22
 _MATRIX_CHUNK_SCALARS = 1 << 24
 _SAMPLES_BLOCK = 1 << 16  # rows per write of --samples-out
+_MAX_BASE = 1 << 16  # the largest --base: digit tables have B - 1 rows; samples stay below 10^5
 _ADJOINT_DRAWS = 100  # (d, u) pairs per matrix size in verify --suite adjoint
 
 # --- output plumbing ---------------------------------------------------------
@@ -90,9 +92,9 @@ def _jsonable(obj):
 
 
 def _open_out(path: str):
-    """Open path for writing; a path that cannot be written is a usage error."""
+    """Open path for binary writing; a path that cannot be written is a usage error."""
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, "wb")
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -121,20 +123,107 @@ def _emit(report: _Report, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         with _open_out(out) as fh:
-            fh.write(text)
+            fh.write(text.encode("utf-8"))
+
+
+_SCALE = np.array([float(10 ** (12 - e)) for e in range(13)])  # 10^(12 - e), exact
+
+
+@functools.cache
+def _digit_tables():
+    """The `--samples-out` writer's tables, built on first use.
+
+    `words[j]` and `words[10_000 + j]` are the four ASCII digits of j,
+    zero-padded, as a little-endian word: the first keeps every digit, the
+    second turns the trailing '0's into NUL bytes (all four for j = 0).
+    `tails[j]` is the second moved up a byte, with a newline after it. For a
+    row with e integer digits, `low[e]` masks its first e bytes, `point[e]`
+    puts '0' bytes under that mask and a '.' after it, and `dot[e]` is that
+    '.' alone.
+    """
+    j = np.arange(10_000)
+    digits = np.stack([j // 1000, j // 100 % 10, j // 10 % 10, j % 10], axis=1) + ord("0")
+    digits = digits.astype(np.uint8)
+    trimmed = digits.copy()
+    for col in range(4):
+        trimmed[(digits[:, col:] == ord("0")).all(axis=1), col] = 0
+    words = np.concatenate([digits, trimmed]).view("<u4").ravel().astype(np.uint64)
+    tails = (words[10_000:] << np.uint64(8)) | np.uint64(ord("\n") << 40)
+    shift = 8 * np.arange(8, dtype=np.uint64)
+    low = (np.uint64(1) << shift) - np.uint64(1)
+    dot = np.uint64(ord(".")) << shift
+    point = (np.uint64(0x3030303030303030) & low) | dot
+    return words, words << np.uint64(32), tails, low, point, dot
+
+
+def _sample_rows(block: np.ndarray) -> bytes:
+    """The rows `format(v, ".12g")`, each ending in a newline, of a nonempty
+    block of values in [1, 10^5), built as arrays.
+
+    With e the number of integer digits of v (exact comparisons against
+    powers of ten), the twelve significant digits are m, the half-even
+    rounding of v * 10^(12 - e). The product is within half an ulp,
+    <= 6.1e-5 below 10^12, of its exact value, so rint gives m except where
+    the product lies within 1e-4 of a half; there m is rounded exactly from
+    `float.as_integer_ratio`. An m of 10^12 carries into a new integer digit
+    (9.9999999999996 prints 10). A row is two uint64 words: the digits of m,
+    four at a time from `_digit_tables` with trailing zeros as NUL bytes,
+    the integer digits, a '.', the rest and a newline. The '.' goes when no
+    digit follows it, and dropping the NUL bytes leaves the rows.
+    """
+    words, high_words, tails, low, point, dot = _digit_tables()
+    top = block.max()
+    e = np.ones(block.size, dtype=np.intp)
+    for power in (10.0, 100.0, 1000.0, 10000.0):
+        if power > top:
+            break
+        e += block >= power
+    exact = block * _SCALE[e]
+    rounded = np.rint(exact)
+    m = rounded.astype(np.int64)
+    for i in np.flatnonzero(np.abs(exact - rounded) > 0.4999).tolist():
+        num, den = float(block[i]).as_integer_ratio()
+        q, r = divmod(num * 10 ** int(12 - e[i]), den)
+        m[i] = q + (2 * r > den or (2 * r == den and q % 2 == 1))
+    carry = m == 10**12
+    if carry.any():
+        m[carry] = 10**11
+        e += carry
+    hi = m // 10**8
+    lo = m - hi * 10**8
+    mid = lo // 10**4
+    lo -= mid * 10**4
+    # a group followed only by zero groups takes its trimmed word
+    zero_lo = lo == 0
+    np.add(mid, 10_000, out=mid, where=zero_lo)
+    np.add(hi, 10_000, out=hi, where=mid == 10_000)
+    first = high_words[mid]  # digits 0..7
+    first |= words[hi]
+    rows = np.empty((block.size, 2), dtype="<u8")
+    np.right_shift(first, np.uint64(56), out=rows[:, 1])
+    rows[:, 1] |= tails[lo]
+    mask = low[e]
+    head = first & mask  # the integer digits, which are never trimmed
+    first ^= head
+    head |= point[e]
+    np.left_shift(first, np.uint64(8), out=rows[:, 0])
+    rows[:, 0] |= head
+    bare = np.flatnonzero(zero_lo)  # digits 8..11 are zero: maybe no digit follows the '.'
+    bare = bare[first[bare] == 0]
+    rows[bare, 0] ^= dot[e[bare]]
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _write_samples(values: np.ndarray, path: str) -> None:
     """One-column CSV: header `significand`, then one %.12g row per value.
 
-    Rows are formatted a block at a time, so the memory used does not grow
-    with the row count.
+    Rows are built and written a block at a time, so the memory used does
+    not grow with the row count.
     """
     with _open_out(path) as fh:
-        fh.write("significand\n")
+        fh.write(b"significand\n")
         for start in range(0, values.size, _SAMPLES_BLOCK):
-            block = values[start : start + _SAMPLES_BLOCK].tolist()
-            fh.write(("%.12g\n" * len(block)) % tuple(block))
+            fh.write(_sample_rows(values[start : start + _SAMPLES_BLOCK]))
 
 
 def _flatten(payload: dict, prefix: str = ""):
@@ -223,7 +312,9 @@ def _draw(generate, root: RngStream, count: int, workers: int, chunk: int) -> np
     The count is split into `workers` near-equal shards; shard w draws from
     root.substream(w), at most `chunk` values per call, and the shards follow
     each other in order. Gamma deviates depend on the batch they are drawn
-    in, so a group's chunk size is part of what its output depends on.
+    in, so a group's chunk size is part of what its output depends on. With
+    more workers than values, the shards past the count are empty and are
+    not visited.
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
@@ -231,7 +322,7 @@ def _draw(generate, root: RngStream, count: int, workers: int, chunk: int) -> np
         raise DomainError(f"workers must be >= 1, got {workers}")
     quotient, remainder = divmod(count, workers)
     parts = []
-    for w in range(workers):
+    for w in range(min(workers, count)):
         stream = root.substream(w)
         size = quotient + (1 if w < remainder else 0)
         for start in range(0, size, chunk):
@@ -626,7 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seeded=True, based=True):
         if based:
-            p.add_argument("--base", type=int, default=10, help="significand base (default 10)")
+            p.add_argument(
+                "--base", type=int, default=10,
+                help=f"significand base, 2 to {_MAX_BASE} (default 10)",
+            )
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         if seeded:
@@ -703,6 +797,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "base", 0) > _MAX_BASE:  # verify has no --base
+            raise DomainError(f"--base must be at most {_MAX_BASE}, got {args.base}")
         report = args.handler(args)
         _emit(report, args.format, args.out)
     except DomainError as exc:

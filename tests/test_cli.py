@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from haar_digits import cli, lie
 from haar_digits.cli import main
 from haar_digits.laws import UniformSignificand
+from haar_digits.rng import RngStream
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +77,28 @@ def test_law_power_k1_equals_benford(capsys):
     _, csv_power, _ = run_cli(capsys, "law", "--law", "power", "--k", "1", "--format", "csv")
     _, csv_benford, _ = run_cli(capsys, "law", "--law", "benford", "--format", "csv")
     assert csv_power == csv_benford
+
+
+def test_base_at_the_cap_runs(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "--group", "rplus", "--base", str(cli._MAX_BASE), "--N", "2000"
+    )
+    assert code == 0 and err == "" and json.loads(out)["base"] == cli._MAX_BASE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("law", "--law", "benford"),
+        ("sample", "--group", "rplus", "--N", "2000"),
+        ("fig1", "--dims", "5", "--N", "100"),
+    ],
+)
+@pytest.mark.parametrize("base", [cli._MAX_BASE + 1, 10**13])
+def test_base_above_the_cap_exits_2(capsys, argv, base):
+    code, out, err = run_cli(capsys, *argv, "--base", str(base))
+    assert code == 2 and out == ""
+    assert err == f"error: --base must be at most {cli._MAX_BASE}, got {base}\n"
 
 
 def test_law_other_base(capsys):
@@ -558,6 +582,27 @@ def test_sample_workers_sharding(capsys):
     payload = json.loads(out_a)
     assert payload["workers"] == 4
     assert payload["tests"]["ks"]["n"] == 9001
+
+
+def test_sample_more_workers_than_values(capsys, monkeypatch):
+    # The shards past --N are empty and are not visited: 10^9 workers draw
+    # what 10 do, from 10 substreams, at once.
+    substream = RngStream.substream
+
+    def one_per_value(self, k):
+        assert k < 10, "an empty shard was visited"
+        return substream(self, k)
+
+    monkeypatch.setattr(RngStream, "substream", one_per_value)
+    args = ("sample", "--group", "rplus", "--N", "10", "--seed", "13")
+    start = time.perf_counter()
+    code_many, out_many, _ = run_cli(capsys, *args, "--workers", str(10**9))
+    elapsed = time.perf_counter() - start
+    code_ten, out_ten, _ = run_cli(capsys, *args, "--workers", "10")
+    assert code_many == code_ten == 0 and elapsed < 1.0
+    many, ten = json.loads(out_many), json.loads(out_ten)
+    assert many.pop("workers") == 10**9 and ten.pop("workers") == 10
+    assert many == ten
 
 
 def test_sample_seed_env_var(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run with small arguments and print their tables."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,15 @@ def test_cone_volume_scan_rejects_bad_edges(capsys, edges):
         _load("cone_volume_scan").main(["--edges", edges, "--trials", "100"])
     assert exc.value.code == 2
     assert "--edges" in capsys.readouterr().err
+
+
+def test_layer_costs_writes_every_layer(capsys, tmp_path):
+    out = tmp_path / "BENCH_layers.json"
+    assert _load("layer_costs").main(["--items", "200", "--repeats", "1", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# best of 1, 200 items a call, seed 7"
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:])
+    assert len(record["layers"]) == 11
+    assert record["layers"]["sample_orthogonal_haar(4)"]["items"] == 20
+    assert all(layer["ms_per_1e6"] > 0 for layer in record["layers"].values())
