@@ -49,13 +49,14 @@ def _layers(items: int, seed: int, workdir: str):
         ("sample_sphere_coords(9, 1)", items,
          lambda: samplers.sample_sphere_coords(9, 1, rng, items)),
         ("significand_values", items, lambda: significand_values(raw, 10)),
-        ("build_empirical", items, lambda: build_empirical(raw, 10)),
+        ("build_empirical", items, lambda: build_empirical(raw, 10).values),  # sorted
         ("ks_test (warm SphereExact(10, 9))", items, lambda: ks_test(sphere, law)),
         ("sample_orthogonal_haar(4)", matrices,
          lambda: samplers.sample_orthogonal_haar(4, rng, matrices)),
         ("sample_unitary_haar(3)", matrices,
          lambda: samplers.sample_unitary_haar(3, rng, matrices)),
         ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
+        ("fig1 dimension (n=100)", items, lambda: cli._fig1_freqs(rng, 100, items, 1, 10)),
     ]
 
 

@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -331,6 +332,83 @@ def _draw(generate, root: RngStream, count: int, workers: int, chunk: int) -> np
     return np.concatenate(parts)
 
 
+def _fan_out(fn: Callable, items: list) -> list:
+    """[fn(x) for x in items], computed by up to one process per usable CPU.
+
+    With P = min(len(items), usable CPUs) processes, process k computes items
+    k, k + P, ... in order. Process 0 is the caller; each other one is a fork
+    that pickles its results, or the exception that stopped it, into a pipe
+    and leaves by os._exit, so it runs none of the caller's exit handlers
+    and flushes none of its streams. At P = 1 this is the plain loop and
+    forks nothing. The results come back in item order, so they do not
+    depend on P. When items fail, the exception of the first failing item
+    in list order is raised, as the plain loop would raise it; a fork that
+    ends without sending a result counts as a ConsistencyError at its first
+    item, naming its items. Every fork is read and reaped before this
+    returns or raises, also when the caller's own share raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(len(items), cpus)
+    if procs <= 1:
+        return [fn(x) for x in items]
+    shares, forks = {}, []
+    try:
+        for k in range(1, procs):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_share(fn, items[k::procs]), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            forks.append((k, pid, read_end))
+        shares[0] = _share(fn, items[0::procs])
+    finally:
+        for k, pid, read_end in forks:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            try:
+                shares[k] = pickle.loads(data)
+            except Exception:  # empty or cut short: the fork died before it sent
+                code = os.waitstatus_to_exitcode(status)
+                shares[k] = [], ConsistencyError(
+                    f"the worker process for items {items[k::procs]} ended without "
+                    f"a result (exit status {code})"
+                )
+    failures = [
+        (k + len(done) * procs, exc) for k, (done, exc) in shares.items() if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for k, (done, _) in shares.items():
+        results[k::procs] = done
+    return results
+
+
+def _share(fn: Callable, share: list) -> tuple:
+    """(results, None) for fn over `share` in order, or (the results before
+    the first item that raised, its exception)."""
+    done = []
+    try:
+        for x in share:
+            done.append(fn(x))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
 # --- law command --------------------------------------------------------------
 
 
@@ -535,24 +613,33 @@ def _cmd_sample(args) -> _Report:
 # --- fig1 command --------------------------------------------------------------
 
 
+def _fig1_freqs(root: RngStream, dim: int, count: int, workers: int, base: int) -> np.ndarray:
+    """One `fig1` dimension: the first-digit frequencies of `count` draws of
+    the leading sphere coordinate, from root.substream(dim). Only the digit
+    counts are read, so the significands are never sorted."""
+    return build_empirical(
+        _draw(
+            lambda st, c: samplers.sample_sphere_coords(dim, 1, st, c)[:, 0],
+            root.substream(dim),
+            count,
+            workers,
+            _SCALAR_CHUNK,
+        ),
+        base,
+    ).digit_freqs()
+
+
 def _cmd_fig1(args) -> _Report:
     seed = _resolve_seed(args.seed)
     dims = _parse_dims(args.dims)
     base = args.base
     root = RngStream(seed)
     header = ("dimension", "digit", "mc_freq", "predicted_freq")
+    # Dimensions draw side by side, one process per usable CPU at most; the
+    # --workers shards inside a dimension stay serial, so forks never nest.
+    freqs_by_dim = _fan_out(lambda dim: _fig1_freqs(root, dim, args.N, args.workers, base), dims)
     rows = []
-    for dim in dims:
-        freqs = build_empirical(
-            _draw(
-                lambda st, c: samplers.sample_sphere_coords(dim, 1, st, c)[:, 0],
-                root.substream(dim),
-                args.N,
-                args.workers,
-                _SCALAR_CHUNK,
-            ),
-            base,
-        ).digit_freqs()
+    for dim, freqs in zip(dims, freqs_by_dim):
         predicted = np.asarray(SphereLimit(base=base, n=dim).first_digit_probs())
         for digit in range(1, base):
             rows.append((dim, digit, float(freqs[digit - 1]), float(predicted[digit - 1])))

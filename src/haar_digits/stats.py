@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,24 +50,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EmpiricalDigitDistribution:
-    """Sorted significands of a sample plus its first-digit histogram.
+    """Significands of a sample plus its first-digit histogram.
 
+    `significands` holds them in sample order until `values` is first read,
+    which sorts them in place, once; `n`, `digit_counts` and `digit_freqs`
+    do not sort, so a caller that only counts digits never pays for it.
     n_rejected counts input values dropped for being zero or non-finite
     (they carry no significand); digit_counts[k] is the number of
     significands with first digit k+1.
     """
 
     base: int
-    values: np.ndarray
+    significands: np.ndarray
     digit_counts: np.ndarray
     n_rejected: int
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The significands in ascending order."""
+        self.significands.sort()
+        return self.significands
+
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        return int(self.significands.size)
 
     def digit_freqs(self) -> np.ndarray:
-        return self.digit_counts / self.values.size
+        return self.digit_counts / self.significands.size
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,6 @@ def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
     if n_rejected == arr.size:
         raise DomainError("no usable values in sample (all zero or non-finite)")
     sig = significand_values(arr[keep] if n_rejected else arr, base)
-    sig.sort()
     digits = np.floor(sig).astype(np.int64)
     np.clip(digits, 1, base - 1, out=digits)
     counts = np.bincount(digits - 1, minlength=base - 1).astype(np.int64)

@@ -22,6 +22,7 @@ import pytest
 
 from haar_digits import cli, lie
 from haar_digits.cli import main
+from haar_digits.errors import DomainError
 from haar_digits.laws import UniformSignificand
 from haar_digits.rng import RngStream
 
@@ -750,6 +751,63 @@ def test_fig1_json_round_trip(capsys):
     assert payload["command"] == "fig1"
     assert len(payload["rows"]) == 9
     assert {r["digit"] for r in payload["rows"]} == set(range(1, 10))
+
+
+def _fig1_at(capsys, monkeypatch, cpus, *argv):
+    """fig1 as run on a host with `cpus` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return run_cli(capsys, "fig1", *argv)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fig1_bytes_do_not_depend_on_the_cpu_count(capsys, monkeypatch, fmt):
+    # One process at 1 CPU, the caller and a fork at 2, three processes at 4.
+    args = ("--dims", "5,10,100", "--N", "3000", "--seed", "2", "--format", fmt)
+    runs = {cpus: _fig1_at(capsys, monkeypatch, cpus, *args) for cpus in (1, 2, 4)}
+    assert all(code == 0 and err == "" for code, _, err in runs.values())
+    assert runs[1][1] == runs[2][1] == runs[4][1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [(10,), (100,), (10, 100)])
+def test_fig1_domain_error_in_a_dimension_reads_as_the_serial_run(capsys, monkeypatch, failing):
+    # At 2 CPUs the caller draws dimensions 5 and 100 and a fork draws 10, so
+    # the error comes from the fork, from the caller while the fork runs, or
+    # from both; the first failing dimension in the list is reported.
+    real = cli.samplers.sample_sphere_coords
+
+    def sampler(n, *args):
+        if n in failing:
+            raise DomainError(f"dimension {n} refused")
+        return real(n, *args)
+
+    monkeypatch.setattr(cli.samplers, "sample_sphere_coords", sampler)
+    runs = [_fig1_at(capsys, monkeypatch, cpus, "--dims", "5,10,100", "--N", "3000")
+            for cpus in (1, 2)]
+    assert runs[0] == runs[1] == (2, "", f"error: dimension {failing[0]} refused\n")
+    _assert_no_child_left()
+
+
+def test_fig1_names_the_dimensions_of_a_worker_that_dies(capsys, monkeypatch):
+    caller = os.getpid()
+    real = cli.samplers.sample_sphere_coords
+
+    def sampler(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(cli.samplers, "sample_sphere_coords", sampler)
+    code, out, err = _fig1_at(capsys, monkeypatch, 2, "--dims", "5,10,100,1000", "--N", "3000")
+    assert code == 1 and out == ""
+    assert err.startswith("consistency failure: ")
+    assert "[10, 1000]" in err and "exit status 3" in err
+    _assert_no_child_left()
 
 
 # --- verify ---------------------------------------------------------------------

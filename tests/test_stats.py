@@ -66,6 +66,19 @@ def test_build_empirical_counts_and_rejections():
     assert emp.digit_freqs().sum() == pytest.approx(1.0)
 
 
+def test_build_empirical_sorts_only_when_values_are_read():
+    x = RngStream(5).normal(1000)
+    sig = significand_values(x, 10)
+    assert not np.all(np.diff(sig) >= 0)
+    emp = build_empirical(x)
+    assert emp.n == 1000 and emp.digit_counts.sum() == 1000
+    assert emp.digit_freqs().sum() == pytest.approx(1.0)
+    assert "values" not in vars(emp)
+    assert np.array_equal(emp.significands, sig)  # still in sample order
+    assert np.array_equal(emp.values, np.sort(sig))
+    assert emp.values is emp.values
+
+
 def test_build_empirical_sorting_and_sign_blindness():
     emp = build_empirical([-9.5, 120.0, 0.0013])
     # 0.0013 is not exactly representable, so compare within an ulp.
