@@ -364,7 +364,6 @@ def _fan_out(fn: Callable, items: list) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    os.close(read_end)
                     with open(write_end, "wb") as pipe:
                         pickle.dump(_share(fn, items[k::procs]), pipe)
                     status = 0
