@@ -342,15 +342,15 @@ def _fan_out(fn: Callable, items: list) -> list:
     and flushes none of its streams. At P = 1 this is the plain loop and
     forks nothing. The results come back in item order, so they do not
     depend on P. When items fail, the exception of the first failing item
-    in list order is raised, as the plain loop would raise it; a fork that
+    in list order is raised with the message the plain loop would give; an
+    exception from a fork carries the fork's formatted traceback as its
+    __cause__, since a pickled exception loses its own frames. A fork that
     ends without sending a result counts as a ConsistencyError at its first
     item, naming its items. Every fork is read and reaped before this
     returns or raises, also when the caller's own share raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = min(len(items), cpus)
-    if procs <= 1:
-        return [fn(x) for x in items]
+    procs = max(1, min(len(items), cpus))
     shares, forks = {}, []
     try:
         for k in range(1, procs):
@@ -364,8 +364,14 @@ def _fan_out(fn: Callable, items: list) -> list:
             if pid == 0:
                 status = 1
                 try:
+                    done, exc = _share(fn, items[k::procs])
+                    trace = None
+                    if exc is not None:
+                        import traceback  # only a failing fork pays for the import
+
+                        trace = "".join(traceback.format_exception(exc))
                     with open(write_end, "wb") as pipe:
-                        pickle.dump(_share(fn, items[k::procs]), pipe)
+                        pickle.dump((done, exc, trace), pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -378,13 +384,17 @@ def _fan_out(fn: Callable, items: list) -> list:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             try:
-                shares[k] = pickle.loads(data)
+                done, exc, trace = pickle.loads(data)
             except Exception:  # empty or cut short: the fork died before it sent
                 code = os.waitstatus_to_exitcode(status)
-                shares[k] = [], ConsistencyError(
+                done, exc = [], ConsistencyError(
                     f"the worker process for items {items[k::procs]} ended without "
                     f"a result (exit status {code})"
                 )
+            else:
+                if exc is not None:
+                    exc.__cause__ = _ForkTraceback(trace)
+            shares[k] = done, exc
     failures = [
         (k + len(done) * procs, exc) for k, (done, exc) in shares.items() if exc is not None
     ]
@@ -394,6 +404,13 @@ def _fan_out(fn: Callable, items: list) -> list:
     for k, (done, _) in shares.items():
         results[k::procs] = done
     return results
+
+
+class _ForkTraceback(Exception):
+    """The formatted traceback of an exception raised in a fork of _fan_out."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
 
 
 def _share(fn: Callable, share: list) -> tuple:

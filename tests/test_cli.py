@@ -810,6 +810,28 @@ def test_fig1_names_the_dimensions_of_a_worker_that_dies(capsys, monkeypatch):
     _assert_no_child_left()
 
 
+def test_fan_out_error_keeps_the_frames_of_the_failing_item(monkeypatch):
+    # At 2 CPUs item 1 fails in a fork: its pickled exception has no frames,
+    # so the fork's formatted traceback comes along as the __cause__. At 1 CPU
+    # the caller raises it with its own frames and no cause.
+    def fn(x):
+        if x == 1:
+            raise ValueError(f"item {x} failed")
+        return x
+
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(ValueError, match="item 1 failed") as info:
+            cli._fan_out(fn, [0, 1, 2])
+        if cpus == 1:
+            assert info.value.__cause__ is None
+            assert info.traceback[-1].name == "fn"
+        else:
+            trace = str(info.value.__cause__)
+            assert ", in fn\n" in trace and "ValueError: item 1 failed" in trace
+        _assert_no_child_left()
+
+
 # --- verify ---------------------------------------------------------------------
 
 
