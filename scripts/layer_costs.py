@@ -4,7 +4,9 @@
 Times every layer below on fixed seeded inputs, best of --repeats calls,
 and reports milliseconds per 10^6 items. An item is a word, deviate,
 value or row; for the Haar samplers it is a matrix, and those draw
---items / 10 matrices a call to keep the memory small. The table goes to
+--items / 10 matrices a call to keep the memory small. The one-entry read
+of a 1000 x 1000 triangular window draws the CLI's chunk at that n, 16
+values a call, so its row is what `sample` pays per value. The table goes to
 stdout and, with --out, the same numbers go to that path as JSON
 (BENCH_layers.json by convention), together with the machine and the
 library versions. Run it on two checkouts to compare them.
@@ -40,6 +42,8 @@ def _layers(items: int, seed: int, workdir: str):
     law = SphereExact(base=10, n=9)
     law.cdf(np.linspace(1.0, 10.0, 99))  # warm: ks_test times the test, not the set-up
     matrices = max(1, items // 10)
+    reads = cli._MATRIX_CHUNK_SCALARS // 1000**2
+    spec = samplers.WindowSpec()
     path = os.path.join(workdir, "samples.csv")
     return [
         ("raw", items, lambda: rng.raw(items)),
@@ -55,6 +59,8 @@ def _layers(items: int, seed: int, workdir: str):
          lambda: samplers.sample_orthogonal_haar(4, rng, matrices)),
         ("sample_unitary_haar(3)", matrices,
          lambda: samplers.sample_unitary_haar(3, rng, matrices)),
+        ("sample_triangular_entry(n=1000)", reads,
+         lambda: samplers.sample_triangular_entry(1000, 10, spec, "left", 0, 1, rng, reads)),
         ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
         ("fig1 dimension (n=100)", items, lambda: cli._fig1_freqs(rng, 100, items, 1, 10)),
     ]

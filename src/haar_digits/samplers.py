@@ -14,11 +14,12 @@ which is the flat law when eps is an integer power of B (WindowSpec
 defaults to eps = 1).
 
 Each windowed sampler consumes one block of `count` uniforms per
-coordinate, in an order its layout fixes. The one-entry reads
-(sample_triangular_entry, sample_diagonal_entry, sample_sln_dfactor_entry,
-sample_gln_det) draw only the blocks their entry is made of and skip the
-rest, so they advance the counter past the whole layout, exactly as the
-full draw does, and give the same values bit for bit.
+coordinate, in an order its layout fixes, so block b is the words b*count
+to (b+1)*count. The one-entry reads (sample_triangular_entry,
+sample_diagonal_entry, sample_sln_dfactor_entry, sample_gln_det) skip to
+the blocks their entry is made of, draw them in one call and skip the rest:
+their Python work does not grow with n, they leave the counter where the
+full draw does, and they give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -369,91 +370,58 @@ def sample_power_density(base: int, k: float, m: int, rng: RngStream, count: int
 
 # --- window layouts ------------------------------------------------------------
 #
-# A windowed sampler's draw is a layout: its blocks in stream order, each a
-# (key, draw) pair for `count` uniforms of one coordinate. The key is a name
-# and an index, ("U", i, j) for entry (i, j) of the matrix named U. The layout
-# function is the one owner of the order; full draws and one-entry reads both
-# walk it.
+# Block b of an L-block layout is the words b*count to (b+1)*count. A full
+# draw draws each run of consecutive blocks of one density in one call: uniform
+# and the inverse-CDF power draw work elementwise in word order, so the values
+# are those of the blocks drawn one by one, bit for bit.
 
 
-def _walk(layout, rng: RngStream, count: int, read=None):
-    """Yields (key, values) for each block of `layout` whose key is in
-    `read` (every block when read is None) and passes any other block with
-    RngStream.skip, never generating its words. Run to the end, it leaves
-    the counter count * len(layout) words on, whatever was read."""
-    for key, draw in layout:
-        if read is None or key in read:
-            yield key, draw(rng, count)
-        else:
-            rng.skip(count)
+def _run(draw, rng: RngStream, count: int, blocks: int) -> np.ndarray:
+    """`blocks` consecutive blocks of one density drawn in one call, as a
+    (count, blocks) array whose column k is block k."""
+    return draw(rng, blocks * count).reshape(blocks, count).T
 
 
-def _read(layout, rng: RngStream, count: int, key):
-    """The values of one block, walking the whole layout."""
-    return dict(_walk(layout, rng, count, {key}))[key]
+def _read_blocks(draw, rng: RngStream, count: int, b: int, L: int, blocks: int = 1):
+    """Blocks b .. b + blocks - 1 of an L-block layout, as _run gives them:
+    skips the words before them, draws them and skips the rest, so that the
+    counter ends L * count words on."""
+    rng.skip(b * count)
+    vals = _run(draw, rng, count, blocks)
+    rng.skip((L - b - blocks) * count)
+    return vals
 
 
-def _fill(blocks, canvases: dict) -> None:
-    """Writes each block (name, *index) to canvases[name][:, *index]."""
-    for (name, *index), vals in blocks:
-        canvases[name][(slice(None), *index)] = vals
-
-
-def _close_det_one(d: np.ndarray) -> np.ndarray:
-    """Sets the last column of a (count, n) diagonal to 1 / (product of the others)."""
-    d[:, -1] = 1.0 / np.prod(d[:, :-1], axis=1)
+def _diagonal(free: np.ndarray, n: int) -> np.ndarray:
+    """A (count, n) diagonal from its free entries: all n, or the first n - 1
+    of a det-one diagonal, whose last entry is 1 / (the product of the others)."""
+    d = np.empty((len(free), n))
+    d[:, : free.shape[1]] = free
+    if free.shape[1] < n:
+        d[:, -1] = 1.0 / np.prod(d[:, :-1], axis=1)
     return d
 
 
-def _triangular_layout(n: int, base: int, spec: WindowSpec, side: str) -> list:
-    """Entries ("U", i, j), j >= i, row-major: diagonal entries from their
-    Haar power density, strictly upper ones flat on [-eps, eps]."""
-    layout = []
-    for i in range(n):
-        layout.append((("U", i, i), _power_block(base, float(_haar_exponent(n, i, side)), spec.m)))
-        layout += [(("U", i, j), _flat_block(spec.eps)) for j in range(i + 1, n)]
-    return layout
-
-
-def _diagonal_layout(n: int, base: int, m: int, det_one: bool) -> list:
-    """Free diagonal entries ("d", i), i < n (i < n - 1 with det_one), log-uniform."""
-    draw = _power_block(base, 1.0, m)
-    return [(("d", i), draw) for i in range(n - 1 if det_one else n)]
-
-
-def _sln_layout(n: int, base: int, spec: WindowSpec) -> list:
-    """X entries ("X", i, j), i > j, then Y entries ("Y", i, j), i < j, each
-    row-major and flat on [-eps, eps], then the det-one diagonal factor."""
-    flat = _flat_block(spec.eps)
-    layout = [(("X", i, j), flat) for i in range(n) for j in range(i)]
-    layout += [(("Y", i, j), flat) for i in range(n) for j in range(i + 1, n)]
-    return layout + _diagonal_layout(n, base, spec.m, det_one=True)
-
-
-def _gln_layout(n: int, base: int, spec: WindowSpec) -> list:
-    """The determinant ("r",), log-uniform, then the SL_n layout."""
-    return [(("r",), _power_block(base, 1.0, spec.m))] + _sln_layout(n, base, spec)
-
-
-def _diagonal_entry(layout: list, n: int, i: int, det_one: bool, rng: RngStream, c: int):
-    """Entry i of a layout's ("d", k) diagonal, drawing only the blocks it
-    is made of: its own, or every free one for a det-one last entry."""
+def _diagonal_entry(draw, n: int, i: int, free: int, first: int, rng: RngStream, c: int):
+    """Entry i of a diagonal whose `free` blocks end a layout from block
+    `first` on, drawing only the blocks it is made of: its own, or every free
+    one for the last entry of a det-one diagonal (free = n - 1)."""
     if not 0 <= i < n:
         raise DomainError(f"diagonal entry {i} out of range for n={n}")
-    if det_one and i == n - 1:
-        d = np.empty((c, n))
-        _fill(_walk(layout, rng, c, {("d", k) for k in range(n - 1)}), {"d": d})
-        return _close_det_one(d)[:, i]
-    return _read(layout, rng, c, ("d", i))
+    if i == free:
+        return _diagonal(_read_blocks(draw, rng, c, first, first + free, free), n)[:, i]
+    return _read_blocks(draw, rng, c, first + i, first + free)[:, 0]
 
 
-def _lud_draw(layout: list, n: int, rng: RngStream, c: int, **more) -> SlnSample:
-    """The SL_n factors from every block of `layout`; blocks of other names
-    go to the canvases in `more`."""
-    canvases = {"X": np.zeros((c, n, n)), "Y": np.zeros((c, n, n)), "d": np.empty((c, n)), **more}
-    _fill(_walk(layout, rng, c), canvases)
-    _close_det_one(canvases["d"])
-    return SlnSample(canvases["X"], canvases["Y"], canvases["d"])
+def _lud_draw(n: int, base: int, spec: WindowSpec, rng: RngStream, c: int) -> SlnSample:
+    """The SL_n factors: the blocks of X (i > j), then of Y (i < j), each
+    row-major and flat on [-eps, eps], then the n - 1 free log-uniform
+    blocks of the det-one diagonal d."""
+    d_draw = _power_block(base, 1.0, spec.m)  # checks m before any word is drawn
+    X, Y = np.zeros((c, n, n)), np.zeros((c, n, n))
+    for canvas, (rows, cols) in ((X, np.tril_indices(n, -1)), (Y, np.triu_indices(n, 1))):
+        canvas[:, rows, cols] = _run(_flat_block(spec.eps), rng, c, rows.size)
+    return SlnSample(X, Y, _diagonal(_run(d_draw, rng, c, n - 1), n))
 
 
 # --- triangular and diagonal groups ------------------------------------------
@@ -519,7 +487,9 @@ def sample_upper_triangular_window(
     base = check_base(base)
     c = _count(count)
     mats = np.zeros((c, n, n))
-    _fill(_walk(_triangular_layout(n, base, spec, side), rng, c), {"U": mats})
+    for i in range(n):  # the diagonal block, then the flat run right of it
+        mats[:, i, i] = _power_block(base, float(_haar_exponent(n, i, side)), spec.m)(rng, c)
+        mats[:, i, i + 1 :] = _run(_flat_block(spec.eps), rng, c, n - 1 - i)
     return mats
 
 
@@ -542,15 +512,20 @@ def sample_triangular_entry(
     n = _check_dim(n)
     base = check_base(base)
     _check_upper_entry(n, i, j)
-    layout = _triangular_layout(n, base, spec, side)
-    return _read(layout, rng, _count(count), ("U", i, j))
+    # The row's power block is made for a flat entry too: it refuses a bad
+    # side or m before any word is skipped.
+    power = _power_block(base, float(_haar_exponent(n, i, side)), spec.m)
+    draw = power if i == j else _flat_block(spec.eps)
+    b = i * n - i * (i - 1) // 2 + (j - i)  # rows 0 .. i-1 hold n, n-1, ... blocks
+    return _read_blocks(draw, rng, _count(count), b, n * (n + 1) // 2)[:, 0]
 
 
-def _check_diagonal(n: int, det_one: bool) -> int:
+def _check_diagonal(n: int, det_one: bool) -> tuple:
+    """n and its number of free entries, n - 1 with det_one."""
     n = _check_dim(n)
     if det_one and n < 2:
         raise DomainError(f"det_one needs n >= 2 (n = 1 would pin the entry to 1), got n={n}")
-    return n
+    return n, n - 1 if det_one else n
 
 
 def sample_diagonal_window(
@@ -569,16 +544,13 @@ def sample_diagonal_window(
     independent uniform log-significands stays uniform mod 1). Returns
     entries of the diagonal, shape (count, n).
 
-    Consumes (n-1 if det_one else n)*count uniforms, one batch per entry.
+    Consumes (n-1 if det_one else n)*count uniforms, one block per entry.
     sample_diagonal_entry reads one entry and skips the blocks it is not
     made of, so it too advances the counter past all of them.
     """
-    n = _check_diagonal(n, det_one)
+    n, free = _check_diagonal(n, det_one)
     base = check_base(base)
-    c = _count(count)
-    d = np.empty((c, n))
-    _fill(_walk(_diagonal_layout(n, base, m, det_one), rng, c), {"d": d})
-    return _close_det_one(d) if det_one else d
+    return _diagonal(_run(_power_block(base, 1.0, m), rng, _count(count), free), n)
 
 
 def sample_diagonal_entry(
@@ -596,10 +568,9 @@ def sample_diagonal_entry(
     the det-one last entry) and skips the rest; the counter still advances
     past the whole layout, (n-1 if det_one else n)*count words.
     """
-    n = _check_diagonal(n, det_one)
+    n, free = _check_diagonal(n, det_one)
     base = check_base(base)
-    layout = _diagonal_layout(n, base, m, det_one)
-    return _diagonal_entry(layout, n, i, det_one, rng, _count(count))
+    return _diagonal_entry(_power_block(base, 1.0, m), n, i, free, 0, rng, _count(count))
 
 
 def nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -652,7 +623,7 @@ def sample_sln_lud_window(
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    return _lud_draw(_sln_layout(n, base, spec), n, rng, _count(count))
+    return _lud_draw(n, base, spec, rng, _count(count))
 
 
 def sample_sln_dfactor_entry(
@@ -671,8 +642,8 @@ def sample_sln_dfactor_entry(
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    layout = _sln_layout(n, base, spec)
-    return _diagonal_entry(layout, n, i, True, rng, _count(count))
+    draw = _power_block(base, 1.0, spec.m)
+    return _diagonal_entry(draw, n, i, n - 1, n * (n - 1), rng, _count(count))
 
 
 def _lud_product(sample: SlnSample) -> np.ndarray:
@@ -769,9 +740,8 @@ def sample_gln_pos_window(
     n = _check_dim(n, minimum=2)
     base = check_base(base)
     c = _count(count)
-    r = np.empty(c)
-    y = _lud_draw(_gln_layout(n, base, spec), n, rng, c, r=r)
-    return GlnSample(y, r)
+    r = _power_block(base, 1.0, spec.m)(rng, c)
+    return GlnSample(_lud_draw(n, base, spec, rng, c), r)
 
 
 def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count: int):
@@ -782,4 +752,4 @@ def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count: i
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    return _read(_gln_layout(n, base, spec), rng, _count(count), ("r",))
+    return _read_blocks(_power_block(base, 1.0, spec.m), rng, _count(count), 0, n * n)[:, 0]

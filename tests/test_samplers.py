@@ -748,7 +748,7 @@ def test_sln_and_gln_single_draws():
     assert np.linalg.det(gl_one.matrices[0]) == pytest.approx(gl_one.det[0], rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_windowed_samplers_consume_the_documented_words(n):
     # One uniform is one word; the counts are those the docstrings state.
     c = 7
@@ -784,7 +784,7 @@ def test_windowed_samplers_consume_the_documented_words(n):
         assert st.counter == words
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_one_entry_reads_equal_the_full_draws(n):
     # Each one-entry route gives bit for bit the column the full draw gives,
     # and leaves the stream where the full draw leaves it.
@@ -820,6 +820,55 @@ def test_one_entry_reads_equal_the_full_draws(n):
     )
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_full_draws_follow_the_documented_block_order(n):
+    # Reference: one draw of `count` values per block, in the order the
+    # docstrings give. A full draw takes a run of blocks in one call and
+    # must give the same bits.
+    c, base = 5, 7
+    spec = WindowSpec(eps=0.3, m=2)
+
+    def diag(st, free):
+        d = np.empty((c, n))
+        for k in range(free):
+            d[:, k] = sample_log_uniform(base, spec.m, st, c)
+        if free < n:
+            d[:, -1] = 1.0 / np.prod(d[:, :-1], axis=1)
+        return d
+
+    def sln(st):
+        X, Y = np.zeros((c, n, n)), np.zeros((c, n, n))
+        for canvas, below in ((X, True), (Y, False)):
+            for i in range(n):
+                for j in range(n):
+                    if (i > j) if below else (i < j):
+                        canvas[:, i, j] = st.uniform(-spec.eps, spec.eps, c)
+        return X, Y, diag(st, n - 1)
+
+    for side in ("left", "right"):
+        ref, st = np.zeros((c, n, n)), RngStream(521)
+        for i in range(n):
+            k = i + 1 if side == "left" else n - i
+            ref[:, i, i] = sample_power_density(base, k, spec.m, st, c)
+            for j in range(i + 1, n):
+                ref[:, i, j] = st.uniform(-spec.eps, spec.eps, c)
+        got = sample_upper_triangular_window(n, base, spec, side, RngStream(521), c)
+        assert got.tobytes() == ref.tobytes()
+    for det_one in (False, True):
+        got = sample_diagonal_window(n, base, spec.m, RngStream(523), c, det_one=det_one)
+        assert got.tobytes() == diag(RngStream(523), n - 1 if det_one else n).tobytes()
+    got = sample_sln_lud_window(n, base, spec, RngStream(541), c)
+    assert [a.tobytes() for a in (got.X, got.Y, got.diag)] == [
+        a.tobytes() for a in sln(RngStream(541))
+    ]
+    st = RngStream(547)
+    r = sample_log_uniform(base, spec.m, st, c)
+    got = sample_gln_pos_window(n, base, spec, RngStream(547), c)
+    assert [a.tobytes() for a in (got.det, got.sln.X, got.sln.Y, got.sln.diag)] == [
+        a.tobytes() for a in (r, *sln(st))
+    ]
+
+
 def test_one_entry_reads_validate_the_entry():
     spec = WindowSpec()
     for i, j in ((1, 0), (0, 3), (-1, 0)):
@@ -833,6 +882,67 @@ def test_one_entry_reads_validate_the_entry():
     one = sample_gln_det(3, 10, spec, RngStream(437), 1)
     assert one.shape == (1,)
     assert one == sample_gln_pos_window(3, 10, spec, RngStream(437), 1).det
+    # A flat entry draws no power-density block, but its row's window and
+    # side are still checked, before any word is skipped.
+    for bad_spec, side in ((WindowSpec(m=400), "left"), (spec, "two-sided")):
+        st = RngStream(1)
+        with pytest.raises(DomainError):
+            sample_triangular_entry(3, 10, bad_spec, side, 0, 1, st, 4)
+        assert st.counter == 0
+
+
+_BIG = 1000
+
+
+class _CountingStream(RngStream):
+    """An RngStream that counts its skip calls and the words raw generates."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.skips = self.generated = 0
+
+    def skip(self, n_words):
+        self.skips += 1
+        super().skip(n_words)
+
+    def raw(self, n):
+        self.generated += n
+        return super().raw(n)
+
+
+@pytest.mark.parametrize(
+    "read, words, blocks",
+    [
+        (lambda st: sample_triangular_entry(_BIG, 10, WindowSpec(), "left", 0, 1, st, 3),
+         3, _BIG * (_BIG + 1) // 2),
+        (lambda st: sample_triangular_entry(_BIG, 10, WindowSpec(), "right", 517, 517, st, 3),
+         3, _BIG * (_BIG + 1) // 2),
+        (lambda st: sample_triangular_entry(_BIG, 10, WindowSpec(), "left", 998, 999, st, 3),
+         3, _BIG * (_BIG + 1) // 2),
+        (lambda st: sample_diagonal_entry(_BIG, 10, 2, 517, st, 3), 3, _BIG),
+        (lambda st: sample_diagonal_entry(_BIG, 10, 2, _BIG - 1, st, 3, det_one=True),
+         (_BIG - 1) * 3, _BIG - 1),
+        (lambda st: sample_sln_dfactor_entry(_BIG, 10, WindowSpec(), 517, st, 3),
+         3, _BIG * _BIG - 1),
+        (lambda st: sample_sln_dfactor_entry(_BIG, 10, WindowSpec(), _BIG - 1, st, 3),
+         (_BIG - 1) * 3, _BIG * _BIG - 1),
+        (lambda st: sample_gln_det(_BIG, 10, WindowSpec(), st, 3), 3, _BIG * _BIG),
+    ],
+    ids=["tri-flat", "tri-diag", "tri-last", "diag", "diag-det-one-last", "sln-diag",
+         "sln-last", "gln-det"],
+)
+# The product of 999 free det-one entries overflows a double; the words read
+# do not depend on it.
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_one_entry_reads_are_o1_in_the_layout(read, words, blocks):
+    # A read skips to its blocks, draws them and skips the rest: at most two
+    # skips whatever n is, only its own words generated, and the counter
+    # past the whole layout.
+    st = _CountingStream(509)
+    read(st)
+    assert st.skips <= 2
+    assert st.generated == words
+    assert st.counter == blocks * 3
 
 
 # --- permutations --------------------------------------------------------------
