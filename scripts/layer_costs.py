@@ -5,7 +5,7 @@ Times every layer below on fixed seeded inputs, best of --repeats calls,
 and reports milliseconds per 10^6 items. An item is a word, deviate,
 value or row; for the Haar samplers it is a matrix, and those draw
 --items / 10 matrices a call to keep the memory small. The one-entry read
-of a 1000 x 1000 triangular window draws the CLI's chunk at that n, 16
+of a 1000 x 1000 triangular window draws the CLI's block at that n, 16
 values a call, so its row is what `sample` pays per value. The table goes to
 stdout and, with --out, the same numbers go to that path as JSON
 (BENCH_layers.json by convention), together with the machine and the
@@ -62,7 +62,7 @@ def _layers(items: int, seed: int, workdir: str):
         ("sample_triangular_entry(n=1000)", reads,
          lambda: samplers.sample_triangular_entry(1000, 10, spec, "left", 0, 1, rng, reads)),
         ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
-        ("fig1 dimension (n=100)", items, lambda: cli._fig1_freqs(rng, 100, items, 1, 10)),
+        ("fig1 dimension (n=100)", items, lambda: cli._fig1_freqs(rng, 100, items, 10)),
     ]
 
 

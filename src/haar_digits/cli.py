@@ -32,6 +32,7 @@ import math
 import os
 import pickle
 import sys
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -60,8 +61,8 @@ __all__ = ["build_parser", "main"]
 _DEFAULT_SEED = 42
 _SEED_ENV = "HAAR_DIGITS_SEED"
 _GRID_POINTS = 99
-_SCALAR_CHUNK = 1 << 22
-_MATRIX_CHUNK_SCALARS = 1 << 24
+_SCALAR_CHUNK = 1 << 22  # values per block of a scalar group's sample and of fig1's
+_MATRIX_CHUNK_SCALARS = 1 << 24  # a matrix group's block holds this // n^2 values
 _SAMPLES_BLOCK = 1 << 16  # rows per write of --samples-out
 _MAX_BASE = 1 << 16  # the largest --base: digit tables have B - 1 rows; samples stay below 10^5
 _ADJOINT_DRAWS = 100  # (d, u) pairs per matrix size in verify --suite adjoint
@@ -307,39 +308,32 @@ def _grid(base: int) -> np.ndarray:
     return np.array([1.0 + (j * (base - 1)) / _GRID_POINTS for j in range(1, _GRID_POINTS + 1)])
 
 
-def _draw(generate, root: RngStream, count: int, workers: int, chunk: int) -> np.ndarray:
+def _draw(generate, root: RngStream, count: int, block: int) -> np.ndarray:
     """`count` values of generate(stream, c) as one float array.
 
-    The count is split into `workers` near-equal shards; shard w draws from
-    root.substream(w), at most `chunk` values per call, and the shards follow
-    each other in order. Gamma deviates depend on the batch they are drawn
-    in, so a group's chunk size is part of what its output depends on. With
-    more workers than values, the shards past the count are empty and are
-    not visited.
+    Block b holds values b * block to min((b + 1) * block, count) - 1 and is
+    drawn in one call on root.substream(b); the blocks follow each other in
+    order. Gamma deviates depend on the batch they are drawn in, so a group's
+    block size is part of what its output depends on.
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    quotient, remainder = divmod(count, workers)
     parts = []
-    for w in range(min(workers, count)):
-        stream = root.substream(w)
-        size = quotient + (1 if w < remainder else 0)
-        for start in range(0, size, chunk):
-            c = min(chunk, size - start)
-            parts.append(np.asarray(generate(stream, c), dtype=float).reshape(c))
+    for b, start in enumerate(range(0, count, block)):
+        c = min(block, count - start)
+        parts.append(np.asarray(generate(root.substream(b), c), dtype=float).reshape(c))
     return np.concatenate(parts)
 
 
-def _fan_out(fn: Callable, items: list) -> list:
+def _fan_out(fn: Callable, items: list, limit: Optional[int]) -> list:
     """[fn(x) for x in items], computed by up to one process per usable CPU.
 
-    With P = min(len(items), usable CPUs) processes, process k computes items
-    k, k + P, ... in order. Process 0 is the caller; each other one is a fork
-    that pickles its results, or the exception that stopped it, into a pipe
-    and leaves by os._exit, so it runs none of the caller's exit handlers
-    and flushes none of its streams. At P = 1 this is the plain loop and
+    With P = min(len(items), usable CPUs, limit) processes, where a limit of
+    None sets no bound, process k computes items k, k + P, ... in order.
+    Process 0 is the caller; each other one is a fork that pickles its
+    results, or the exception that stopped it, into a pipe and leaves by
+    os._exit, so it runs none of the caller's exit handlers and flushes
+    none of its streams. At P = 1 this is the plain loop and
     forks nothing. The results come back in item order, so they do not
     depend on P. When items fail, the exception of the first failing item
     in list order is raised with the message the plain loop would give; an
@@ -350,7 +344,7 @@ def _fan_out(fn: Callable, items: list) -> list:
     returns or raises, also when the caller's own share raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = max(1, min(len(items), cpus))
+    procs = max(1, min(len(items), cpus, limit or cpus))
     shares, forks = {}, []
     try:
         for k in range(1, procs):
@@ -485,7 +479,7 @@ class _Group:
 
     draw: Callable
     law: Callable
-    matrix: bool = True  # draws _MATRIX_CHUNK_SCALARS // n^2 a call
+    matrix: bool = True  # draws blocks of _MATRIX_CHUNK_SCALARS // n^2 values
     reads: tuple = ("n", "entry")  # the flags of _SAMPLE_FLAGS it reads
     min_n: int = 1  # the least --n it takes, checked before --entry is read
     diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
@@ -575,26 +569,22 @@ def _cmd_sample(args) -> _Report:
     spec = samplers.WindowSpec(eps=args.eps, m=args.m)
     if "n" in group.reads and args.n < group.min_n:
         raise DomainError(f"--group {args.group} needs --n >= {group.min_n}, got --n {args.n}")
-    # Every payload names the window; the other flags only where they are read.
-    meta = {"group": args.group, "base": args.base, "window_m": args.m, "window_eps": args.eps}
-    meta.update((flag, getattr(args, flag)) for flag in group.reads if flag not in ("m", "eps"))
+    meta = {"group": args.group, "base": args.base}
+    meta.update((flag, getattr(args, flag)) for flag in group.reads)
     i = j = 0
     if "entry" in group.reads:
         i, j = _parse_entry(args.entry, args.n)
         if group.diagonal_only is not None and i != j:
             raise DomainError(group.diagonal_only)
         meta["entry"] = f"{i + 1},{j + 1}"
-    chunk = max(1, _MATRIX_CHUNK_SCALARS // (args.n * args.n)) if group.matrix else _SCALAR_CHUNK
+    block = max(1, _MATRIX_CHUNK_SCALARS // (args.n * args.n)) if group.matrix else _SCALAR_CHUNK
     law = group.law(args, i, j)
+    # The run's stream is keyed by what it reads, so no two runs that read
+    # different flags test the same numbers.
+    key = zlib.crc32(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    root = RngStream(seed).substream(key)
     empirical = build_empirical(
-        _draw(
-            lambda st, c: group.draw(args, spec, i, j, st, c),
-            RngStream(seed),
-            args.N,
-            args.workers,
-            chunk,
-        ),
-        args.base,
+        _draw(lambda st, c: group.draw(args, spec, i, j, st, c), root, args.N, block), args.base
     )
     ks = ks_test(empirical, law, alpha=args.alpha)
     reports = {"ks": ks.to_dict()}
@@ -609,7 +599,6 @@ def _cmd_sample(args) -> _Report:
         "schema": 1,
         "command": "sample",
         "seed": seed,
-        "workers": args.workers,
         "N": args.N,
         "alpha": args.alpha,
         "law": repr(law),
@@ -629,7 +618,7 @@ def _cmd_sample(args) -> _Report:
 # --- fig1 command --------------------------------------------------------------
 
 
-def _fig1_freqs(root: RngStream, dim: int, count: int, workers: int, base: int) -> np.ndarray:
+def _fig1_freqs(root: RngStream, dim: int, count: int, base: int) -> np.ndarray:
     """One `fig1` dimension: the first-digit frequencies of `count` draws of
     the leading sphere coordinate, from root.substream(dim). Only the digit
     counts are read, so the significands are never sorted."""
@@ -638,7 +627,6 @@ def _fig1_freqs(root: RngStream, dim: int, count: int, workers: int, base: int) 
             lambda st, c: samplers.sample_sphere_coords(dim, 1, st, c)[:, 0],
             root.substream(dim),
             count,
-            workers,
             _SCALAR_CHUNK,
         ),
         base,
@@ -651,9 +639,7 @@ def _cmd_fig1(args) -> _Report:
     base = args.base
     root = RngStream(seed)
     header = ("dimension", "digit", "mc_freq", "predicted_freq")
-    # Dimensions draw side by side, one process per usable CPU at most; the
-    # --workers shards inside a dimension stay serial, so forks never nest.
-    freqs_by_dim = _fan_out(lambda dim: _fig1_freqs(root, dim, args.N, args.workers, base), dims)
+    freqs_by_dim = _fan_out(lambda dim: _fig1_freqs(root, dim, args.N, base), dims, args.workers)
     rows = []
     for dim, freqs in zip(dims, freqs_by_dim):
         predicted = np.asarray(SphereLimit(base=base, n=dim).first_digit_probs())
@@ -664,7 +650,6 @@ def _cmd_fig1(args) -> _Report:
         "command": "fig1",
         "base": base,
         "seed": seed,
-        "workers": args.workers,
         "N": args.N,
         "rows": [dict(zip(header, row)) for row in rows],
     }
@@ -850,7 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", help="sample one group component and test its significand law"
     )
     common(p_sample)
-    p_sample.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
+    p_sample.add_argument("--workers", type=int, help="most processes (sample uses one); "
+                          "no output depends on it")
     p_sample.add_argument("--group", required=True, choices=tuple(_GROUPS))
     p_sample.add_argument("--N", type=int, default=100_000, help="sample count")
     p_sample.add_argument("--n", type=int, default=None, help="matrix size / sphere dimension")
@@ -878,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fig1", help="first-digit frequencies of sphere coordinates across dimensions"
     )
     common(p_fig1)
-    p_fig1.add_argument("--workers", type=int, default=1, help="Monte Carlo shards")
+    p_fig1.add_argument("--workers", type=int, help="most processes (default: one per usable "
+                        "CPU); no output depends on it")
     p_fig1.add_argument(
         "--dims",
         default="100,200,500,10000,20000,50000",
@@ -902,6 +889,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "base", 0) > _MAX_BASE:  # verify has no --base
             raise DomainError(f"--base must be at most {_MAX_BASE}, got {args.base}")
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise DomainError(f"workers must be >= 1, got {args.workers}")
         report = args.handler(args)
         _emit(report, args.format, args.out)
     except DomainError as exc:

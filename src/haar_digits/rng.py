@@ -9,7 +9,7 @@ replayed bit-exactly on any platform. All arithmetic is modulo 2^64.
               z ^= z >> 27; z *= 0x94D049BB133111EB
               z ^= z >> 31; return z
     key(seed, stream_id) = mix64(mix64(seed) + GAMMA * stream_id)
-    word_i = mix64(key + i * GAMMA)            for i = 1, 2, 3, ...
+    word_i = mix64(key + i * GAMMA)            for i = 1, 2, ..., 2^64 - 1
 
 A uniform double in [0, 1) is (word >> 11) * 2^-53. Gaussian variates come
 from the Marsaglia polar rejection method consuming uniforms strictly in
@@ -120,10 +120,19 @@ class RngStream:
     # --- raw words and uniforms -------------------------------------------
 
     def raw(self, n: int) -> np.ndarray:
-        """Next n 64-bit words as a uint64 array."""
+        """Next n 64-bit words as a uint64 array.
+
+        Word 2^64 - 1 is a stream's last: a draw past it raises DomainError
+        and leaves the counter where it was, since wrapped words would repeat
+        the stream's first ones.
+        """
         n = int(n)
         if n < 0:
             raise DomainError("raw: n must be >= 0")
+        if self.counter + n > _MASK:
+            raise DomainError(
+                f"raw: {n} words after word {self.counter} pass word 2^64 - 1, a stream's last"
+            )
         z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         z *= _U64_GAMMA

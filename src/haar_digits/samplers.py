@@ -392,24 +392,33 @@ def _read_blocks(draw, rng: RngStream, count: int, b: int, L: int, blocks: int =
     return vals
 
 
-def _diagonal(free: np.ndarray, n: int) -> np.ndarray:
+def _diagonal(free: np.ndarray, n: int, m: int) -> np.ndarray:
     """A (count, n) diagonal from its free entries: all n, or the first n - 1
-    of a det-one diagonal, whose last entry is 1 / (the product of the others)."""
+    of a det-one diagonal, whose last entry is 1 / (the product of the others).
+    That product of entries of up to m decades each can leave the double
+    range; a product that is not a finite nonzero double raises DomainError."""
     d = np.empty((len(free), n))
     d[:, : free.shape[1]] = free
     if free.shape[1] < n:
-        d[:, -1] = 1.0 / np.prod(d[:, :-1], axis=1)
+        with np.errstate(over="ignore"):
+            product = np.prod(d[:, :-1], axis=1)
+        if not np.all(np.isfinite(product) & (product != 0.0)):
+            raise DomainError(
+                f"det-one diagonal at n={n}, m={m}: the product of the n - 1 free entries "
+                "is not a finite nonzero double"
+            )
+        d[:, -1] = 1.0 / product
     return d
 
 
-def _diagonal_entry(draw, n: int, i: int, free: int, first: int, rng: RngStream, c: int):
+def _diagonal_entry(draw, n: int, m: int, i: int, free: int, first: int, rng: RngStream, c: int):
     """Entry i of a diagonal whose `free` blocks end a layout from block
     `first` on, drawing only the blocks it is made of: its own, or every free
     one for the last entry of a det-one diagonal (free = n - 1)."""
     if not 0 <= i < n:
         raise DomainError(f"diagonal entry {i} out of range for n={n}")
     if i == free:
-        return _diagonal(_read_blocks(draw, rng, c, first, first + free, free), n)[:, i]
+        return _diagonal(_read_blocks(draw, rng, c, first, first + free, free), n, m)[:, i]
     return _read_blocks(draw, rng, c, first + i, first + free)[:, 0]
 
 
@@ -421,7 +430,7 @@ def _lud_draw(n: int, base: int, spec: WindowSpec, rng: RngStream, c: int) -> Sl
     X, Y = np.zeros((c, n, n)), np.zeros((c, n, n))
     for canvas, (rows, cols) in ((X, np.tril_indices(n, -1)), (Y, np.triu_indices(n, 1))):
         canvas[:, rows, cols] = _run(_flat_block(spec.eps), rng, c, rows.size)
-    return SlnSample(X, Y, _diagonal(_run(d_draw, rng, c, n - 1), n))
+    return SlnSample(X, Y, _diagonal(_run(d_draw, rng, c, n - 1), n, spec.m))
 
 
 # --- triangular and diagonal groups ------------------------------------------
@@ -550,7 +559,7 @@ def sample_diagonal_window(
     """
     n, free = _check_diagonal(n, det_one)
     base = check_base(base)
-    return _diagonal(_run(_power_block(base, 1.0, m), rng, _count(count), free), n)
+    return _diagonal(_run(_power_block(base, 1.0, m), rng, _count(count), free), n, m)
 
 
 def sample_diagonal_entry(
@@ -570,7 +579,7 @@ def sample_diagonal_entry(
     """
     n, free = _check_diagonal(n, det_one)
     base = check_base(base)
-    return _diagonal_entry(_power_block(base, 1.0, m), n, i, free, 0, rng, _count(count))
+    return _diagonal_entry(_power_block(base, 1.0, m), n, m, i, free, 0, rng, _count(count))
 
 
 def nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -643,7 +652,7 @@ def sample_sln_dfactor_entry(
     n = _check_dim(n, minimum=2)
     base = check_base(base)
     draw = _power_block(base, 1.0, spec.m)
-    return _diagonal_entry(draw, n, i, n - 1, n * (n - 1), rng, _count(count))
+    return _diagonal_entry(draw, n, spec.m, i, n - 1, n * (n - 1), rng, _count(count))
 
 
 def _lud_product(sample: SlnSample) -> np.ndarray:

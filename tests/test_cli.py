@@ -14,7 +14,7 @@ import math
 import os
 import subprocess
 import sys
-import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from haar_digits.cli import main
 from haar_digits.errors import DomainError
 from haar_digits.laws import UniformSignificand
 from haar_digits.rng import RngStream
+from haar_digits.significand import significand_values
 
 
 def run_cli(capsys, *argv):
@@ -211,11 +212,15 @@ def test_window_past_the_double_range_is_blamed_on_m(capsys, args, named):
         (("--group", "triangular", "--entry", "1,2", "--eps", "1e-322"), "eps must be in"),
         (("--group", "power", "--k", "1e15"), "k must be <= about 9.0e6"),
         (("--group", "power", "--k", "9007201"), "k must be <= about 9.0e6"),
+        (("--group", "diagonal", "--det-one", "--n", "1000", "--entry", "1000,1000"),
+         "det-one diagonal at n=1000, m=3: "),
+        (("--group", "sln", "--n", "400", "--entry", "400,400"), "det-one diagonal at n=400, m=3: "),
     ],
 )
 def test_window_a_double_cannot_sample_exits_2(capsys, args, named):
-    # A box of 2 eps past the largest double, a subnormal box, or draws that
-    # round onto a handful of doubles near 1 would answer wrongly.
+    # A box of 2 eps past the largest double, a subnormal box, draws that
+    # round onto a handful of doubles near 1, or a det-one product past the
+    # double range would answer wrongly.
     code, out, err = run_cli(capsys, "sample", *args, "--N", "1000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err
@@ -233,6 +238,14 @@ def test_window_a_double_cannot_sample_exits_2(capsys, args, named):
 def test_window_inside_the_double_bounds_passes(capsys, args):
     code, out, err = run_cli(capsys, "sample", *args, "--N", "20000")
     assert code == 0 and err == "" and json.loads(out)["pass"]
+
+
+def test_entry_of_a_huge_layout_draws_each_value_on_its_own_stream(capsys):
+    # At n = 10^8 a block is one value, so no stream's counter passes the
+    # 5e15 words of one layout; 3700 values in one stream would pass 2^64.
+    code, out, err = run_cli(capsys, "sample", "--group", "triangular", "--n", "100000000",
+                             "--entry", "1,2", "--N", "3700", "--seed", "7")
+    assert code == 0 and err == "" and json.loads(out)["tests"]["ks"]["n"] == 3700
 
 
 def test_fig1_names_a_repeated_dimension(capsys):
@@ -311,6 +324,10 @@ def test_every_group_samples(capsys, group):
     assert payload["tests"]["ks"]["n"] == 3000
     reads_entry = "entry" in cli._GROUPS[group].reads
     assert payload.get("entry") == ("1,1" if reads_entry else None)
+    # The payload echoes the flags the group reads and no other.
+    report = {"schema", "command", "seed", "N", "alpha", "law", "n_rejected", "digit_freqs",
+              "predicted_digit_freqs", "tests", "pass"}
+    assert set(payload) - report == {"group", "base", *cli._GROUPS[group].reads}
 
 
 # --- flag routing -------------------------------------------------------------------
@@ -401,26 +418,28 @@ def test_missing_required_flag_is_named(capsys):
 # sha256 of stdout at --N 4000 --seed 7. A change here is a change to the
 # random streams, the samplers or the output format. No row makes a BLAS or
 # LAPACK call; orthogonal and unitary sum their Gram-Schmidt steps through
-# np.einsum, so their rows also pin NumPy's einsum loops.
+# np.einsum, so their rows also pin NumPy's einsum loops. Re-taken when each
+# run's stream began to be keyed by its echo and split into fixed blocks, and
+# --workers left the payload; the --workers 2 rows draw what --workers 1 draws.
 FROZEN_SAMPLE_DIGESTS = {
     ("--group", "rplus", "--workers", "2"):
-        "100051481bcbc5f1f3564db6937405a371c2b3f7895d348b73755f4b38b10d8f",
+        "a75356ac3cff45510cb40ed1cfd283af560d88b8150c707543942e861e3fdf75",
     ("--group", "power", "--k", "2", "--base", "7"):
-        "eb358343d38228800d65bad9ab176db006efacbd0a3d6e2ffafcb33411fb738e",
+        "9334dca353413e6ed6fd2660d51f1b3ecd54d139783405690082c7bcbf9fcc2e",
     ("--group", "sphere", "--n", "9"):
-        "0f2bc4848cb5b0945ecc82b402bb2c1b3af1e7e24f8f672a7183bbf020bc062e",
+        "3863625e1656d8b20502d80e8bf2e3912de38d54d03301f7f8ad380c3954c922",
     ("--group", "triangular", "--n", "4", "--entry", "1,2", "--side", "right"):
-        "a59755e20ae9ff1ac8345d802095313a0fca209163d12d516d029412f904d075",
+        "c3caf180a948aa271a6a346f782d8d82119df06df77b92014d18f60951b48fe4",
     ("--group", "diagonal", "--det-one", "--entry", "2,2", "--format", "csv"):
-        "60a220f76481d251d80c817b9015d2e5c6a08f8cb9be035ee8972cc3706d16f1",
+        "134b7276cc026e0867da36d0670713567a3026daeb9d36f5646288d483d65a28",
     ("--group", "sln", "--workers", "2"):
-        "96ddc1ba271f1d7fbc721def48bb9cea4e2f727e5981e0e0541ba17c014347c1",
+        "d6d31563daaa29590c0a569854badc08f19d775463f6066202dd48d6dd66724f",
     ("--group", "gln-det", "--workers", "2"):
-        "2b1f12e619721426b2236730e817680922f5ec84a7fa7078aafef925153e048f",
+        "2217ffe67ecb01a418a0fb37b05530a480cf7793fcf352a33a7bc4c399336246",
     ("--group", "orthogonal", "--n", "4", "--entry", "2,3"):
-        "5b6f16d64a9c41ab36544f3550835999ee229448013ec616fc0a5bbd203ac24a",
+        "8a461379538798eedc42005dd418fe2f8f229253e750c6711abfe0fe3ac5cf1c",
     ("--group", "unitary", "--n", "3", "--format", "csv"):
-        "fe22a39cd66a59eed64f6c4b610d4f0c81548da5d44fcab48ce66b90cf20d2c7",
+        "fe5dd873f502b24795a0d78fb751aeec8d4056a5601c607a495f27f7eaaf4ea2",
 }
 
 
@@ -434,25 +453,26 @@ def test_sample_stdout_digest_is_frozen(capsys, args):
 # sha256 of (stdout, --samples-out file) at --N 100000 --seed 7. At this size
 # the uniform, normal and gamma kernels cross several tile edges, and the
 # one-entry reads skip most of each windowed layout; the digests were taken
-# from untiled kernels that drew every entry.
+# from untiled kernels that drew every entry. Re-taken when each run's stream
+# began to be keyed by its echo; the fixed blocks alone moved no file byte.
 FROZEN_LARGE_SAMPLE_DIGESTS = {
     ("--group", "sphere", "--n", "9"): (
-        "2ae4980236fa32c2b6a26b31e133086ef18fe4f7e06ea6bf4bc1b8dfac683e51",
-        "cc5600b246ba5fbf4360c66cdf174f1d56ea98dd96a681217aef1bc7026aa33d",
+        "af0805c68dadb4c9f65270bc8f3d785e9d23d40b416657f798d45d0d3cff449d",
+        "f3c18a0876082406713507891ed24e60ea704196272eb63b7a5203dad7d9d6bb",
     ),
     ("--group", "triangular", "--n", "5", "--entry", "3,3"): (
-        "60ce2b714b4af1423a39d4bcac41ce9c710425fe28a3c1f2faa0d954902ead8c",
-        "83b80f2f6db0bca2b9010b70aa112505888d10fce5b35ea8c0ab4615f7056dec",
+        "e5ee9b737455d09e23ee300e40af4753f2be44ca185c04f75507bb09fbef67d3",
+        "ef632d7dbfb791a8867d3ea3390568c6b4f76f1350d1775cf87e36ef2c6f78ad",
     ),
     # Re-taken when the significand reduction began to divide by B^k rounded
     # once: 3 of the 10^5 rows moved in the last printed digit.
     ("--group", "sln", "--n", "4", "--entry", "4,4"): (
-        "709f3e5a6143eedbebc7e470ffb66204c0e018a0fc35c56758581e3a8e1fe1bd",
-        "781b03c8983aa2cc01e073a2566373a63b777c9b4700e7781883e688e025ab87",
+        "3460fd34d3b0dbe9e4b8a962873a2ea8321895aa9ba9823e8d9326c0c90abc6c",
+        "8c2ea8df48f0a0c2318e178781ebd84efa6f7c58a28172dc82d628c838d308da",
     ),
     ("--group", "diagonal", "--n", "4", "--entry", "3,3"): (
-        "203adc4a525f7265885d81bb24d81a237a34b11b73d7630ea77cd0d4b95bb2ca",
-        "6b73df0b46aa4a08d777fc6e6779918979dc4778e21482b367e448ba320f8196",
+        "574338f83395aaa5d5ab54c3c9003c06a7248f06c7d700572cbd64f790778d9d",
+        "782781ba3c939699b07749971a7b73b8974a574c5454df45483f64ce1f4d2bf4",
     ),
 }
 
@@ -574,36 +594,88 @@ def test_sample_flat_entry_at_a_power_of_the_base_predicts_the_flat_law(capsys):
     assert code == 0 and payload["law"] == "UniformSignificand(base=10)"
 
 
-def test_sample_workers_sharding(capsys):
-    args = ("sample", "--group", "rplus", "--N", "9001", "--seed", "13", "--workers", "4")
-    code_a, out_a, _ = run_cli(capsys, *args)
-    code_b, out_b, _ = run_cli(capsys, *args)
-    assert code_a == code_b == 0
-    assert out_a == out_b
-    payload = json.loads(out_a)
-    assert payload["workers"] == 4
-    assert payload["tests"]["ks"]["n"] == 9001
+def _sample_at(capsys, tmp_path, workers, *args):
+    """(stdout, --samples-out bytes) of `sample *args`, with --workers if it is given."""
+    path = tmp_path / "samples.csv"
+    flag = () if workers is None else ("--workers", str(workers))
+    code, out, err = run_cli(capsys, "sample", *args, *flag, "--samples-out", str(path))
+    assert code == 0 and err == ""
+    return out, path.read_bytes()
 
 
-def test_sample_more_workers_than_values(capsys, monkeypatch):
-    # The shards past --N are empty and are not visited: 10^9 workers draw
-    # what 10 do, from 10 substreams, at once.
-    substream = RngStream.substream
+@pytest.mark.parametrize(
+    "args",
+    [("--group", "sphere", "--n", "9"), ("--group", "orthogonal", "--n", "3", "--entry", "2,3")],
+    ids=["scalar", "matrix"],
+)
+def test_sample_bytes_do_not_depend_on_workers(capsys, tmp_path, monkeypatch, args):
+    # Blocks of 100 values, so --N 950 is ten blocks and the last one holds
+    # 50. --workers only bounds the processes; no byte depends on it.
+    monkeypatch.setattr(cli, "_SCALAR_CHUNK", 100)
+    monkeypatch.setattr(cli, "_MATRIX_CHUNK_SCALARS", 100 * 3 * 3)
+    group, sizes = cli._GROUPS[args[1]], []
 
-    def one_per_value(self, k):
-        assert k < 10, "an empty shard was visited"
-        return substream(self, k)
+    def draw(a, spec, i, j, st, c):
+        sizes.append(c)
+        return group.draw(a, spec, i, j, st, c)
 
-    monkeypatch.setattr(RngStream, "substream", one_per_value)
-    args = ("sample", "--group", "rplus", "--N", "10", "--seed", "13")
-    start = time.perf_counter()
-    code_many, out_many, _ = run_cli(capsys, *args, "--workers", str(10**9))
-    elapsed = time.perf_counter() - start
-    code_ten, out_ten, _ = run_cli(capsys, *args, "--workers", "10")
-    assert code_many == code_ten == 0 and elapsed < 1.0
-    many, ten = json.loads(out_many), json.loads(out_ten)
-    assert many.pop("workers") == 10**9 and ten.pop("workers") == 10
-    assert many == ten
+    monkeypatch.setitem(cli._GROUPS, args[1], dataclasses.replace(group, draw=draw))
+    runs = [
+        _sample_at(capsys, tmp_path, workers, *args, "--N", "950", "--seed", "7")
+        for workers in (None, 1, 2, 3, 10**9)
+    ]
+    assert all(run == runs[0] for run in runs)
+    assert sizes == ([100] * 9 + [50]) * len(runs)
+
+
+def test_sample_blocks_follow_the_documented_order(capsys, monkeypatch):
+    # Block b is one sampler call on root.substream(b), with root the seed's
+    # stream keyed by the run's echo. Sphere draws gammas, whose values depend
+    # on the batch, so the block sizes 40, 40 and 20 are part of the bits.
+    monkeypatch.setattr(cli, "_SCALAR_CHUNK", 40)
+    drawn, build = [], cli.build_empirical
+    monkeypatch.setattr(cli, "build_empirical", lambda v, base: drawn.append(v) or build(v, base))
+    code, _, _ = run_cli(capsys, "sample", "--group", "sphere", "--n", "9", "--N", "100",
+                         "--seed", "7")
+    assert code == 0
+    root = RngStream(7).substream(zlib.crc32(b'{"base":10,"group":"sphere","n":9}'))
+    expected = np.concatenate([
+        cli.samplers.sample_sphere_coords(9, 1, root.substream(b), c)[:, 0]
+        for b, c in enumerate((40, 40, 20))
+    ])
+    assert drawn[0].tobytes() == expected.tobytes()
+
+
+def test_sample_stream_key_is_the_crc32_of_the_echo(capsys, tmp_path):
+    # Worked from the README: the echo of `--group rplus` is its group, base
+    # and --m, as JSON with sorted keys and no spaces; the key is its CRC-32.
+    echo = '{"base":10,"group":"rplus","m":3}'
+    assert zlib.crc32(echo.encode()) == 0x29E732CB
+    out, rows = _sample_at(capsys, tmp_path, None, "--group", "rplus", "--N", "1000",
+                           "--seed", "7")
+    payload = json.loads(out)
+    assert {key: payload[key] for key in json.loads(echo)} == json.loads(echo)
+    root = RngStream(7).substream(0x29E732CB)
+    block = cli.samplers.sample_log_uniform(10, 3, root.substream(0), 1000)
+    expected = "".join(f"{v:.12g}\n" for v in np.sort(significand_values(block)))
+    assert rows.decode() == "significand\n" + expected
+
+
+def test_runs_that_read_different_flags_draw_different_numbers(capsys, tmp_path):
+    # These groups all invert the same log-uniform draw; keyed by their echo,
+    # no two of them test the same numbers, and base 7 is not base 10's draw.
+    runs = [
+        _sample_at(capsys, tmp_path, None, *args, "--N", "100000", "--seed", "7")
+        for args in (
+            ("--group", "rplus"),
+            ("--group", "rplus", "--base", "7"),
+            ("--group", "triangular", "--entry", "1,1"),
+            ("--group", "gln-det"),
+            ("--group", "diagonal", "--entry", "1,1"),
+        )
+    ]
+    assert len({json.loads(out)["tests"]["ks"]["statistic"] for out, _ in runs}) == len(runs)
+    assert len({rows for _, rows in runs}) == len(runs)
 
 
 def test_sample_seed_env_var(capsys, monkeypatch):
@@ -774,6 +846,24 @@ def test_fig1_bytes_do_not_depend_on_the_cpu_count(capsys, monkeypatch, fmt):
     _assert_no_child_left()
 
 
+def test_fig1_workers_bounds_the_forks_and_no_byte(capsys, monkeypatch):
+    # min(dimensions, CPUs, --workers) processes, the caller among them.
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    args = ("--dims", "5,10,100,1000", "--N", "3000", "--seed", "2")
+    outs = set()
+    for workers in (None, 1, 2):
+        for cpus in (1, 2, 4):
+            forks.clear()
+            flag = () if workers is None else ("--workers", str(workers))
+            code, out, err = _fig1_at(capsys, monkeypatch, cpus, *args, *flag)
+            assert code == 0 and err == ""
+            assert len(forks) == min(cpus, workers or cpus) - 1
+            outs.add(out)
+    assert len(outs) == 1
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("failing", [(10,), (100,), (10, 100)])
 def test_fig1_domain_error_in_a_dimension_reads_as_the_serial_run(capsys, monkeypatch, failing):
     # At 2 CPUs the caller draws dimensions 5 and 100 and a fork draws 10, so
@@ -822,7 +912,7 @@ def test_fan_out_error_keeps_the_frames_of_the_failing_item(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         with pytest.raises(ValueError, match="item 1 failed") as info:
-            cli._fan_out(fn, [0, 1, 2])
+            cli._fan_out(fn, [0, 1, 2], None)
         if cpus == 1:
             assert info.value.__cause__ is None
             assert info.traceback[-1].name == "fn"
@@ -901,14 +991,15 @@ def test_verify_cone_stdout_digest_is_frozen(capsys):
 # sha256 of stdout of law, fig1 and verify runs in JSON and CSV, taken before
 # the commands shared one report route. The adjoint rows take determinants
 # and inverses, so they also pin the LAPACK build. The verify row was
-# re-taken with the cone digest.
+# re-taken with the cone digest, and the fig1 JSON row when --workers left
+# its payload.
 FROZEN_REPORT_DIGESTS = {
     ("law", "--law", "benford"):
         "b3aea2929dc802ac9299ff543bd4ff4971c95869b481b00b732092d4dd608a8b",
     ("law", "--law", "sphere-exact", "--n", "9", "--format", "csv"):
         "2294fbd10541da31d317af80f179403b9527099a972de29ea9debb2c8775a371",
     ("fig1", "--dims", "5,100", "--N", "20000", "--seed", "7"):
-        "c91afcb839ab00b2682645741c36ad3bcebcca134b3ff81b8aec1f7422d75057",
+        "c4d1070b4876b6f6816cafa9c6cda6109e5b36ab06743b8688567616a7d36f5e",
     ("fig1", "--dims", "5,100", "--N", "20000", "--seed", "7", "--format", "csv"):
         "2e3240aea8d8dff14b653446a3da26126b9bff355e2053d86b725d8e004a4273",
     ("verify", "--suite", "adjoint", "--seed", "3", "--format", "csv"):

@@ -12,8 +12,8 @@ from haar_digits.errors import DomainError
 from haar_digits.rng import TILE, RngStream
 
 
-def _reference_words(seed, stream_id, count):
-    """Independent pure-int reimplementation of the word stream."""
+def _reference_words(seed, stream_id, count, first=1):
+    """Independent pure-int reimplementation of the word stream, from word `first` on."""
     mask = (1 << 64) - 1
     gamma = 0x9E3779B97F4A7C15
 
@@ -24,7 +24,7 @@ def _reference_words(seed, stream_id, count):
         return z ^ (z >> 31)
 
     key = fmix((fmix(seed) + gamma * stream_id) & mask)
-    return [fmix((key + i * gamma) & mask) for i in range(1, count + 1)]
+    return [fmix((key + i * gamma) & mask) for i in range(first, first + count)]
 
 
 def test_word_stream_matches_pure_int_reference():
@@ -67,6 +67,19 @@ def test_skip_equals_drop():
     assert np.array_equal(a.raw(5), b.raw(5))
     with pytest.raises(DomainError):
         a.skip(-1)
+
+
+def test_a_draw_past_the_last_word_is_refused():
+    # Word 2^64 - 1 is a stream's last: wrapped words would repeat words 1, 2, ...
+    a = RngStream(11)
+    a.skip(2**64 - 3)
+    with pytest.raises(DomainError, match=r"pass word 2\^64 - 1"):
+        a.raw(5)
+    assert a.counter == 2**64 - 3
+    assert a.raw(2).tolist() == _reference_words(11, 0, 2, first=2**64 - 2)
+    with pytest.raises(DomainError):
+        a.random(1)
+    assert a.counter == 2**64 - 1
 
 
 def test_substreams_are_distinct_and_deterministic():

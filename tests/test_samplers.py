@@ -619,6 +619,24 @@ def test_diagonal_window_det_one():
         sample_diagonal_window(1, 10, 2, RngStream(311), count=4, det_one=True)
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda st: sample_diagonal_window(1000, 10, 3, st, 4, det_one=True),
+        lambda st: sample_diagonal_entry(1000, 10, 3, 999, st, 4, det_one=True),
+        lambda st: sample_sln_dfactor_entry(1000, 10, WindowSpec(), 999, st, 4),
+    ],
+    ids=["window", "entry", "sln-dfactor"],
+)
+@pytest.mark.filterwarnings("error")
+def test_det_one_product_past_the_double_range_is_refused(read):
+    # The product of 999 free entries of up to 3 decades each overflows; its
+    # reciprocal used to be returned as zeros, where the law is Benford. The
+    # refusal names n and m, and NumPy prints no overflow warning.
+    with pytest.raises(DomainError, match=r"^det-one diagonal at n=1000, m=3: "):
+        read(RngStream(3))
+
+
 def test_diagonal_window_forced_entry_is_benford():
     entries = sample_diagonal_window(3, 10, 3, RngStream(313), count=30000, det_one=True)
     ok, d = _ks_passes(entries[:, 2], Benford(10))
@@ -920,20 +938,19 @@ class _CountingStream(RngStream):
         (lambda st: sample_triangular_entry(_BIG, 10, WindowSpec(), "left", 998, 999, st, 3),
          3, _BIG * (_BIG + 1) // 2),
         (lambda st: sample_diagonal_entry(_BIG, 10, 2, 517, st, 3), 3, _BIG),
-        (lambda st: sample_diagonal_entry(_BIG, 10, 2, _BIG - 1, st, 3, det_one=True),
+        (lambda st: sample_diagonal_entry(_BIG, 2, 1, _BIG - 1, st, 3, det_one=True),
          (_BIG - 1) * 3, _BIG - 1),
         (lambda st: sample_sln_dfactor_entry(_BIG, 10, WindowSpec(), 517, st, 3),
          3, _BIG * _BIG - 1),
-        (lambda st: sample_sln_dfactor_entry(_BIG, 10, WindowSpec(), _BIG - 1, st, 3),
+        (lambda st: sample_sln_dfactor_entry(_BIG, 2, WindowSpec(m=1), _BIG - 1, st, 3),
          (_BIG - 1) * 3, _BIG * _BIG - 1),
         (lambda st: sample_gln_det(_BIG, 10, WindowSpec(), st, 3), 3, _BIG * _BIG),
     ],
     ids=["tri-flat", "tri-diag", "tri-last", "diag", "diag-det-one-last", "sln-diag",
          "sln-last", "gln-det"],
 )
-# The product of 999 free det-one entries overflows a double; the words read
-# do not depend on it.
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+# The det-one last entries are read in base 2 at m = 1, where the product of
+# 999 free entries, below 2^999, is a double; in base 10 it is refused.
 def test_one_entry_reads_are_o1_in_the_layout(read, words, blocks):
     # A read skips to its blocks, draws them and skips the rest: at most two
     # skips whatever n is, only its own words generated, and the counter
