@@ -2,8 +2,10 @@
 """In-process cost of each layer a haar-digits run is built from.
 
 Times every layer below on fixed seeded inputs, best of --repeats calls,
-and reports milliseconds per 10^6 items. An item is a word, deviate,
-value or row; for the Haar samplers it is a matrix, and those draw
+and reports milliseconds per 10^6 items. One more call, traced by
+tracemalloc, gives the layer's peak memory in bytes per item, its output
+included. An item is a word, deviate, value or row; for the Haar samplers
+it is a matrix (one entry of it for the entry reads), and those draw
 --items / 10 matrices a call to keep the memory small. The one-entry read
 of a 1000 x 1000 triangular window draws the CLI's block at that n, 16
 values a call, so its row is what `sample` pays per value. The table goes to
@@ -23,6 +25,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -59,6 +62,10 @@ def _layers(items: int, seed: int, workdir: str):
          lambda: samplers.sample_orthogonal_haar(4, rng, matrices)),
         ("sample_unitary_haar(3)", matrices,
          lambda: samplers.sample_unitary_haar(3, rng, matrices)),
+        ("sample_orthogonal_entry(4)", matrices,
+         lambda: samplers.sample_orthogonal_entry(4, 1, 2, rng, matrices)),
+        ("sample_unitary_entry(3)", matrices,
+         lambda: samplers.sample_unitary_entry(3, 1, 2, rng, matrices)),
         ("sample_triangular_entry(n=1000)", reads,
          lambda: samplers.sample_triangular_entry(1000, 10, spec, "left", 0, 1, rng, reads)),
         ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
@@ -75,6 +82,16 @@ def _best(call, repeats: int) -> float:
     return best
 
 
+def _peak_bytes(call) -> int:
+    """The most memory tracemalloc sees allocated during one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--items", type=int, default=1_000_000, help="items per call")
@@ -87,13 +104,19 @@ def main(argv=None) -> int:
 
     layers = {}
     print(f"# best of {args.repeats}, {args.items} items a call, seed {args.seed}")
-    print(f"{'layer':36s} {'items':>9s} {'ms per 1e6':>11s}")
+    print(f"{'layer':36s} {'items':>9s} {'ms per 1e6':>11s} {'peak B/item':>12s}")
     with tempfile.TemporaryDirectory() as workdir:
         for name, count, call in _layers(args.items, args.seed, workdir):
             best = _best(call, args.repeats)
             per_million = best / count * 1e9
-            layers[name] = {"items": count, "best_s": best, "ms_per_1e6": per_million}
-            print(f"{name:36s} {count:9d} {per_million:11.1f}")
+            per_item = _peak_bytes(call) / count
+            layers[name] = {
+                "items": count,
+                "best_s": best,
+                "ms_per_1e6": per_million,
+                "peak_bytes_per_item": per_item,
+            }
+            print(f"{name:36s} {count:9d} {per_million:11.1f} {per_item:12.1f}")
     if args.out is not None:
         record = {
             "machine": f"{platform.machine()}, {os.cpu_count()} cores, {platform.system()}",

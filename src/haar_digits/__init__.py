@@ -43,6 +43,7 @@ from .samplers import (
     sample_gln_det,
     sample_gln_pos_window,
     sample_log_uniform,
+    sample_orthogonal_entry,
     sample_orthogonal_haar,
     sample_power_density,
     sample_sln_dfactor_entry,
@@ -50,6 +51,7 @@ from .samplers import (
     sample_sphere,
     sample_sphere_coords,
     sample_triangular_entry,
+    sample_unitary_entry,
     sample_unitary_haar,
     sample_upper_triangular_window,
     triangular_component_law,

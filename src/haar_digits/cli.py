@@ -318,11 +318,14 @@ def _draw(generate, root: RngStream, count: int, block: int) -> np.ndarray:
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
-    parts = []
+    out = np.empty(count) if count > block else None  # one block is returned as drawn
     for b, start in enumerate(range(0, count, block)):
         c = min(block, count - start)
-        parts.append(np.asarray(generate(root.substream(b), c), dtype=float).reshape(c))
-    return np.concatenate(parts)
+        vals = np.asarray(generate(root.substream(b), c), dtype=float).reshape(c)
+        if out is None:
+            return vals
+        out[start : start + c] = vals
+    return out
 
 
 def _fan_out(fn: Callable, items: list, limit: Optional[int]) -> list:
@@ -536,12 +539,12 @@ _GROUPS = {
         min_n=2,
     ),
     "orthogonal": _Group(
-        draw=lambda a, spec, i, j, st, c: samplers.sample_orthogonal_haar(a.n, st, c)[:, i, j],
+        draw=lambda a, spec, i, j, st, c: samplers.sample_orthogonal_entry(a.n, i, j, st, c),
         law=lambda a, i, j: SphereExact(base=a.base, n=a.n - 1),
         min_n=2,  # O(1) entries are +-1 and have no continuous law
     ),
     "unitary": _Group(
-        draw=lambda a, spec, i, j, st, c: samplers.sample_unitary_haar(a.n, st, c)[:, i, j].real,
+        draw=lambda a, spec, i, j, st, c: samplers.sample_unitary_entry(a.n, i, j, st, c).real,
         law=lambda a, i, j: SphereExact(base=a.base, n=2 * a.n - 1),
     ),
     "sphere": _Group(

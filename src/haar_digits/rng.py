@@ -129,19 +129,26 @@ class RngStream:
         n = int(n)
         if n < 0:
             raise DomainError("raw: n must be >= 0")
-        if self.counter + n > _MASK:
-            raise DomainError(
-                f"raw: {n} words after word {self.counter} pass word 2^64 - 1, a stream's last"
-            )
+        self._check_room("raw", n)
         z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         z *= _U64_GAMMA
         z += self._key
         return _mix64_inplace(z)
 
+    def _check_room(self, caller: str, n: int) -> None:
+        if self.counter + n > _MASK:
+            raise DomainError(
+                f"{caller}: {n} words after word {self.counter} pass word 2^64 - 1, a stream's last"
+            )
+
     def random(self, size=None):
-        """Uniform doubles in [0, 1): (word >> 11) * 2^-53, a tile at a time."""
+        """Uniform doubles in [0, 1): (word >> 11) * 2^-53, a tile at a time.
+
+        A draw past word 2^64 - 1 is refused before its first tile, so the
+        counter stays where it was."""
         shape, n = _parse_size(size)
+        self._check_room("random", n)
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, TILE):
             dest = out[start : start + TILE]

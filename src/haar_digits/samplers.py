@@ -43,7 +43,9 @@ __all__ = [
     "sample_sphere",
     "sample_sphere_coords",
     "sample_orthogonal_haar",
+    "sample_orthogonal_entry",
     "sample_unitary_haar",
+    "sample_unitary_entry",
     "sample_log_uniform",
     "sample_power_density",
     "triangular_component_law",
@@ -132,6 +134,11 @@ def _check_dim(n: int, minimum: int = 1) -> int:
     return int(n)
 
 
+def _check_entry(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError(f"entry ({i}, {j}) out of range for n={n}")
+
+
 def _count(count) -> int:
     c = int(count)
     if c < 1:
@@ -180,54 +187,86 @@ def sample_orthogonal_haar(n: int, rng: RngStream, count: int, return_info: bool
     redraws: a numerically singular draw (a Gram-Schmidt residual of norm
     0) is drawn again. Pass return_info=True to receive the number of redraws.
     """
-    q, resampled = _haar_qr(_check_dim(n), rng, _count(count), float)
+    q, resampled = _haar_qr(_check_dim(n), rng, _count(count), float, lambda q: q)
     return (q, {"resampled": resampled}) if return_info else q
+
+
+def sample_orthogonal_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
+    """Entry (i, j) (0-based) of sample_orthogonal_haar, bit for bit.
+
+    Draws the same words, but holds one Gram-Schmidt slice of matrices at a
+    time and keeps only this entry of each: its memory is its output and
+    one slice, not n^2 doubles a value.
+    """
+    n = _check_dim(n)
+    _check_entry(n, i, j)
+    return _haar_qr(n, rng, _count(count), float, lambda q: q[:, i, j])[0]
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
     """Haar-distributed U(n) matrices: Q of complex Gaussian matrices, diag(R) > 0.
 
-    Consumes 2*count*n*n normals (real parts row-major, then imaginary
-    parts row-major, per batch), then those of the redraws of numerically
-    singular draws, as sample_orthogonal_haar does.
+    Consumes 2*count*n*n normals, a (real, imaginary) pair per entry with
+    the entries row-major per matrix, then those of the redraws of
+    numerically singular draws, as sample_orthogonal_haar does.
     """
-    return _haar_qr(_check_dim(n), rng, _count(count), complex)[0]
+    return _haar_qr(_check_dim(n), rng, _count(count), complex, lambda q: q)[0]
 
 
-def _haar_qr(n: int, rng: RngStream, count: int, dtype) -> tuple:
-    """`count` Haar matrices of O(n) (dtype float) or U(n) (complex), and
-    the number of redraws (Mezzadri 2007: one QR algorithm over R and C).
+def sample_unitary_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
+    """Entry (i, j) (0-based) of sample_unitary_haar, bit for bit, holding one
+    Gram-Schmidt slice of matrices at a time as sample_orthogonal_entry does."""
+    n = _check_dim(n)
+    _check_entry(n, i, j)
+    return _haar_qr(n, rng, _count(count), complex, lambda q: q[:, i, j])[0]
 
-    Each Gaussian stack is overwritten by the Q factors of its QR
-    decompositions with diag(R) > 0, which makes the law exactly Haar. A
-    matrix with a Gram-Schmidt residual of norm 0 is numerically singular:
-    the failed ones are redrawn, in order, as one stack per round.
+
+def _haar_qr(n: int, rng: RngStream, count: int, dtype, read) -> tuple:
+    """read(q) of `count` Haar matrices q of O(n) (dtype float) or U(n)
+    (complex), stacked, and the number of redraws (Mezzadri 2007: one QR
+    algorithm over R and C).
+
+    The matrices are drawn one Gram-Schmidt slice at a time. Each slice's
+    Gaussian stack is overwritten by the Q factors of its QR decompositions
+    with diag(R) > 0, which makes the law exactly Haar, and only read(q) of
+    it is kept, so a call holds its output and one slice. A matrix with a
+    Gram-Schmidt residual of norm 0 is numerically singular: after the whole
+    first round, the failed ones are redrawn, in order, as one stack per round.
     """
-    out = _gaussian_stack(rng, count, n, dtype)
-    todo = np.flatnonzero(~_qr_in_place(out))
-    resampled = todo.size
-    while todo.size:
-        g = _gaussian_stack(rng, todo.size, n, dtype)
+
+    def draw(m: int) -> tuple:
+        g = _gaussian_stack(rng, m, n, dtype)
         ok = _qr_in_place(g)
-        out[todo[ok]] = g[ok]
-        todo = todo[~ok]
+        return read(g), ok
+
+    step = _qr_slice(n, 2 if dtype is complex else 1)
+    out, failed = None, []
+    for start in range(0, count, step):
+        vals, ok = draw(min(step, count - start))
+        if out is None:
+            out = np.empty((count, *vals.shape[1:]), dtype=vals.dtype)
+        out[start : start + len(vals)] = vals
+        failed.append(start + np.flatnonzero(~ok))
+        del vals  # the next slice is drawn without this one
+    todo = np.concatenate(failed)
+    resampled = 0
+    while todo.size:
         resampled += todo.size
+        vals, ok = draw(todo.size)
+        out[todo[ok]] = vals[ok]
+        todo = todo[~ok]
     return out, resampled
 
 
 def _gaussian_stack(rng: RngStream, count: int, n: int, dtype) -> np.ndarray:
     """`count` n x n standard Gaussian matrices over R or C (E|z|^2 = 1).
 
-    A complex stack takes the real parts of the whole stack row-major, then
-    the imaginary parts, writing each a tile of normals at a time.
+    A complex entry takes two consecutive normals, its real part and then
+    its imaginary part, each divided by sqrt(2).
     """
     if dtype is float:
         return rng.normal((count, n, n))
-    g = np.empty((count, n, n), dtype=complex)
-    parts = g.view(np.float64).reshape(-1, 2)  # (real, imaginary) per entry
-    for part in parts.T:
-        for start in range(0, part.size, TILE):
-            part[start : start + TILE] = rng.normal(min(TILE, part.size - start))
+    g = rng.normal(2 * count * n * n).view(complex).reshape(count, n, n)
     g /= math.sqrt(2.0)
     return g
 
@@ -244,26 +283,22 @@ def _qr_in_place(g: np.ndarray) -> np.ndarray:
     matrices whose columns are independent (the others must be redrawn).
 
     That QR is unique, so Gram-Schmidt gives its Q directly, with no sign or
-    phase step. The stack goes through _cgs2 one slice at a time, transposed
-    so that the batch is the last, contiguous axis. _cgs2 sums each matrix
-    on its own in a fixed order, so a matrix's factors do not depend on the
-    slicing.
+    phase step. The stack goes through _cgs2 transposed, so that the batch
+    is the last, contiguous axis; _haar_qr passes one slice, or one round of
+    redraws, at a time. _cgs2 sums
+    each matrix on its own in a fixed order, so a matrix's factors do not
+    depend on the slicing.
     """
-    n = g.shape[-1]
+    n, b = g.shape[-1], len(g)
     parts = 2 if np.iscomplexobj(g) else 1
-    step = _qr_slice(n, parts)
-    entries = g.view(np.float64).reshape(len(g), -1)  # per matrix: (i, k, p), row-major
+    entries = g.view(np.float64).reshape(b, -1)  # per matrix: (i, k, p), row-major
     # A lone matrix gets a partner: np.einsum runs its sums over the batch
     # axis only when that axis is 2 or more long.
-    w = np.zeros((parts, n, n, parts, max(min(len(g), step), 2)))
+    w = np.zeros((parts, n, n, parts, max(b, 2)))
     cols = w[0].reshape(entries.shape[1], -1)
-    ok = np.empty(len(g), dtype=bool)
-    for start in range(0, len(g), step):
-        block = entries[start : start + step]
-        b = len(block)
-        cols[:, :b] = block.T
-        ok[start : start + b] = _cgs2(w[..., : max(b, 2)])[:b]
-        block[...] = cols[:, :b].T
+    cols[:, :b] = entries.T
+    ok = _cgs2(w)[:b]
+    entries[...] = cols[:, :b].T
     return ok
 
 
@@ -444,8 +479,7 @@ def _haar_exponent(n: int, i: int, side: str) -> int:
 
 
 def _check_upper_entry(n: int, i: int, j: int) -> None:
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"entry ({i}, {j}) out of range for n={n}")
+    _check_entry(n, i, j)
     if i > j:
         raise DomainError(f"entry ({i}, {j}) is structurally zero below the diagonal")
 

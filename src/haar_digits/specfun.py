@@ -295,7 +295,24 @@ def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return _per_lane(step, (d, np.ones_like(x), d, x), "betainc continued fraction")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# The 20-node Gauss-Legendre rule on [-1, 1], as np.polynomial.legendre.leggauss(20)
+# gives it bit for bit (a test checks): the positive nodes and their weights,
+# mirrored. Frozen, so that importing the package does not import
+# numpy.polynomial.
+_GL_HALF = np.array([
+    [0.07652652113349734, 0.15275338713072628],
+    [0.22778585114164507, 0.14917298647260424],
+    [0.37370608871541955, 0.1420961093183824],
+    [0.5108670019508271, 0.1316886384491769],
+    [0.636053680726515, 0.1181945319615186],
+    [0.7463319064601508, 0.1019301198172407],
+    [0.8391169718222188, 0.08327674157670471],
+    [0.912234428251326, 0.06267204833410879],
+    [0.9639719272779138, 0.040601429800386446],
+    [0.993128599185095, 0.017614007139150893],
+])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 
 
 def integrate(f, edges):

@@ -46,8 +46,9 @@ _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 # erf(6) rounds to 1: a band whose edges both lie beyond 6 / sqrt(n/2) is empty.
 _SATURATE = 6.0
-# Points per evaluation block; bounds the (points x scales) temporaries.
-_BLOCK = 1 << 12
+# Points per evaluation block; bounds the (points x scales) temporaries, to
+# about 2 MiB for SphereExact(10, 9). No value depends on it.
+_BLOCK = 1 << 10
 # Joint band boxes per quadrature call; bounds the nodes each level holds.
 _JOINT_COLUMNS = 64
 _TAIL_TOL = 1e-12  # the largest tail a sphere law's scale sum omits (see _scales)

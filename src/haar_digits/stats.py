@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .laws import DigitLaw
+from .rng import TILE
 from .significand import check_base, first_digits, significand_values
 from .specfun import normal_cdf
 
@@ -103,20 +104,29 @@ def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
 
     Zero and non-finite inputs are filtered out and counted rather than
     raising: samplers of continuous laws produce them with probability
-    zero, so a nonzero rejection count is itself diagnostic."""
+    zero, so a nonzero rejection count is itself diagnostic. The values are
+    reduced and their digits counted a tile of TILE at a time, so beyond the
+    significands a call needs only a tile's temporaries."""
     base = check_base(base)
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DomainError("empty sample")
-    keep = np.isfinite(arr) & (arr != 0.0)
-    n_rejected = int(arr.size - np.count_nonzero(keep))
-    if n_rejected == arr.size:
+    sig = np.empty(arr.size)
+    counts = np.zeros(base - 1, dtype=np.int64)
+    kept = 0
+    for start in range(0, arr.size, TILE):
+        x = arr[start : start + TILE]
+        keep = np.isfinite(x) & (x != 0.0)
+        s = significand_values(x if keep.all() else x[keep], base)
+        sig[kept : kept + s.size] = s
+        kept += s.size
+        digits = np.floor(s, out=s).astype(np.int64)
+        np.clip(digits, 1, base - 1, out=digits)
+        counts += np.bincount(digits - 1, minlength=base - 1)
+    n_rejected = int(arr.size - kept)
+    if kept == 0:
         raise DomainError("no usable values in sample (all zero or non-finite)")
-    sig = significand_values(arr[keep] if n_rejected else arr, base)
-    digits = np.floor(sig).astype(np.int64)
-    np.clip(digits, 1, base - 1, out=digits)
-    counts = np.bincount(digits - 1, minlength=base - 1).astype(np.int64)
-    return EmpiricalDigitDistribution(base, sig, counts, n_rejected)
+    return EmpiricalDigitDistribution(base, sig[:kept], counts, n_rejected)
 
 
 def _as_empirical(sample, base: int) -> EmpiricalDigitDistribution:

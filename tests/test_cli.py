@@ -439,7 +439,7 @@ FROZEN_SAMPLE_DIGESTS = {
     ("--group", "orthogonal", "--n", "4", "--entry", "2,3"):
         "8a461379538798eedc42005dd418fe2f8f229253e750c6711abfe0fe3ac5cf1c",
     ("--group", "unitary", "--n", "3", "--format", "csv"):
-        "fe5dd873f502b24795a0d78fb751aeec8d4056a5601c607a495f27f7eaaf4ea2",
+        "f6768e565214c3c38b2d19b2d9df66badd7e6a1da8f32fe1df59db2b41039e2c",
 }
 
 

@@ -82,6 +82,17 @@ def test_a_draw_past_the_last_word_is_refused():
     assert a.counter == 2**64 - 1
 
 
+def test_a_refused_multi_tile_draw_leaves_the_counter():
+    # The whole draw is checked before its first tile: no tile is drawn.
+    a = RngStream(11)
+    a.skip(2**64 - 1 - TILE - 3)
+    with pytest.raises(DomainError, match=r"pass word 2\^64 - 1"):
+        a.random(TILE + 5)
+    assert a.counter == 2**64 - 1 - TILE - 3
+    assert a.random(TILE + 3).size == TILE + 3
+    assert a.counter == 2**64 - 1
+
+
 def test_substreams_are_distinct_and_deterministic():
     root = RngStream(42)
     s1 = root.substream(1)

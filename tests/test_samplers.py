@@ -27,6 +27,7 @@ from haar_digits.samplers import (
     sample_gln_det,
     sample_gln_pos_window,
     sample_log_uniform,
+    sample_orthogonal_entry,
     sample_orthogonal_haar,
     sample_power_density,
     sample_sln_dfactor_entry,
@@ -34,6 +35,7 @@ from haar_digits.samplers import (
     sample_sphere,
     sample_sphere_coords,
     sample_triangular_entry,
+    sample_unitary_entry,
     sample_unitary_haar,
     sample_upper_triangular_window,
     triangular_component_law,
@@ -179,7 +181,9 @@ _SAMPLER_ARGS = {
     "sample_sphere": (3, RngStream(1)),
     "sample_sphere_coords": (3, 1, RngStream(1)),
     "sample_orthogonal_haar": (3, RngStream(1)),
+    "sample_orthogonal_entry": (3, 0, 1, RngStream(1)),
     "sample_unitary_haar": (3, RngStream(1)),
+    "sample_unitary_entry": (3, 0, 1, RngStream(1)),
     "sample_log_uniform": (10, 2, RngStream(1)),
     "sample_power_density": (10, 2.0, 2, RngStream(1)),
     "sample_upper_triangular_window": (3, 10, WindowSpec(), "left", RngStream(1)),
@@ -228,9 +232,9 @@ def test_orthogonal_haar_shapes_info_and_determinism():
 
 class _SingularFirstDraw:
     """Stream wrapper that zeroes matrix `row` of the first Gaussian stack of
-    `count` matrices: its first `calls` normal batches (one per field part,
-    real then imaginary) hold that stack. QR of the all-zero matrix gives
-    diag(R) = 0, so the sampler must redraw it."""
+    `count` matrices: its first `calls` normal batches hold that stack, one
+    batch per Gram-Schmidt slice over R and C alike. QR of the all-zero
+    matrix gives diag(R) = 0, so the sampler must redraw it."""
 
     def __init__(self, stream, row, count, calls):
         self.stream = stream
@@ -260,11 +264,11 @@ def test_orthogonal_haar_resamples_singular_draw():
 
 def test_unitary_haar_resamples_singular_draw():
     # The same QR-and-redraw loop as O(n): the zero matrix is drawn again
-    # (its real parts, then its imaginary parts) and the others keep their bytes.
+    # (one batch of normals, as its slice was) and the others keep their bytes.
     plain = sample_unitary_haar(3, RngStream(37), count=6)
-    stub = _SingularFirstDraw(RngStream(37), row=4, count=6, calls=2)
+    stub = _SingularFirstDraw(RngStream(37), row=4, count=6, calls=1)
     mats = sample_unitary_haar(3, stub, count=6)
-    assert stub.batches == 4
+    assert stub.batches == 2
     others = [0, 1, 2, 3, 5]
     assert mats[others].tobytes() == plain[others].tobytes()
     assert not np.array_equal(mats[4], plain[4])
@@ -297,8 +301,8 @@ def test_unitary_haar_entry_moment():
 
 
 def test_unitary_haar_footprint(traced_peak):
-    # The complex Gaussian stack is filled a tile at a time and overwritten
-    # by its Q factors one Gram-Schmidt slice at a time.
+    # Each Gram-Schmidt slice is drawn, overwritten by its Q factors and
+    # copied to the output before the next one is drawn.
     us, peak = traced_peak(lambda: sample_unitary_haar(3, RngStream(37), count=100_000))
     assert peak <= 1.3 * us.nbytes
 
@@ -358,7 +362,7 @@ def _cgs2_reference(a: np.ndarray) -> np.ndarray:
 def _haar_draw(n, dtype, seed, count):
     """(Gaussian stack, Haar sample) of one seed: the stack the sampler draws."""
     gauss = samplers._gaussian_stack(RngStream(seed), count, n, dtype)
-    return gauss, samplers._haar_qr(n, RngStream(seed), count, dtype)[0]
+    return gauss, samplers._haar_qr(n, RngStream(seed), count, dtype, lambda q: q)[0]
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "sliced"])
@@ -408,10 +412,73 @@ def test_haar_samplers_make_no_lapack_qr_call(monkeypatch):
 
 
 def test_orthogonal_haar_footprint(traced_peak):
-    # The Gaussian stack is overwritten by its Q factors one Gram-Schmidt
-    # slice at a time.
+    # Each Gram-Schmidt slice is drawn, overwritten by its Q factors and
+    # copied to the output before the next one is drawn.
     qs, peak = traced_peak(lambda: sample_orthogonal_haar(4, RngStream(37), count=100_000))
     assert peak <= 1.3 * qs.nbytes
+
+
+def test_unitary_haar_word_order_is_re_im_per_entry():
+    # A complex Gaussian entry is two consecutive normals, (real, imaginary),
+    # each divided by sqrt(2): the stack is one normal draw viewed as complex.
+    n, count = 3, 5
+    qs = sample_unitary_haar(n, RngStream(67), count)
+    gauss = RngStream(67).normal(2 * count * n * n).view(complex) / math.sqrt(2.0)
+    for q, g in zip(qs, gauss.reshape(count, n, n)):
+        assert q.tobytes() == _cgs2_reference(g).tobytes()
+
+
+_ENTRY_READS = {
+    float: (sample_orthogonal_haar, sample_orthogonal_entry),
+    complex: (sample_unitary_haar, sample_unitary_entry),
+}
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["plain", "singular"])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_haar_entry_reads_equal_full_draws(monkeypatch, n, dtype, singular):
+    # Slices of _QR_SLICE_MIN matrices: the count spans three whole slices
+    # and a short one. With `singular`, one matrix of the first slice is
+    # zeroed and redrawn after the whole first round.
+    monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", 1)
+    step = samplers._QR_SLICE_MIN
+    count = 3 * step + 37
+    full_read, entry_read = _ENTRY_READS[dtype]
+
+    def streams():
+        """(the RngStream, what the sampler draws from)"""
+        rng = RngStream(71)
+        return rng, _SingularFirstDraw(rng, row=5, count=step, calls=1) if singular else rng
+
+    rng, stream = streams()
+    full = full_read(n, stream, count)
+    if singular:
+        assert stream.batches == 5  # four slices and one redraw
+        assert not np.array_equal(full[5], full_read(n, RngStream(71), count)[5])
+    for i, j in sorted({(0, 0), (0, n - 1), (n - 1, 1), (n // 2, n - 2)}):
+        entry_rng, entry_stream = streams()
+        got = entry_read(n, i, j, entry_stream, count)
+        assert got.shape == (count,)
+        assert got.tobytes() == np.ascontiguousarray(full[:, i, j]).tobytes(), (i, j)
+        assert entry_rng.counter == rng.counter
+
+
+@pytest.mark.parametrize("entry_read", [sample_orthogonal_entry, sample_unitary_entry])
+def test_haar_entry_reads_refuse_entries_outside_the_matrix(entry_read):
+    for i, j in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(DomainError, match="out of range"):
+            entry_read(3, i, j, RngStream(1), 4)
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
+@pytest.mark.parametrize("n", [4, 10])
+def test_haar_entry_reads_footprint(traced_peak, n, dtype):
+    # One Gram-Schmidt slice at a time beside the output, where a whole draw
+    # would hold n^2 doubles a value (2 n^2 over C).
+    entry_read = _ENTRY_READS[dtype][1]
+    vals, peak = traced_peak(lambda: entry_read(n, 1, 2, RngStream(73), 400_000))
+    assert peak <= vals.nbytes + 4 * 2**20
 
 
 # --- scalar windowed densities --------------------------------------------------

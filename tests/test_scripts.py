@@ -59,6 +59,8 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     assert lines[0] == "# best of 1, 200 items a call, seed 7"
     record = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:])
-    assert len(record["layers"]) == 13
+    assert len(record["layers"]) == 15
     assert record["layers"]["sample_orthogonal_haar(4)"]["items"] == 20
+    assert record["layers"]["sample_unitary_entry(3)"]["items"] == 20
     assert all(layer["ms_per_1e6"] > 0 for layer in record["layers"].values())
+    assert all(layer["peak_bytes_per_item"] > 0 for layer in record["layers"].values())

@@ -6,12 +6,17 @@ not depend on mpmath at runtime.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from haar_digits import specfun
 from haar_digits.errors import DomainError
 from haar_digits.specfun import (
     betainc,
@@ -241,6 +246,28 @@ def test_integrate_exact_on_polynomials_and_sine():
     assert integrate(lambda x: 3 * x * x, [0.0, 2.0]) == pytest.approx(8.0, rel=1e-13)
     assert integrate(np.sin, [0.0, math.pi]) == pytest.approx(2.0, rel=1e-12)
     assert integrate(lambda x: np.ones_like(x), [-1.5, 2.5]) == pytest.approx(4.0, rel=1e-14)
+
+
+def test_frozen_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert specfun._GL_NODES.tobytes() == nodes.tobytes()
+    assert specfun._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_out():
+    # A fresh interpreter importing the package from the tree under test.
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, haar_digits.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_integrate_sums_rows_of_panels_in_one_call():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from haar_digits import sphere
 from haar_digits.errors import DomainError
 from haar_digits.laws import UniformSignificand
 from haar_digits.specfun import integrate
@@ -375,6 +376,30 @@ def test_sphere_laws_use_no_quadrature(monkeypatch):
         law.first_digit_probs()
     sphere_band_prob(9, -0.3, 0.2)
     sphere_joint_sig_approx(50, 10, ((1.0, 2.0),))
+
+
+@pytest.mark.parametrize("law_cls", [SphereExact, SphereErf, SphereLimit])
+def test_sphere_law_values_do_not_depend_on_the_block(monkeypatch, law_cls):
+    # Each point's scale sum runs on its own row: a block of 37 points, the
+    # present 1024 and the former 4096 give the same bytes.
+    laws = [law_cls(base=b, n=n) for b in (2, 7, 10) for n in (2, 9, 10**4, 10**7)]
+    points = [1.0 + (law.base - 1.0) * np.linspace(0.0, 1.0, 1500) for law in laws]
+    values = {}
+    for block in (4096, 1024, 37):
+        monkeypatch.setattr(sphere, "_BLOCK", block)
+        values[block] = [
+            (law.cdf(s).tobytes(), law.density(s).tobytes()) for law, s in zip(laws, points)
+        ]
+    assert values[1024] == values[4096]
+    assert values[37] == values[4096]
+
+
+def test_sphere_cdf_footprint(traced_peak):
+    # One block's (points x scales) temporaries beside the output.
+    law = SphereExact(base=10, n=9)
+    s = np.linspace(1.0, 10.0, 100_000)
+    out, peak = traced_peak(lambda: law.cdf(s))
+    assert peak <= out.nbytes + 3 * 2**20
 
 
 def test_sphere_dimension_validation():

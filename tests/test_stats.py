@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from haar_digits.errors import DomainError
 from haar_digits.laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
-from haar_digits.rng import RngStream
+from haar_digits.rng import TILE, RngStream
 from haar_digits.samplers import sample_log_uniform, sample_sphere_coords
 from haar_digits.significand import significand_values
 from haar_digits.sphere import SphereErf, SphereExact, SphereLimit
@@ -95,14 +95,31 @@ def test_build_empirical_validation():
         build_empirical([1.0], base=1)
 
 
+def test_build_empirical_tiles_match_one_pass():
+    # Rejections on both sides of tile edges and one tile with no usable
+    # value: the same significands, counts and rejections as one reduction
+    # of the filtered sample.
+    x = RngStream(9).normal(3 * TILE + 11)
+    x[[0, TILE - 1, TILE, 2 * TILE + 5]] = [0.0, math.nan, -math.inf, 0.0]
+    x[TILE + 7 : 2 * TILE + 3] = 0.0  # tile 1 from its 7th value on, and into tile 2
+    x[TILE : TILE + 7] = math.nan
+    keep = np.isfinite(x) & (x != 0.0)
+    sig = significand_values(x[keep], 10)
+    emp = build_empirical(x, 10)
+    assert emp.n_rejected == x.size - keep.sum()
+    assert emp.significands.tobytes() == sig.tobytes()
+    digits = np.clip(np.floor(sig).astype(np.int64), 1, 9)
+    assert emp.digit_counts.tolist() == np.bincount(digits - 1, minlength=9).tolist()
+
+
 def test_build_empirical_footprint(traced_peak):
-    # With nothing rejected, the sample is reduced without a filtered copy,
-    # and the caller's array is left as it was.
+    # The significands and one tile's temporaries: the sample is reduced a
+    # tile at a time, and the caller's array is left as it was.
     xs = 10.0 ** np.random.default_rng(0).uniform(-5, 5, 1_000_000)
     before = xs.copy()
     emp, peak = traced_peak(lambda: build_empirical(xs, 10))
     assert emp.n == xs.size and emp.n_rejected == 0
-    assert peak <= 4.25 * xs.nbytes
+    assert peak <= 1.5 * xs.nbytes
     assert np.array_equal(xs, before)
 
 
