@@ -13,6 +13,11 @@ stdout and, with --out, the same numbers go to that path as JSON
 (BENCH_layers.json by convention), together with the machine and the
 library versions. Run it on two checkouts to compare them.
 
+A start-up section follows: for fresh `python -c "import numpy"` and
+`python -c "import haar_digits.cli"` processes, the best wall time of
+--repeats and that process's peak RSS (ru_maxrss), and the modules the
+second imports beyond the first, a list that does not vary from run to run.
+
 Usage:
     PYTHONPATH=src python scripts/layer_costs.py --out BENCH_layers.json
 """
@@ -22,6 +27,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -68,9 +74,54 @@ def _layers(items: int, seed: int, workdir: str):
          lambda: samplers.sample_unitary_entry(3, 1, 2, rng, matrices)),
         ("sample_triangular_entry(n=1000)", reads,
          lambda: samplers.sample_triangular_entry(1000, 10, spec, "left", 0, 1, rng, reads)),
+        ("sample_sln_matrix_entry(3)", items,
+         lambda: samplers.sample_sln_matrix_entry(3, 10, spec, 1, 1, rng, items)),
         ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
         ("fig1 dimension (n=100)", items, lambda: cli._fig1_freqs(rng, 100, items, 10)),
     ]
+
+
+_STARTUP = ("import numpy", "import haar_digits.cli")
+_BEYOND_NUMPY = (
+    "import sys, numpy; before = set(sys.modules); import haar_digits.cli; "
+    "print(*sorted(set(sys.modules) - before))"
+)
+# Spawns `python -c argv[1]` argv[2] times and prints the least wall time and
+# the least ru_maxrss. It runs in a fresh interpreter of its own because a
+# child spawned from this process would report this process's peak: the
+# kernel carries the parent's high-water mark over a vfork and exec.
+_LAUNCHER = """
+import os, sys, time
+runs = []
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", sys.argv[1]], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        sys.exit(f"python -c {sys.argv[1]!r} failed")
+    runs.append((time.perf_counter() - start, usage.ru_maxrss))
+print(min(r[0] for r in runs), min(r[1] for r in runs))
+"""
+
+
+def _startup(repeats: int) -> dict:
+    """The start-up record: each _STARTUP process's best time and peak RSS,
+    and the modules importing the CLI loads beyond NumPy's."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def python(*args) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True
+        ).stdout
+
+    record = {}
+    for code in _STARTUP:
+        best_s, maxrss_kib = python(_LAUNCHER, code, str(repeats)).split()
+        record[code] = {"best_s": float(best_s), "maxrss_mib": int(maxrss_kib) / 1024.0}
+    record["modules_beyond_numpy"] = python(_BEYOND_NUMPY).split()
+    return record
 
 
 def _best(call, repeats: int) -> float:
@@ -117,6 +168,13 @@ def main(argv=None) -> int:
                 "peak_bytes_per_item": per_item,
             }
             print(f"{name:36s} {count:9d} {per_million:11.1f} {per_item:12.1f}")
+    startup = _startup(args.repeats)
+    print(f"# start-up, best of {args.repeats} fresh processes")
+    print(f"{'process':36s} {'ms':>9s} {'peak RSS MiB':>12s}")
+    for name in _STARTUP:
+        best_ms, rss = startup[name]["best_s"] * 1e3, startup[name]["maxrss_mib"]
+        print(f"{name:36s} {best_ms:9.1f} {rss:12.2f}")
+    print("# modules beyond numpy: " + " ".join(startup["modules_beyond_numpy"]))
     if args.out is not None:
         record = {
             "machine": f"{platform.machine()}, {os.cpu_count()} cores, {platform.system()}",
@@ -126,6 +184,7 @@ def main(argv=None) -> int:
             "repeats": args.repeats,
             "seed": args.seed,
             "layers": layers,
+            "startup": startup,
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)

@@ -48,6 +48,7 @@ from .samplers import (
     sample_power_density,
     sample_sln_dfactor_entry,
     sample_sln_lud_window,
+    sample_sln_matrix_entry,
     sample_sphere,
     sample_sphere_coords,
     sample_triangular_entry,

@@ -24,7 +24,6 @@ so identical flags produce byte-identical output. Floats are printed with
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -33,12 +32,12 @@ import os
 import pickle
 import sys
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import samplers
+from ._frozen import Frozen
 from .errors import ConsistencyError, DomainError
 from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .lie import (
@@ -101,14 +100,13 @@ def _open_out(path: str):
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(Frozen):
     """A command's result: `payload` for JSON, `header` and `rows` for CSV, and `passed`."""
 
-    payload: dict
-    header: tuple
-    rows: Iterable
-    passed: bool
+    _fields = ("payload", "header", "rows", "passed")
+
+    def __init__(self, payload: dict, header: tuple, rows: Iterable, passed: bool):
+        self._set(payload=payload, header=header, rows=rows, passed=passed)
 
 
 def _emit(report: _Report, fmt: str, out: Optional[str]) -> None:
@@ -116,6 +114,8 @@ def _emit(report: _Report, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = json.dumps(_jsonable(report.payload), sort_keys=True, indent=2) + "\n"
     else:
+        import csv  # only CSV output pays for the import
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.header)
@@ -470,8 +470,7 @@ def _cmd_law(args) -> _Report:
 # --- sample command -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(Frozen):
     """What `sample --group NAME` draws and which law it predicts.
 
     draw(args, spec, i, j, stream, count) returns `count` values of the
@@ -480,18 +479,26 @@ class _Group:
     call samplers through the module, so that tracing the module sees them.
     """
 
-    draw: Callable
-    law: Callable
-    matrix: bool = True  # draws blocks of _MATRIX_CHUNK_SCALARS // n^2 values
-    reads: tuple = ("n", "entry")  # the flags of _SAMPLE_FLAGS it reads
-    min_n: int = 1  # the least --n it takes, checked before --entry is read
-    diagonal_only: Optional[str] = None  # the error for an off-diagonal --entry
+    _fields = ("draw", "law", "matrix", "reads", "min_n", "diagonal_only")
+
+    def __init__(
+        self,
+        draw: Callable,
+        law: Callable,
+        matrix: bool = True,  # draws blocks of _MATRIX_CHUNK_SCALARS // n^2 values
+        reads: tuple = ("n", "entry"),  # the flags of _SAMPLE_FLAGS it reads
+        min_n: int = 1,  # the least --n it takes, checked before --entry is read
+        diagonal_only: Optional[str] = None,  # the error for an off-diagonal --entry
+    ):
+        self._set(
+            draw=draw, law=law, matrix=matrix, reads=reads, min_n=min_n, diagonal_only=diagonal_only
+        )
 
 
 def _sln_entry(a, spec, i, j, st, c):
     if a.component == "dfactor":
         return samplers.sample_sln_dfactor_entry(a.n, a.base, spec, i, st, c)
-    return samplers.sample_sln_lud_window(a.n, a.base, spec, st, c).g[:, i, i]
+    return samplers.sample_sln_matrix_entry(a.n, a.base, spec, i, j, st, c)
 
 
 _GROUPS = {
@@ -756,13 +763,18 @@ def _verify_cone(stream: RngStream, eps: float, trials: int):
     return checks
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(Frozen):
     """What `verify --suite NAME` checks."""
 
-    label: int  # the substream of the verify root it draws from
-    run: Callable  # run(stream, **flags) returns its checks
-    reads: tuple  # the flags of _VERIFY_FLAGS it reads
+    _fields = ("label", "run", "reads")
+
+    def __init__(
+        self,
+        label: int,  # the substream of the verify root it draws from
+        run: Callable,  # run(stream, **flags) returns its checks
+        reads: tuple,  # the flags of _VERIFY_FLAGS it reads
+    ):
+        self._set(label=label, run=run, reads=reads)
 
 
 _SUITES = {

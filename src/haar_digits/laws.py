@@ -11,10 +11,10 @@ families live in haar_digits.sphere and subclass DigitLaw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError
 from .significand import check_base, significand
 
@@ -65,14 +65,13 @@ class DigitLaw:
         return np.diff(c)
 
 
-@dataclass(frozen=True)
-class Benford(DigitLaw):
+class Benford(DigitLaw, Frozen):
     """Logarithmic significand law: CDF log_B(s), density 1/(s ln B)."""
 
-    base: int = 10
+    _fields = ("base",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
+    def __init__(self, base: int = 10):
+        self._set(base=check_base(base))
 
     def cdf(self, s):
         arr, scalar = self._check_sig(s)
@@ -83,8 +82,7 @@ class Benford(DigitLaw):
         return self._ret(1.0 / (arr * math.log(self.base)), scalar)
 
 
-@dataclass(frozen=True)
-class PowerLaw(DigitLaw):
+class PowerLaw(DigitLaw, Frozen):
     """Significand law of a density proportional to x^(-k) across decades.
 
     Density on [1, B): c * s^(-k) with c = (k-1) B^(k-1) / (B^(k-1) - 1);
@@ -93,21 +91,24 @@ class PowerLaw(DigitLaw):
     k near 1 stable).
     """
 
-    base: int = 10
-    k: float = 2.0
+    _fields = ("base", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"PowerLaw exponent k must be > 0, got {self.k}")
+    def __init__(self, base: int = 10, k: float = 2.0):
+        base = check_base(base)
+        if not (math.isfinite(k) and k > 0.0):
+            raise DomainError(f"PowerLaw exponent k must be > 0, got {k}")
+        self._set(base=base, k=k)
 
     def cdf(self, s):
         arr, scalar = self._check_sig(s)
         if self.k == 1.0:
             return self._ret(np.log(arr) / math.log(self.base), scalar)
         one_minus_k = 1.0 - self.k
-        # (1 - s^(1-k)) / (1 - B^(1-k)) = expm1((1-k) ln s) / expm1((1-k) ln B)
-        num = np.expm1(one_minus_k * np.log(arr))
+        # (1 - s^(1-k)) / (1 - B^(1-k)) = expm1((1-k) ln s) / expm1((1-k) ln B).
+        # At a huge k the product overflows to -inf, and expm1(-inf) = -1 is
+        # the limit, so that overflow is no error.
+        with np.errstate(over="ignore"):
+            num = np.expm1(one_minus_k * np.log(arr))
         den = math.expm1(one_minus_k * math.log(self.base))
         return self._ret(num / den, scalar)
 
@@ -120,14 +121,13 @@ class PowerLaw(DigitLaw):
         return self._ret(c * np.power(arr, -self.k), scalar)
 
 
-@dataclass(frozen=True)
-class UniformSignificand(DigitLaw):
+class UniformSignificand(DigitLaw, Frozen):
     """Flat significand law: CDF (s-1)/(B-1), the anti-Benford control."""
 
-    base: int = 10
+    _fields = ("base",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
+    def __init__(self, base: int = 10):
+        self._set(base=check_base(base))
 
     def cdf(self, s):
         arr, scalar = self._check_sig(s)
@@ -139,8 +139,7 @@ class UniformSignificand(DigitLaw):
         return self._ret(out, scalar)
 
 
-@dataclass(frozen=True)
-class FlatWindowSignificand(DigitLaw):
+class FlatWindowSignificand(DigitLaw, Frozen):
     """Significand law of a coordinate uniform on [-eps, eps].
 
     With eps = t B^e, t in [1, B): the top partial decade [B^e, t B^e)
@@ -150,15 +149,13 @@ class FlatWindowSignificand(DigitLaw):
     is UniformSignificand.
     """
 
-    base: int = 10
-    eps: float = 1.0
-    t: float = field(init=False, repr=False)
+    _fields = ("base", "eps")  # t follows from them
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", check_base(self.base))
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise DomainError(f"FlatWindowSignificand: eps must be > 0, got {self.eps}")
-        object.__setattr__(self, "t", significand(self.eps, self.base).significand)
+    def __init__(self, base: int = 10, eps: float = 1.0):
+        base = check_base(base)
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise DomainError(f"FlatWindowSignificand: eps must be > 0, got {eps}")
+        self._set(base=base, eps=eps, t=significand(eps, base).significand)
 
     def cdf(self, s):
         arr, scalar = self._check_sig(s)
@@ -171,21 +168,20 @@ class FlatWindowSignificand(DigitLaw):
         return self._ret(out / self.t, scalar)
 
 
-@dataclass(frozen=True)
-class ProductLaw:
+class ProductLaw(Frozen):
     """Joint law of independent components, one DigitLaw per coordinate.
 
     cdf/density take one significand per component. Scalar-law operations
     (first-digit probabilities, KS) are deliberately unsupported.
     """
 
-    laws: tuple = field(default_factory=tuple)
+    _fields = ("laws",)
 
-    def __post_init__(self):
-        laws = tuple(self.laws)
+    def __init__(self, laws: tuple = ()):
+        laws = tuple(laws)
         if not laws or not all(isinstance(l, DigitLaw) for l in laws):
             raise DomainError("ProductLaw needs a nonempty tuple of DigitLaw")
-        object.__setattr__(self, "laws", laws)
+        self._set(laws=laws)
 
     @property
     def base(self) -> int:

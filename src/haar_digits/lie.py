@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import ConsistencyError, DomainError
 from .rng import RngStream
 from .significand import check_base
@@ -54,8 +54,7 @@ _MC_BATCH = 1_000_000  # rejection Monte Carlo points drawn per batch
 MC_SIGMAS = 5.0  # an estimate agrees with a value fewer standard errors away
 
 
-@dataclass(frozen=True)
-class ConeProblem:
+class ConeProblem(Frozen):
     """SL_2 window cone: a in [1, x], off-diagonal coordinates in [-eps, eps].
 
     eps^2 must be a normal double (eps >= 2^-511): below that the volume
@@ -63,30 +62,36 @@ class ConeProblem:
     their digits.
     """
 
-    x: float
-    eps: float = 0.1
+    _fields = ("x", "eps")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and self.x >= 1.0):
-            raise DomainError(f"ConeProblem: x must be >= 1, got {self.x}")
-        if not (0.0 < self.eps <= 1.0):
-            raise DomainError(f"ConeProblem: eps must be in (0, 1], got {self.eps}")
-        if self.eps * self.eps < sys.float_info.min:
+    def __init__(self, x: float, eps: float = 0.1):
+        if not (math.isfinite(x) and x >= 1.0):
+            raise DomainError(f"ConeProblem: x must be >= 1, got {x}")
+        if not (0.0 < eps <= 1.0):
+            raise DomainError(f"ConeProblem: eps must be in (0, 1], got {eps}")
+        if eps * eps < sys.float_info.min:
             raise DomainError(
                 f"ConeProblem: eps must be >= 2^-511 so that eps^2 is a normal double, "
-                f"got {self.eps}"
+                f"got {eps}"
             )
+        self._set(x=x, eps=eps)
 
 
-@dataclass(frozen=True)
-class MCVolume:
+class MCVolume(Frozen):
     """Rejection Monte Carlo volume estimate with a binomial error bar."""
 
-    estimate: float
-    stderr: float
-    accepted: int
-    trials: int
-    box_volume: float
+    _fields = ("estimate", "stderr", "accepted", "trials", "box_volume")
+
+    def __init__(
+        self, estimate: float, stderr: float, accepted: int, trials: int, box_volume: float
+    ):
+        self._set(
+            estimate=estimate,
+            stderr=stderr,
+            accepted=accepted,
+            trials=trials,
+            box_volume=box_volume,
+        )
 
     def sigma_gap(self, exact: float) -> float:
         """|estimate - exact| in standard errors; with a zero error bar (every

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError
 from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .rng import TILE, RngStream
@@ -56,6 +56,7 @@ __all__ = [
     "nilpotent_exp",
     "sample_sln_lud_window",
     "sample_sln_dfactor_entry",
+    "sample_sln_matrix_entry",
     "random_even_permutation",
     "permutation_parity",
     "apply_even_permutations",
@@ -64,53 +65,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(Frozen):
     """Finite sampling window: unipotent box half-width and decade count.
 
     eps is a normal double (a subnormal box holds too few doubles to be
     flat) with 2 eps finite, so that [-eps, eps) is a finite uniform range.
     """
 
-    eps: float = 1.0
-    m: int = 3
+    _fields = ("eps", "m")
 
-    def __post_init__(self):
-        if not (sys.float_info.min <= self.eps <= sys.float_info.max / 2):  # false for NaN
+    def __init__(self, eps: float = 1.0, m: int = 3):
+        if not (sys.float_info.min <= eps <= sys.float_info.max / 2):  # false for NaN
             raise DomainError(
                 f"WindowSpec: eps must be in [{sys.float_info.min}, {sys.float_info.max / 2}], "
-                f"got {self.eps}"
+                f"got {eps}"
             )
-        if not (self.m >= 1 and self.m % 1 == 0):  # false for NaN and inf too
-            raise DomainError(f"WindowSpec: m must be a positive integer, got {self.m}")
+        if not (m >= 1 and m % 1 == 0):  # false for NaN and inf too
+            raise DomainError(f"WindowSpec: m must be a positive integer, got {m}")
+        self._set(eps=eps, m=m)
 
 
-@dataclass(frozen=True)
-class SlnSample:
+class SlnSample(Frozen):
     """LUD-decomposed SL_n batch: g = exp(X) exp(Y) d with det(g) = 1.
 
     The factors are drawn; g is formed from them on first read and kept.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
-    diag: np.ndarray
+    _fields = ("X", "Y", "diag")
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray, diag: np.ndarray):
+        self._set(X=X, Y=Y, diag=diag)
 
     @cached_property
     def g(self) -> np.ndarray:
         return _lud_product(self)
 
 
-@dataclass(frozen=True)
-class GlnSample:
+class GlnSample(Frozen):
     """Positive-determinant GL_n batch g = det^(1/n) * (SL_n sample).
 
     The SL_n factor and the determinant are drawn; the matrices are formed
     on first read and kept.
     """
 
-    sln: SlnSample
-    det: np.ndarray
+    _fields = ("sln", "det")
+
+    def __init__(self, sln: SlnSample, det: np.ndarray):
+        self._set(sln=sln, det=det)
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -273,7 +274,8 @@ def _gaussian_stack(rng: RngStream, count: int, n: int, dtype) -> np.ndarray:
 
 def _qr_slice(n: int, parts: int) -> int:
     """Matrices per Gram-Schmidt slice of n x n matrices over R (parts 1) or
-    C (parts 2): each takes (parts n)^2 doubles of work."""
+    C (parts 2), and per SL_n product slice (parts 1): each takes (parts n)^2
+    doubles of work."""
     return max(_QR_SLICE_DOUBLES // (parts * n) ** 2, _QR_SLICE_MIN)
 
 
@@ -457,15 +459,26 @@ def _diagonal_entry(draw, n: int, m: int, i: int, free: int, first: int, rng: Rn
     return _read_blocks(draw, rng, c, first + i, first + free)[:, 0]
 
 
-def _lud_draw(n: int, base: int, spec: WindowSpec, rng: RngStream, c: int) -> SlnSample:
-    """The SL_n factors: the blocks of X (i > j), then of Y (i < j), each
-    row-major and flat on [-eps, eps], then the n - 1 free log-uniform
-    blocks of the det-one diagonal d."""
+def _lud_runs(n: int, base: int, spec: WindowSpec, rng: RngStream, c: int) -> tuple:
+    """The SL_n factors as drawn: the blocks of X (i > j), then of Y (i < j),
+    each row-major and flat on [-eps, eps], as (c, n(n-1)/2) arrays, then the
+    (c, n) det-one diagonal d from its n - 1 free log-uniform blocks."""
     d_draw = _power_block(base, 1.0, spec.m)  # checks m before any word is drawn
+    x = _run(_flat_block(spec.eps), rng, c, n * (n - 1) // 2)
+    y = _run(_flat_block(spec.eps), rng, c, n * (n - 1) // 2)
+    return x, y, _diagonal(_run(d_draw, rng, c, n - 1), n, spec.m)
+
+
+def _lud_sample(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> SlnSample:
+    """The SlnSample whose X and Y hold the runs x and y of _lud_runs."""
+    c, n = d.shape
     X, Y = np.zeros((c, n, n)), np.zeros((c, n, n))
-    for canvas, (rows, cols) in ((X, np.tril_indices(n, -1)), (Y, np.triu_indices(n, 1))):
-        canvas[:, rows, cols] = _run(_flat_block(spec.eps), rng, c, rows.size)
-    return SlnSample(X, Y, _diagonal(_run(d_draw, rng, c, n - 1), n, spec.m))
+    for canvas, run, (rows, cols) in (
+        (X, x, np.tril_indices(n, -1)),
+        (Y, y, np.triu_indices(n, 1)),
+    ):
+        canvas[:, rows, cols] = run
+    return SlnSample(X, Y, d)
 
 
 # --- triangular and diagonal groups ------------------------------------------
@@ -666,7 +679,7 @@ def sample_sln_lud_window(
     """
     n = _check_dim(n, minimum=2)
     base = check_base(base)
-    return _lud_draw(n, base, spec, rng, _count(count))
+    return _lud_sample(*_lud_runs(n, base, spec, rng, _count(count)))
 
 
 def sample_sln_dfactor_entry(
@@ -687,6 +700,42 @@ def sample_sln_dfactor_entry(
     base = check_base(base)
     draw = _power_block(base, 1.0, spec.m)
     return _diagonal_entry(draw, n, spec.m, i, n - 1, n * (n - 1), rng, _count(count))
+
+
+def sample_sln_matrix_entry(
+    n: int,
+    base: int,
+    spec: WindowSpec,
+    i: int,
+    j: int,
+    rng: RngStream,
+    count: int,
+) -> np.ndarray:
+    """Entry (i, j) (0-based) of sample_sln_lud_window(...).g, bit for bit.
+
+    Draws the same words, keeps the factors as drawn (n^2 doubles a value:
+    n(n-1) for X and Y, n for d) and forms exp(X) exp(Y) d one 1 MiB slice
+    of matrices at a time, keeping only this entry of each, where the full
+    draw holds 3 n^2 doubles a value in X, Y and g. An entry that is not a finite double (eps too large for
+    the product) raises DomainError; which entries overflow depends on d,
+    so dropping them would bias the law.
+    """
+    n = _check_dim(n, minimum=2)
+    base = check_base(base)
+    _check_entry(n, i, j)
+    x, y, d = _lud_runs(n, base, spec, rng, _count(count))
+    out = np.empty(len(d))
+    step = _qr_slice(n, 1)
+    for start in range(0, len(d), step):
+        rows = slice(start, start + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows] = _lud_product(_lud_sample(x[rows], y[rows], d[rows]))[:, i, j]
+    if not np.isfinite(out).all():
+        raise DomainError(
+            f"SL_n matrix entry at n={n}, eps={spec.eps}: exp(X) exp(Y) d leaves the "
+            "double range"
+        )
+    return out
 
 
 def _lud_product(sample: SlnSample) -> np.ndarray:
@@ -784,7 +833,7 @@ def sample_gln_pos_window(
     base = check_base(base)
     c = _count(count)
     r = _power_block(base, 1.0, spec.m)(rng, c)
-    return GlnSample(_lud_draw(n, base, spec, rng, c), r)
+    return GlnSample(_lud_sample(*_lud_runs(n, base, spec, rng, c)), r)
 
 
 def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count: int):

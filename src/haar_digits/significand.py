@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError
 
 __all__ = [
@@ -34,13 +34,13 @@ def check_base(base: int) -> int:
     return int(base)
 
 
-@dataclass(frozen=True)
-class SignificandDecomposition:
+class SignificandDecomposition(Frozen):
     """|x| = significand * base^exponent, significand in [1, base)."""
 
-    significand: float
-    exponent: int
-    sign: int
+    _fields = ("significand", "exponent", "sign")
+
+    def __init__(self, significand: float, exponent: int, sign: int):
+        self._set(significand=significand, exponent=exponent, sign=sign)
 
 
 def significand(x: float, base: int = 10) -> SignificandDecomposition:

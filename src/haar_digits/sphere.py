@@ -21,10 +21,10 @@ scales that carry its mass, in fixed-size blocks of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError
 from .laws import DigitLaw
 from .significand import check_base
@@ -233,17 +233,17 @@ def sphere_joint_sig_approx(n: int, base: int, bounds) -> float:
 # --- DigitLaw wrappers ------------------------------------------------------
 
 
-class _SphereLawBase(DigitLaw):
+class _SphereLawBase(DigitLaw, Frozen):
     """Blocked array evaluation shared by the sphere laws.
 
     A subclass gives the CDF and density of a column of significands as a
     sum over its scales; cdf and density feed it _BLOCK points at a time,
-    and a scalar is the one-point case.
+    and a scalar is the one-point case. tail_tol is fixed, and shown in the
+    repr.
     """
 
-    def _check_fields(self):
-        object.__setattr__(self, "base", check_base(self.base))
-        object.__setattr__(self, "n", _check_n(self.n))
+    _fields = ("base", "n", "tail_tol")
+    tail_tol = _TAIL_TOL
 
     def _blocked(self, block_fn, s):
         arr, scalar = self._check_sig(s)
@@ -260,7 +260,6 @@ class _SphereLawBase(DigitLaw):
         return self._blocked(self._density_block, s)
 
 
-@dataclass(frozen=True)
 class SphereExact(_SphereLawBase):
     """Exact first-coordinate significand law on S^n (incomplete-beta route).
 
@@ -268,16 +267,11 @@ class SphereExact(_SphereLawBase):
     s-independent lower terms are computed once per law.
     """
 
-    base: int = 10
-    n: int = 2
-    tail_tol: float = field(default=_TAIL_TOL, init=False)
-
-    def __post_init__(self):
-        self._check_fields()
+    def __init__(self, base: int = 10, n: int = 2):
+        self._set(base=check_base(base), n=_check_n(n))
         # A band's mass is at most 2 c_n (s-1) B^-i.
         scales = _scales(self.n, self.base, 2.0 * _band_coeff(self.n), self.tail_tol, 1)
-        object.__setattr__(self, "_scales", scales)
-        object.__setattr__(self, "_lower", betainc(0.5, 0.5 * self.n, scales * scales))
+        self._set(_scales=scales, _lower=betainc(0.5, 0.5 * self.n, scales * scales))
 
     def _cdf_block(self, s):
         u = np.minimum(1.0, s * self._scales)
@@ -295,14 +289,12 @@ class _ErfBandLaw(_SphereLawBase):
 
     _first = None
 
-    def __post_init__(self):
-        self._check_fields()
+    def __init__(self, base: int, n: int):
+        self._set(base=check_base(base), n=_check_n(n))
         r = math.sqrt(0.5 * self.n)
         # A band's mass is at most (2/sqrt(pi)) r (s-1) B^-i.
         scales = _scales(self.n, self.base, _TWO_OVER_SQRT_PI * r, self.tail_tol, self._first)
-        object.__setattr__(self, "_r", r)
-        object.__setattr__(self, "_scales", scales)
-        object.__setattr__(self, "_lower", erf(r * scales))
+        self._set(_r=r, _scales=scales, _lower=erf(r * scales))
 
     def _cdf_block(self, s):
         return (erf(self._r * s * self._scales) - self._lower).sum(axis=1)
@@ -312,7 +304,6 @@ class _ErfBandLaw(_SphereLawBase):
         return _TWO_OVER_SQRT_PI * self._r * (self._scales * np.exp(-z * z)).sum(axis=1)
 
 
-@dataclass(frozen=True)
 class SphereErf(_ErfBandLaw):
     """Error-function asymptotic form of the S^n significand law (n >= 2).
 
@@ -321,21 +312,16 @@ class SphereErf(_ErfBandLaw):
     the Gaussian approximation puts on |x| <= 1.
     """
 
-    base: int = 10
-    n: int = 2
-    tail_tol: float = field(default=_TAIL_TOL, init=False)
     _first = 1
 
-    def __post_init__(self):
-        if _check_n(self.n) < 2:
+    def __init__(self, base: int = 10, n: int = 2):
+        if _check_n(n) < 2:
             raise DomainError("SphereErf requires n >= 2")
-        super().__post_init__()
+        super().__init__(base, n)
 
 
-@dataclass(frozen=True)
 class SphereLimit(_ErfBandLaw):
     """Periodic limit family F_n, summed over all integer scales; identical for n and n B^2."""
 
-    base: int = 10
-    n: int = 1
-    tail_tol: float = field(default=_TAIL_TOL, init=False)
+    def __init__(self, base: int = 10, n: int = 1):
+        super().__init__(base, n)

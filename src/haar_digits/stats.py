@@ -22,12 +22,12 @@ raw statistics to hard-coded quantiles.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError
 from .laws import DigitLaw
 from .rng import TILE
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EmpiricalDigitDistribution:
+class EmpiricalDigitDistribution(Frozen):
     """Significands of a sample plus its first-digit histogram.
 
     `significands` holds them in sample order until `values` is first read,
@@ -61,10 +60,14 @@ class EmpiricalDigitDistribution:
     significands with first digit k+1.
     """
 
-    base: int
-    significands: np.ndarray
-    digit_counts: np.ndarray
-    n_rejected: int
+    _fields = ("base", "significands", "digit_counts", "n_rejected")
+
+    def __init__(
+        self, base: int, significands: np.ndarray, digit_counts: np.ndarray, n_rejected: int
+    ):
+        self._set(
+            base=base, significands=significands, digit_counts=digit_counts, n_rejected=n_rejected
+        )
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -80,23 +83,22 @@ class EmpiricalDigitDistribution:
         return self.digit_counts / self.significands.size
 
 
-@dataclass(frozen=True)
-class GOFReport:
+class GOFReport(Frozen):
     """Outcome of one goodness-of-fit test."""
 
-    test: str
-    statistic: float
-    dof: Optional[int]
-    p_approx: float
-    alpha: float
-    n: int
+    _fields = ("test", "statistic", "dof", "p_approx", "alpha", "n")
+
+    def __init__(
+        self, test: str, statistic: float, dof: Optional[int], p_approx: float, alpha: float, n: int
+    ):
+        self._set(test=test, statistic=statistic, dof=dof, p_approx=p_approx, alpha=alpha, n=n)
 
     @property
     def passed(self) -> bool:
         return self.p_approx >= self.alpha
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "pass": self.passed}
+        return {**dict(zip(self._fields, self._values())), "pass": self.passed}
 
 
 def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:

@@ -6,7 +6,6 @@ python -m entry point.
 """
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -215,6 +214,9 @@ def test_window_past_the_double_range_is_blamed_on_m(capsys, args, named):
         (("--group", "diagonal", "--det-one", "--n", "1000", "--entry", "1000,1000"),
          "det-one diagonal at n=1000, m=3: "),
         (("--group", "sln", "--n", "400", "--entry", "400,400"), "det-one diagonal at n=400, m=3: "),
+        # Which entries overflow depends on d, so dropping them would bias the law.
+        (("--group", "sln", "--component", "matrix", "--entry", "2,2", "--eps", "1e300"),
+         "SL_n matrix entry at n=3, eps=1e+300: "),
     ],
 )
 def test_window_a_double_cannot_sample_exits_2(capsys, args, named):
@@ -238,6 +240,25 @@ def test_window_a_double_cannot_sample_exits_2(capsys, args, named):
 def test_window_inside_the_double_bounds_passes(capsys, args):
     code, out, err = run_cli(capsys, "sample", *args, "--N", "20000")
     assert code == 0 and err == "" and json.loads(out)["pass"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # (1 - k) ln s overflows to -inf, and expm1(-inf) = -1 is the CDF's limit.
+        (("law", "--law", "power", "--k", "1e308"),
+         "6b40e66d2f4fcf1b326fc9d5f506e4250dddac5651bf40410c789e5a02d4c435"),
+        # Entries of g other than the one read overflow; it does not.
+        (("sample", "--group", "sln", "--component", "matrix", "--entry", "2,2", "--eps", "1e150",
+          "--N", "20000", "--seed", "5"),
+         "29b760b7624eed2b492e8e35c08412007e9c38369ad8eedecb5d7ad39677842c"),
+    ],
+)
+def test_an_overflow_no_output_depends_on_warns_nothing(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_entry_of_a_huge_layout_draws_each_value_on_its_own_stream(capsys):
@@ -535,7 +556,8 @@ def test_sample_mispredicted_law_exits_1(capsys, monkeypatch):
     # at eps = 0.3, which is not a power of the base: the law is genuinely
     # wrong, the GOF tests must reject it and the exit code must say so.
     flat = lambda a, i, j: UniformSignificand(a.base)  # noqa: E731
-    group = dataclasses.replace(cli._GROUPS["triangular"], law=flat)
+    tri = cli._GROUPS["triangular"]
+    group = cli._Group(tri.draw, flat, tri.matrix, tri.reads, tri.min_n, tri.diagonal_only)
     monkeypatch.setitem(cli._GROUPS, "triangular", group)
     code, out, _ = run_cli(
         capsys,
@@ -619,7 +641,10 @@ def test_sample_bytes_do_not_depend_on_workers(capsys, tmp_path, monkeypatch, ar
         sizes.append(c)
         return group.draw(a, spec, i, j, st, c)
 
-    monkeypatch.setitem(cli._GROUPS, args[1], dataclasses.replace(group, draw=draw))
+    counted = cli._Group(
+        draw, group.law, group.matrix, group.reads, group.min_n, group.diagonal_only
+    )
+    monkeypatch.setitem(cli._GROUPS, args[1], counted)
     runs = [
         _sample_at(capsys, tmp_path, workers, *args, "--N", "950", "--seed", "7")
         for workers in (None, 1, 2, 3, 10**9)

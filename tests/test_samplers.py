@@ -32,6 +32,7 @@ from haar_digits.samplers import (
     sample_power_density,
     sample_sln_dfactor_entry,
     sample_sln_lud_window,
+    sample_sln_matrix_entry,
     sample_sphere,
     sample_sphere_coords,
     sample_triangular_entry,
@@ -192,6 +193,7 @@ _SAMPLER_ARGS = {
     "sample_diagonal_entry": (3, 10, 2, 0, RngStream(1)),
     "sample_sln_lud_window": (3, 10, WindowSpec(), RngStream(1)),
     "sample_sln_dfactor_entry": (3, 10, WindowSpec(), 0, RngStream(1)),
+    "sample_sln_matrix_entry": (3, 10, WindowSpec(), 0, 1, RngStream(1)),
     "sample_gln_pos_window": (3, 10, WindowSpec(), RngStream(1)),
     "sample_gln_det": (3, 10, WindowSpec(), RngStream(1)),
 }
@@ -804,6 +806,38 @@ def test_sln_lud_window_footprint(traced_peak):
     spec = WindowSpec()
     g, peak = traced_peak(lambda: sample_sln_lud_window(3, 10, spec, RngStream(43), 250_000).g)
     assert peak <= 7.0 * g.nbytes
+
+
+def test_sln_matrix_entry_footprint(traced_peak):
+    # The factors as drawn, (n^2 - 1) doubles a value, the diagonal d and
+    # the output, plus one 1 MiB slice of products: 7 n^2 for .g.
+    c = 250_000
+    spec = WindowSpec()
+    _, peak = traced_peak(lambda: sample_sln_matrix_entry(3, 10, spec, 1, 1, RngStream(43), c))
+    assert peak <= 15 * 8 * c
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sln_matrix_entry_equals_the_full_product(monkeypatch, n):
+    # Slices of 7 matrices, so 30 values make four whole slices and a part.
+    monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", 1)
+    monkeypatch.setattr(samplers, "_QR_SLICE_MIN", 7)
+    c, spec = 30, WindowSpec(eps=0.3, m=2)
+    for i in range(n):
+        for j in range(n):
+            a, b = RngStream(509), RngStream(509)
+            one = sample_sln_matrix_entry(n, 10, spec, i, j, a, c)
+            assert one.tobytes() == sample_sln_lud_window(n, 10, spec, b, c).g[:, i, j].tobytes()
+            assert a.counter == b.counter
+
+
+def test_sln_matrix_entry_past_the_double_range_raises():
+    # At eps = 1e300 the products overflow; which ones do depends on d, so no
+    # value is dropped.
+    with pytest.raises(DomainError, match="n=3, eps=1e[+]300"):
+        sample_sln_matrix_entry(3, 10, WindowSpec(eps=1e300), 1, 1, RngStream(7), 100)
+    with pytest.raises(DomainError):
+        sample_sln_matrix_entry(3, 10, WindowSpec(), 3, 0, RngStream(7), 100)
 
 
 @pytest.mark.parametrize(

@@ -57,10 +57,18 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     assert _load("layer_costs").main(["--items", "200", "--repeats", "1", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# best of 1, 200 items a call, seed 7"
+    startup = lines.index("# start-up, best of 1 fresh processes")
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:])
-    assert len(record["layers"]) == 15
+    assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:startup])
+    assert len(record["layers"]) == 16
     assert record["layers"]["sample_orthogonal_haar(4)"]["items"] == 20
     assert record["layers"]["sample_unitary_entry(3)"]["items"] == 20
     assert all(layer["ms_per_1e6"] > 0 for layer in record["layers"].values())
     assert all(layer["peak_bytes_per_item"] > 0 for layer in record["layers"].values())
+    # Fresh processes: importing the CLI costs time and memory beyond NumPy,
+    # and loads the package's modules but neither dataclasses nor csv.
+    numpy, cli = record["startup"]["import numpy"], record["startup"]["import haar_digits.cli"]
+    assert 0 < numpy["best_s"] and 0 < numpy["maxrss_mib"] < cli["maxrss_mib"]
+    beyond = record["startup"]["modules_beyond_numpy"]
+    assert "haar_digits.cli" in beyond and "dataclasses" not in beyond and "csv" not in beyond
+    assert lines[-1] == "# modules beyond numpy: " + " ".join(beyond)
