@@ -18,11 +18,16 @@ A start-up section follows: for fresh `python -c "import numpy"` and
 --repeats and that process's peak RSS (ru_maxrss), and the modules the
 second imports beyond the first, a list that does not vary from run to run.
 
+A source section ends the report: for each module of src/haar_digits and in
+total, its lines and its code lines, those that are not blank, not only a
+comment and not part of a docstring. It too does not vary from run to run.
+
 Usage:
     PYTHONPATH=src python scripts/layer_costs.py --out BENCH_layers.json
 """
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -124,6 +129,36 @@ def _startup(repeats: int) -> dict:
     return record
 
 
+def _source() -> dict:
+    """Lines and code lines of each src/haar_digits module, and their sums.
+    Docstrings are found with ast: the leading string of a module, class or
+    function body."""
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    modules = {}
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (
+                    isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)
+                ):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        lines = text.splitlines()
+        code = [
+            line
+            for number, line in enumerate(lines, start=1)
+            if number not in docstrings and line.strip() and not line.lstrip().startswith("#")
+        ]
+        modules[name] = {"lines": len(lines), "code_lines": len(code)}
+    total = {key: sum(m[key] for m in modules.values()) for key in ("lines", "code_lines")}
+    return {"modules": modules, "total": total}
+
+
 def _best(call, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
@@ -175,6 +210,11 @@ def main(argv=None) -> int:
         best_ms, rss = startup[name]["best_s"] * 1e3, startup[name]["maxrss_mib"]
         print(f"{name:36s} {best_ms:9.1f} {rss:12.2f}")
     print("# modules beyond numpy: " + " ".join(startup["modules_beyond_numpy"]))
+    source = _source()
+    print("# source, src/haar_digits")
+    print(f"{'module':36s} {'lines':>9s} {'code lines':>11s}")
+    for name, counts in [*source["modules"].items(), ("total", source["total"])]:
+        print(f"{name:36s} {counts['lines']:9d} {counts['code_lines']:11d}")
     if args.out is not None:
         record = {
             "machine": f"{platform.machine()}, {os.cpu_count()} cores, {platform.system()}",
@@ -185,6 +225,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "layers": layers,
             "startup": startup,
+            "source": source,
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)

@@ -488,7 +488,8 @@ class _Group(Frozen):
         matrix: bool = True,  # draws blocks of _MATRIX_CHUNK_SCALARS // n^2 values
         reads: tuple = ("n", "entry"),  # the flags of _SAMPLE_FLAGS it reads
         min_n: int = 1,  # the least --n it takes, checked before --entry is read
-        diagonal_only: Optional[str] = None,  # the error for an off-diagonal --entry
+        # the error for an off-diagonal --entry, unless it reads --component matrix
+        diagonal_only: Optional[str] = None,
     ):
         self._set(
             draw=draw, law=law, matrix=matrix, reads=reads, min_n=min_n, diagonal_only=diagonal_only
@@ -535,8 +536,8 @@ _GROUPS = {
         draw=_sln_entry,
         law=lambda a, i, j: Benford(a.base),
         reads=("n", "component", "entry", "m", "eps"),
-        diagonal_only="--group sln: only diagonal components carry a predicted law; "
-        "use --entry i,i",
+        diagonal_only="--group sln: --component dfactor is a diagonal; use --entry i,i, "
+        "or --component matrix for any entry",
         min_n=2,
     ),
     "gln-det": _Group(
@@ -584,7 +585,8 @@ def _cmd_sample(args) -> _Report:
     i = j = 0
     if "entry" in group.reads:
         i, j = _parse_entry(args.entry, args.n)
-        if group.diagonal_only is not None and i != j:
+        # Every SL_n matrix entry is Benford (README, *The laws*); d is diagonal.
+        if group.diagonal_only is not None and i != j and args.component != "matrix":
             raise DomainError(group.diagonal_only)
         meta["entry"] = f"{i + 1},{j + 1}"
     block = max(1, _MATRIX_CHUNK_SCALARS // (args.n * args.n)) if group.matrix else _SCALAR_CHUNK

@@ -1,4 +1,8 @@
-"""Shared exception types for the haar_digits package."""
+"""Shared exception types for the haar_digits package, and the one check of
+an integer argument."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -11,3 +15,23 @@ class ConvergenceError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """Two supposedly-equal evaluation routes disagreed beyond tolerance."""
+
+
+def check_int(value, name: str, lo=None, hi=None) -> int:
+    """value as a plain int, if it is a Python or NumPy integer or a finite
+    float with an integral value (3.0), and is >= lo and <= hi where those
+    bounds are given (hi only with lo).
+
+    Anything else raises DomainError naming the parameter: bool (True is not
+    the count 1), NaN, +-inf, a non-integral value, a string or any other
+    non-number, and a value out of bounds.
+    """
+    n = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        # An int is tested apart: math.isfinite cannot take one past 2^1024.
+        if isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value)):
+            n = int(value)
+    if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
+        bounds = f" in [{lo}, {hi}]" if hi is not None else f" >= {lo}" if lo is not None else ""
+        raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
+    return n

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .significand import check_base, significand
 
 __all__ = [
@@ -233,9 +233,7 @@ def windowed_power_cdf(base: int, k: float, m: int, s) -> float:
     base = check_base(base)
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"windowed_power_cdf: k must be > 0, got {k}")
-    if int(m) != m or m < 1:
-        raise DomainError(f"windowed_power_cdf: m must be a positive integer, got {m}")
-    m = int(m)
+    m = check_int(m, "m", 1)
     arr = np.asarray(s, dtype=float)
     if not ((arr >= 1.0) & (arr <= base)).all():  # also rejects NaN
         raise DomainError(f"windowed_power_cdf: s must lie in [1, {base}]")

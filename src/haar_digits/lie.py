@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_int
 from .rng import RngStream
 from .significand import check_base
 
@@ -237,8 +237,7 @@ def _rejection_volume(box: float, trials: int, inside) -> MCVolume:
     """Rejection estimate box * accepted / trials. inside(c) draws c points
     of the bounding box and counts those in the region; it is called on
     batches of at most _MC_BATCH points, in order."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = check_int(trials, "trials", 1)
     accepted = sum(
         inside(min(_MC_BATCH, trials - done)) for done in range(0, trials, _MC_BATCH)
     )
@@ -334,10 +333,9 @@ def sl2_cone_induced_cdf(s, eps: float, base: int = 10):
     the result equals log_B(s) -- the Benford CDF -- and not a restatement.
     """
     base = check_base(base)
-    if not (0.0 < eps <= 1.0):
-        raise DomainError(f"eps must be in (0, 1], got {eps}")
+    cone = ConeProblem(float(base), eps)  # the window [1, B]; refuses eps as every cone does
     arr = np.asarray(s, dtype=float)
     if not np.all((arr >= 1.0) & (arr <= base)):  # NaN fails too
         raise DomainError(f"significand must lie in [1, {base}]")
-    out = _cone_volume(arr, eps) / _cone_volume(float(base), eps)
+    out = _cone_volume(arr, cone.eps) / _cone_volume(cone.x, cone.eps)
     return float(out) if arr.ndim == 0 else out

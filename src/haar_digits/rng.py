@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = ["RngStream", "GAMMA", "TILE", "mix64"]
 
@@ -80,13 +80,9 @@ def _parse_size(size):
     if size is None:
         return None, 1
     if np.ndim(size) == 0:
-        n = int(size)
-        if n < 0:
-            raise DomainError(f"size must be >= 0, got {size}")
+        n = check_int(size, "size", 0)
         return (n,), n
-    shape = tuple(int(d) for d in size)
-    if any(d < 0 for d in shape):
-        raise DomainError(f"size must be >= 0, got {size}")
+    shape = tuple(check_int(d, "size", 0) for d in size)
     return shape, int(np.prod(shape, dtype=np.int64)) if shape else 1
 
 
@@ -94,8 +90,8 @@ class RngStream:
     """Deterministic stream addressed by (seed, stream_id, counter)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK
-        self.stream_id = int(stream_id) & _MASK
+        self.seed = check_int(seed, "seed") & _MASK
+        self.stream_id = check_int(stream_id, "stream_id") & _MASK
         self._key = np.uint64(mix64((mix64(self.seed) + GAMMA * self.stream_id) & _MASK))
         self.counter = 0
         self._pending_normal: float | None = None
@@ -108,14 +104,12 @@ class RngStream:
 
     def substream(self, k: int) -> "RngStream":
         """Independent child stream; deterministic in (stream_id, k)."""
-        child = mix64(self.stream_id ^ mix64((int(k) + _SUBSTREAM_SALT) & _MASK))
+        child = mix64(self.stream_id ^ mix64((check_int(k, "k") + _SUBSTREAM_SALT) & _MASK))
         return RngStream(self.seed, child)
 
     def skip(self, n_words: int) -> None:
         """Advance the word counter without generating output."""
-        if n_words < 0:
-            raise DomainError("skip: n_words must be >= 0")
-        self.counter += int(n_words)
+        self.counter += check_int(n_words, "n_words", 0)
 
     # --- raw words and uniforms -------------------------------------------
 
@@ -126,9 +120,7 @@ class RngStream:
         and leaves the counter where it was, since wrapped words would repeat
         the stream's first ones.
         """
-        n = int(n)
-        if n < 0:
-            raise DomainError("raw: n must be >= 0")
+        n = check_int(n, "n", 0)
         self._check_room("raw", n)
         z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
@@ -172,8 +164,7 @@ class RngStream:
 
     def index_below(self, bound: int) -> int:
         """One integer in {0, ..., bound-1} (floor of a scaled uniform)."""
-        if bound < 1:
-            raise DomainError("index_below: bound must be >= 1")
+        bound = check_int(bound, "bound", 1)
         j = int(self.random() * bound)
         return min(j, bound - 1)
 
@@ -292,8 +283,6 @@ class RngStream:
 
     def chi_square(self, dof: int, size=None):
         """Chi-square variates with `dof` degrees of freedom (2*Gamma(dof/2))."""
-        if dof < 1:
-            raise DomainError(f"chi_square: dof must be >= 1, got {dof}")
-        out = self.gamma(dof / 2.0, size)
+        out = self.gamma(check_int(dof, "dof", 1) / 2.0, size)
         out *= 2.0
         return out

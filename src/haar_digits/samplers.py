@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .rng import TILE, RngStream
 from .significand import check_base
@@ -80,9 +80,7 @@ class WindowSpec(Frozen):
                 f"WindowSpec: eps must be in [{sys.float_info.min}, {sys.float_info.max / 2}], "
                 f"got {eps}"
             )
-        if not (m >= 1 and m % 1 == 0):  # false for NaN and inf too
-            raise DomainError(f"WindowSpec: m must be a positive integer, got {m}")
-        self._set(eps=eps, m=m)
+        self._set(eps=eps, m=check_int(m, "m", 1))
 
 
 class SlnSample(Frozen):
@@ -129,22 +127,14 @@ _QR_SLICE_DOUBLES = 1 << 17
 _QR_SLICE_MIN = 128
 
 
-def _check_dim(n: int, minimum: int = 1) -> int:
-    if isinstance(n, bool) or int(n) != n or n < minimum:
-        raise DomainError(f"dimension must be an integer >= {minimum}, got {n!r}")
-    return int(n)
-
-
-def _check_entry(n: int, i: int, j: int) -> None:
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"entry ({i}, {j}) out of range for n={n}")
-
-
-def _count(count) -> int:
-    c = int(count)
-    if c < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    return c
+def _check_entry(n: int, *index) -> tuple:
+    """The 0-based row and column (or the one diagonal index) of an entry of
+    an n x n matrix, as ints, each in [0, n - 1]."""
+    try:
+        return tuple(check_int(v, name, 0, n - 1) for name, v in zip("ij", index))
+    except DomainError as exc:
+        where = ", ".join(map(repr, index))
+        raise DomainError(f"entry ({where}) out of range for n={n}: {exc}") from None
 
 
 # --- spheres ----------------------------------------------------------------
@@ -153,6 +143,7 @@ def _count(count) -> int:
 def sample_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
     """Uniform points on S^n in R^(n+1): sample_sphere_coords at k = n + 1,
     count*(n+1) normals (rows in order), each row divided by its norm."""
+    n = check_int(n, "n", 1)
     return sample_sphere_coords(n, n + 1, rng, count)
 
 
@@ -165,11 +156,9 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarr
     and no chi-square is drawn. Essential when n is large (S^10000
     histograms would otherwise need 10^10 normals).
     """
-    n = _check_dim(n)
-    k = _check_dim(k)
-    if k > n + 1:
-        raise DomainError(f"S^n has n + 1 coordinates, got k={k}, n={n}")
-    c = _count(count)
+    n = check_int(n, "n", 1)
+    k = check_int(k, "k", 1, n + 1)  # S^n has n + 1 coordinates
+    c = check_int(count, "count", 1)
     z = rng.normal((c, k))
     norm = rng.chi_square(n + 1 - k, c) if k <= n else np.zeros(c)
     for start in range(0, c, TILE):  # |z|^2 a tile of rows at a time
@@ -188,7 +177,8 @@ def sample_orthogonal_haar(n: int, rng: RngStream, count: int, return_info: bool
     redraws: a numerically singular draw (a Gram-Schmidt residual of norm
     0) is drawn again. Pass return_info=True to receive the number of redraws.
     """
-    q, resampled = _haar_qr(_check_dim(n), rng, _count(count), float, lambda q: q)
+    n, count = check_int(n, "n", 1), check_int(count, "count", 1)
+    q, resampled = _haar_qr(n, rng, count, float, lambda q: q)
     return (q, {"resampled": resampled}) if return_info else q
 
 
@@ -199,9 +189,9 @@ def sample_orthogonal_entry(n: int, i: int, j: int, rng: RngStream, count: int) 
     time and keeps only this entry of each: its memory is its output and
     one slice, not n^2 doubles a value.
     """
-    n = _check_dim(n)
-    _check_entry(n, i, j)
-    return _haar_qr(n, rng, _count(count), float, lambda q: q[:, i, j])[0]
+    n = check_int(n, "n", 1)
+    i, j = _check_entry(n, i, j)
+    return _haar_qr(n, rng, check_int(count, "count", 1), float, lambda q: q[:, i, j])[0]
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
@@ -211,15 +201,16 @@ def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
     the entries row-major per matrix, then those of the redraws of
     numerically singular draws, as sample_orthogonal_haar does.
     """
-    return _haar_qr(_check_dim(n), rng, _count(count), complex, lambda q: q)[0]
+    n, count = check_int(n, "n", 1), check_int(count, "count", 1)
+    return _haar_qr(n, rng, count, complex, lambda q: q)[0]
 
 
 def sample_unitary_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
     """Entry (i, j) (0-based) of sample_unitary_haar, bit for bit, holding one
     Gram-Schmidt slice of matrices at a time as sample_orthogonal_entry does."""
-    n = _check_dim(n)
-    _check_entry(n, i, j)
-    return _haar_qr(n, rng, _count(count), complex, lambda q: q[:, i, j])[0]
+    n = check_int(n, "n", 1)
+    i, j = _check_entry(n, i, j)
+    return _haar_qr(n, rng, check_int(count, "count", 1), complex, lambda q: q[:, i, j])[0]
 
 
 def _haar_qr(n: int, rng: RngStream, count: int, dtype, read) -> tuple:
@@ -351,8 +342,7 @@ def _power_block(base: int, k: float, m: int):
     double, so that the window is m whole decades. The check runs when the
     block is made, before any word of a layout is drawn or skipped.
     """
-    if not (m >= 1 and m % 1 == 0):  # false for NaN and inf too
-        raise DomainError(f"m must be a positive integer, got {m}")
+    m = check_int(m, "m", 1)
     try:
         math.pow(base, m)
     except OverflowError:
@@ -383,7 +373,7 @@ def sample_log_uniform(base: int, m: int, rng: RngStream, count: int):
     significand exponent is uniform on {0..m-1}. Consumes count uniforms.
     """
     base = check_base(base)
-    return _power_block(base, 1.0, m)(rng, _count(count))
+    return _power_block(base, 1.0, m)(rng, check_int(count, "count", 1))
 
 
 def sample_power_density(base: int, k: float, m: int, rng: RngStream, count: int):
@@ -402,7 +392,7 @@ def sample_power_density(base: int, k: float, m: int, rng: RngStream, count: int
             f"k must be <= about 9.0e6 (draws 2^-53 apart near s = 1 would miss "
             f"PowerLaw's CDF by more than 1e-9), got {k}"
         )
-    return _power_block(base, k, m)(rng, _count(count))
+    return _power_block(base, k, m)(rng, check_int(count, "count", 1))
 
 
 # --- window layouts ------------------------------------------------------------
@@ -452,8 +442,7 @@ def _diagonal_entry(draw, n: int, m: int, i: int, free: int, first: int, rng: Rn
     """Entry i of a diagonal whose `free` blocks end a layout from block
     `first` on, drawing only the blocks it is made of: its own, or every free
     one for the last entry of a det-one diagonal (free = n - 1)."""
-    if not 0 <= i < n:
-        raise DomainError(f"diagonal entry {i} out of range for n={n}")
+    (i,) = _check_entry(n, i)
     if i == free:
         return _diagonal(_read_blocks(draw, rng, c, first, first + free, free), n, m)[:, i]
     return _read_blocks(draw, rng, c, first + i, first + free)[:, 0]
@@ -491,10 +480,11 @@ def _haar_exponent(n: int, i: int, side: str) -> int:
     return (i + 1) if side == "left" else (n - i)
 
 
-def _check_upper_entry(n: int, i: int, j: int) -> None:
-    _check_entry(n, i, j)
+def _check_upper_entry(n: int, i: int, j: int) -> tuple:
+    i, j = _check_entry(n, i, j)
     if i > j:
         raise DomainError(f"entry ({i}, {j}) is structurally zero below the diagonal")
+    return i, j
 
 
 def triangular_component_law(
@@ -509,10 +499,10 @@ def triangular_component_law(
     UniformSignificand when eps is a power of the base. Entries below the
     diagonal are structurally zero and have no law.
     """
-    n = _check_dim(n)
+    n = check_int(n, "n", 1)
     base = check_base(base)
+    i, j = _check_upper_entry(n, i, j)
     expo = _haar_exponent(n, i, side)
-    _check_upper_entry(n, i, j)
     if i < j:
         law = FlatWindowSignificand(base, eps)
         return UniformSignificand(base) if law.t == 1.0 else law
@@ -539,9 +529,9 @@ def sample_upper_triangular_window(
     sample_triangular_entry reads one entry and skips the other blocks, so
     it too advances the counter past all n(n+1)/2 * count words.
     """
-    n = _check_dim(n)
+    n = check_int(n, "n", 1)
     base = check_base(base)
-    c = _count(count)
+    c = check_int(count, "count", 1)
     mats = np.zeros((c, n, n))
     for i in range(n):  # the diagonal block, then the flat run right of it
         mats[:, i, i] = _power_block(base, float(_haar_exponent(n, i, side)), spec.m)(rng, c)
@@ -565,20 +555,20 @@ def sample_triangular_entry(
     `count` words are generated: the others are skipped, and the counter
     still advances past the whole layout, n(n+1)/2 * count words.
     """
-    n = _check_dim(n)
+    n = check_int(n, "n", 1)
     base = check_base(base)
-    _check_upper_entry(n, i, j)
+    i, j = _check_upper_entry(n, i, j)
     # The row's power block is made for a flat entry too: it refuses a bad
     # side or m before any word is skipped.
     power = _power_block(base, float(_haar_exponent(n, i, side)), spec.m)
     draw = power if i == j else _flat_block(spec.eps)
     b = i * n - i * (i - 1) // 2 + (j - i)  # rows 0 .. i-1 hold n, n-1, ... blocks
-    return _read_blocks(draw, rng, _count(count), b, n * (n + 1) // 2)[:, 0]
+    return _read_blocks(draw, rng, check_int(count, "count", 1), b, n * (n + 1) // 2)[:, 0]
 
 
 def _check_diagonal(n: int, det_one: bool) -> tuple:
     """n and its number of free entries, n - 1 with det_one."""
-    n = _check_dim(n)
+    n = check_int(n, "n", 1)
     if det_one and n < 2:
         raise DomainError(f"det_one needs n >= 2 (n = 1 would pin the entry to 1), got n={n}")
     return n, n - 1 if det_one else n
@@ -606,7 +596,8 @@ def sample_diagonal_window(
     """
     n, free = _check_diagonal(n, det_one)
     base = check_base(base)
-    return _diagonal(_run(_power_block(base, 1.0, m), rng, _count(count), free), n, m)
+    c = check_int(count, "count", 1)
+    return _diagonal(_run(_power_block(base, 1.0, m), rng, c, free), n, m)
 
 
 def sample_diagonal_entry(
@@ -626,7 +617,8 @@ def sample_diagonal_entry(
     """
     n, free = _check_diagonal(n, det_one)
     base = check_base(base)
-    return _diagonal_entry(_power_block(base, 1.0, m), n, m, i, free, 0, rng, _count(count))
+    draw = _power_block(base, 1.0, m)
+    return _diagonal_entry(draw, n, m, i, free, 0, rng, check_int(count, "count", 1))
 
 
 def nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -677,9 +669,9 @@ def sample_sln_lud_window(
     other blocks, so it too advances the counter past all (n-1)(n+1)*count
     words.
     """
-    n = _check_dim(n, minimum=2)
+    n = check_int(n, "n", 2)
     base = check_base(base)
-    return _lud_sample(*_lud_runs(n, base, spec, rng, _count(count)))
+    return _lud_sample(*_lud_runs(n, base, spec, rng, check_int(count, "count", 1)))
 
 
 def sample_sln_dfactor_entry(
@@ -696,10 +688,10 @@ def sample_sln_dfactor_entry(
     is made of (its own, or all n - 1 free ones for d_nn); the counter
     still advances past the whole layout, (n-1)(n+1)*count words.
     """
-    n = _check_dim(n, minimum=2)
+    n = check_int(n, "n", 2)
     base = check_base(base)
-    draw = _power_block(base, 1.0, spec.m)
-    return _diagonal_entry(draw, n, spec.m, i, n - 1, n * (n - 1), rng, _count(count))
+    draw, c = _power_block(base, 1.0, spec.m), check_int(count, "count", 1)
+    return _diagonal_entry(draw, n, spec.m, i, n - 1, n * (n - 1), rng, c)
 
 
 def sample_sln_matrix_entry(
@@ -720,10 +712,10 @@ def sample_sln_matrix_entry(
     the product) raises DomainError; which entries overflow depends on d,
     so dropping them would bias the law.
     """
-    n = _check_dim(n, minimum=2)
+    n = check_int(n, "n", 2)
     base = check_base(base)
-    _check_entry(n, i, j)
-    x, y, d = _lud_runs(n, base, spec, rng, _count(count))
+    i, j = _check_entry(n, i, j)
+    x, y, d = _lud_runs(n, base, spec, rng, check_int(count, "count", 1))
     out = np.empty(len(d))
     step = _qr_slice(n, 1)
     for start in range(0, len(d), step):
@@ -778,7 +770,7 @@ def random_even_permutation(n: int, rng: RngStream) -> np.ndarray:
     the transposition of the first two points, which maps the odd class
     bijectively onto the even class, so the result is uniform on A_n.
     """
-    n = _check_dim(n)
+    n = check_int(n, "n", 1)
     sigma = np.arange(n)
     for i in range(n - 1, 0, -1):
         j = rng.index_below(i + 1)
@@ -829,9 +821,9 @@ def sample_gln_pos_window(
     first read of ``.matrices``. sample_gln_det reads r and skips y, so it
     too advances the counter past all n^2 * count words.
     """
-    n = _check_dim(n, minimum=2)
+    n = check_int(n, "n", 2)
     base = check_base(base)
-    c = _count(count)
+    c = check_int(count, "count", 1)
     r = _power_block(base, 1.0, spec.m)(rng, c)
     return GlnSample(_lud_sample(*_lud_runs(n, base, spec, rng, c)), r)
 
@@ -842,6 +834,7 @@ def sample_gln_det(n: int, base: int, spec: WindowSpec, rng: RngStream, count: i
     Draws only r's `count` words; the SL_n factor is skipped, and the
     counter still advances past the whole layout, n^2 * count words.
     """
-    n = _check_dim(n, minimum=2)
+    n = check_int(n, "n", 2)
     base = check_base(base)
-    return _read_blocks(_power_block(base, 1.0, spec.m), rng, _count(count), 0, n * n)[:, 0]
+    draw = _power_block(base, 1.0, spec.m)
+    return _read_blocks(draw, rng, check_int(count, "count", 1), 0, n * n)[:, 0]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = [
     "SignificandDecomposition",
@@ -29,9 +29,7 @@ __all__ = [
 
 def check_base(base: int) -> int:
     """Validate an integer base B >= 2 and return it as a plain int."""
-    if isinstance(base, bool) or int(base) != base or base < 2:
-        raise DomainError(f"base must be an integer >= 2, got {base!r}")
-    return int(base)
+    return check_int(base, "base", 2)
 
 
 class SignificandDecomposition(Frozen):

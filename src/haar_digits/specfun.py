@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_int
 
 __all__ = [
     "erf",
@@ -215,9 +215,7 @@ def gamma_half_ratio(n: int) -> float:
     Computed from the log-gamma gap, so there is neither overflow nor
     cancellation even for n ~ 1e8; the value grows like sqrt(n/2).
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"gamma_half_ratio: n must be a positive integer, got {n}")
-    return math.exp(_log_gamma_half_gap(int(n) / 2.0))
+    return math.exp(_log_gamma_half_gap(check_int(n, "n", 1) / 2.0))
 
 
 def _log_beta(a: float, b: float) -> float:

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .laws import DigitLaw
 from .significand import check_base
 from .specfun import _betainc_tail, betainc, erf, gamma_half_ratio, integrate_arcsine_weight
@@ -57,12 +57,6 @@ _TAIL_TOL = 1e-12  # the largest tail a sphere law's scale sum omits (see _scale
 _WEIGHT_CUT = 1e-18
 
 
-def _check_n(n: int) -> int:
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"sphere dimension n must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _band_coeff(n: int) -> float:
     """c_n = Gamma(n/2+1/2) / (sqrt(pi) Gamma(n/2))."""
     return gamma_half_ratio(n) / _SQRT_PI
@@ -91,7 +85,7 @@ def sphere_band_prob(n: int, a: float, b: float) -> float:
     P(0 <= x_1 <= t) = I_{t^2}(1/2, n/2) / 2 for t >= 0, and x_1 is
     symmetric about 0.
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     a = float(a)
     b = float(b)
     if not (-1.0 <= a <= b <= 1.0):
@@ -151,7 +145,7 @@ def sphere_joint_band_prob(n: int, bounds) -> float:
     1e-15 up to n = 1e4; beyond, it is bounded by the incomplete beta's (1e-12).
     Tail bands keep their relative accuracy; the result is clipped to [0, 1].
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     pairs = [(float(a), float(b)) for a, b in bounds]
     if not pairs:
         raise DomainError("joint bounds must be nonempty")
@@ -268,7 +262,7 @@ class SphereExact(_SphereLawBase):
     """
 
     def __init__(self, base: int = 10, n: int = 2):
-        self._set(base=check_base(base), n=_check_n(n))
+        self._set(base=check_base(base), n=check_int(n, "n", 1))
         # A band's mass is at most 2 c_n (s-1) B^-i.
         scales = _scales(self.n, self.base, 2.0 * _band_coeff(self.n), self.tail_tol, 1)
         self._set(_scales=scales, _lower=betainc(0.5, 0.5 * self.n, scales * scales))
@@ -290,7 +284,7 @@ class _ErfBandLaw(_SphereLawBase):
     _first = None
 
     def __init__(self, base: int, n: int):
-        self._set(base=check_base(base), n=_check_n(n))
+        self._set(base=check_base(base), n=check_int(n, "n", 1))
         r = math.sqrt(0.5 * self.n)
         # A band's mass is at most (2/sqrt(pi)) r (s-1) B^-i.
         scales = _scales(self.n, self.base, _TWO_OVER_SQRT_PI * r, self.tail_tol, self._first)
@@ -315,9 +309,7 @@ class SphereErf(_ErfBandLaw):
     _first = 1
 
     def __init__(self, base: int = 10, n: int = 2):
-        if _check_n(n) < 2:
-            raise DomainError("SphereErf requires n >= 2")
-        super().__init__(base, n)
+        super().__init__(base, check_int(n, "n", 2))
 
 
 class SphereLimit(_ErfBandLaw):

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .laws import DigitLaw
 from .rng import TILE
 from .significand import check_base, first_digits, significand_values
@@ -174,8 +174,7 @@ def ks_p_approx(d: float, n: int) -> float:
     Clamping lambda at lam* keeps the result monotone nonincreasing in d
     and conservative (never below the true tail) for small distances.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = check_int(n, "n", 1)
     if d <= 0.0:
         return 1.0
     sqrt_n = math.sqrt(n)

@@ -121,7 +121,7 @@ def test_law_other_base(capsys):
         ("law", "--law", "uniform", "--n", "5"),  # --n without sphere
         ("law", "--law", "benford", "--base", "1"),
         ("sample", "--group", "triangular", "--entry", "2,1"),  # below diagonal
-        ("sample", "--group", "sln", "--entry", "1,2"),  # off-diagonal
+        ("sample", "--group", "sln", "--entry", "1,2"),  # off-diagonal entry of the d factor
         ("sample", "--group", "diagonal", "--entry", "1,2"),  # off-diagonal
         ("sample", "--group", "rplus", "--N", "0"),
         ("sample", "--group", "power"),  # missing --k
@@ -790,6 +790,27 @@ def test_samples_out_bytes_across_block_edge(tmp_path, capsys, monkeypatch, offs
         writer.writerow([format(float(v), ".12g")])
     assert kept[0].n == n
     assert samples_path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_sln_dfactor_off_diagonal_names_the_matrix_component(capsys):
+    code, out, err = run_cli(capsys, "sample", "--group", "sln", "--entry", "1,2")
+    assert code == 2 and out == ""
+    assert "--component dfactor" in err and "--component matrix" in err
+
+
+@pytest.mark.parametrize("entry", ["1,2", "3,1"])
+def test_sample_sln_off_diagonal_matrix_entries_are_benford(capsys, entry):
+    # g_ij = (e^X e^Y)_ij d_j with d_j log-uniform over whole decades and
+    # independent of the unipotent factor, so S(g_ij) is exactly Benford.
+    code, out, err = run_cli(
+        capsys, "sample", "--group", "sln", "--n", "3", "--component", "matrix",
+        "--entry", entry, "--N", "200000", "--seed", "7",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["entry"] == entry and payload["law"] == "Benford(base=10)"
+    assert payload["tests"]["ks"]["pass"] and payload["tests"]["chi2_first_digit"]["pass"]
+    assert payload["pass"] is True
 
 
 def test_sample_sln_components_differ(capsys):

@@ -359,3 +359,13 @@ def test_sl2_cone_induced_cdf_validation():
         sl2_cone_induced_cdf(2.0, 0.1, base=1)
     with pytest.raises(DomainError):
         sl2_cone_induced_cdf(np.array([2.0, np.nan]), 0.1)
+
+
+def test_sl2_cone_induced_cdf_refuses_eps_the_cone_refuses():
+    # eps^2 subnormal or 0: the ratio of volumes is nan at 1e-200 and misses
+    # log10(5) in the fifth digit at 1e-160. Both are refused as ConeProblem
+    # refuses them; at 2^-511 the ratio is still log_B s.
+    for eps in (1e-200, 1e-160, float(np.nextafter(2.0**-511, 0.0))):
+        with pytest.raises(DomainError, match="eps must be >= 2\\^-511"):
+            sl2_cone_induced_cdf(5.0, eps)
+    assert sl2_cone_induced_cdf(5.0, 2.0**-511) == pytest.approx(math.log10(5.0), abs=1e-15)

@@ -71,4 +71,16 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     assert 0 < numpy["best_s"] and 0 < numpy["maxrss_mib"] < cli["maxrss_mib"]
     beyond = record["startup"]["modules_beyond_numpy"]
     assert "haar_digits.cli" in beyond and "dataclasses" not in beyond and "csv" not in beyond
-    assert lines[-1] == "# modules beyond numpy: " + " ".join(beyond)
+    source_at = lines.index("# source, src/haar_digits")
+    assert lines[source_at - 1] == "# modules beyond numpy: " + " ".join(beyond)
+    # The source section: each module's lines and code lines, and their sums.
+    source = record["source"]
+    modules = source["modules"]
+    assert "samplers.py" in modules and "errors.py" in modules
+    for key in ("lines", "code_lines"):
+        assert source["total"][key] == sum(m[key] for m in modules.values())
+    assert all(0 < m["code_lines"] <= m["lines"] for m in modules.values())
+    assert lines[source_at + 2 :] == [
+        f"{name:36s} {c['lines']:9d} {c['code_lines']:11d}"
+        for name, c in [*modules.items(), ("total", source["total"])]
+    ]
