@@ -178,20 +178,22 @@ def sample_orthogonal_haar(n: int, rng: RngStream, count: int, return_info: bool
     0) is drawn again. Pass return_info=True to receive the number of redraws.
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    q, resampled = _haar_qr(n, rng, count, float, lambda q: q)
+    q, resampled = _haar_qr(n, n, rng, count, float, lambda q: q)
     return (q, {"resampled": resampled}) if return_info else q
 
 
 def sample_orthogonal_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
     """Entry (i, j) (0-based) of sample_orthogonal_haar, bit for bit.
 
-    Draws the same words, but holds one Gram-Schmidt slice of matrices at a
-    time and keeps only this entry of each: its memory is its output and
-    one slice, not n^2 doubles a value.
+    Draws the same words, but orthogonalizes columns 0..j only, holds one
+    Gram-Schmidt slice of matrices at a time and keeps only this entry of
+    each: its memory is its output and one slice, not n^2 doubles a value.
+    A draw is redrawn when its columns 0..j are dependent, so one singular
+    in a later column only (an event of probability zero) is kept.
     """
     n = check_int(n, "n", 1)
     i, j = _check_entry(n, i, j)
-    return _haar_qr(n, rng, check_int(count, "count", 1), float, lambda q: q[:, i, j])[0]
+    return _haar_qr(n, j + 1, rng, check_int(count, "count", 1), float, lambda q: q[:, i, j])[0]
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
@@ -202,7 +204,7 @@ def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
     numerically singular draws, as sample_orthogonal_haar does.
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    return _haar_qr(n, rng, count, complex, lambda q: q)[0]
+    return _haar_qr(n, n, rng, count, complex, lambda q: q)[0]
 
 
 def sample_unitary_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
@@ -210,25 +212,28 @@ def sample_unitary_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> 
     Gram-Schmidt slice of matrices at a time as sample_orthogonal_entry does."""
     n = check_int(n, "n", 1)
     i, j = _check_entry(n, i, j)
-    return _haar_qr(n, rng, check_int(count, "count", 1), complex, lambda q: q[:, i, j])[0]
+    return _haar_qr(n, j + 1, rng, check_int(count, "count", 1), complex, lambda q: q[:, i, j])[0]
 
 
-def _haar_qr(n: int, rng: RngStream, count: int, dtype, read) -> tuple:
+def _haar_qr(n: int, cols: int, rng: RngStream, count: int, dtype, read) -> tuple:
     """read(q) of `count` Haar matrices q of O(n) (dtype float) or U(n)
     (complex), stacked, and the number of redraws (Mezzadri 2007: one QR
     algorithm over R and C).
 
     The matrices are drawn one Gram-Schmidt slice at a time. Each slice's
-    Gaussian stack is overwritten by the Q factors of its QR decompositions
-    with diag(R) > 0, which makes the law exactly Haar, and only read(q) of
-    it is kept, so a call holds its output and one slice. A matrix with a
-    Gram-Schmidt residual of norm 0 is numerically singular: after the whole
-    first round, the failed ones are redrawn, in order, as one stack per round.
+    Gaussian stack is overwritten in its first `cols` columns by those of
+    the Q factors of its QR decompositions with diag(R) > 0, which makes the
+    law exactly Haar; column k of Q depends on Gaussian columns 0..k only,
+    so read(q) may read those columns alone. Only read(q) of a slice is
+    kept, so a call holds its output and one slice. A matrix whose columns
+    0..cols-1 leave a Gram-Schmidt residual of norm 0 is numerically
+    singular: after the whole first round, the failed ones are redrawn, in
+    order, as one stack per round.
     """
 
     def draw(m: int) -> tuple:
         g = _gaussian_stack(rng, m, n, dtype)
-        ok = _qr_in_place(g)
+        ok = _qr_in_place(g, cols)
         return read(g), ok
 
     step = _qr_slice(n, 2 if dtype is complex else 1)
@@ -270,10 +275,11 @@ def _qr_slice(n: int, parts: int) -> int:
     return max(_QR_SLICE_DOUBLES // (parts * n) ** 2, _QR_SLICE_MIN)
 
 
-def _qr_in_place(g: np.ndarray) -> np.ndarray:
-    """Overwrites a stack of n x n matrices over R or C with the Q factors of
-    their QR decompositions with diag(R) > 0, and returns a mask of the
-    matrices whose columns are independent (the others must be redrawn).
+def _qr_in_place(g: np.ndarray, cols: int) -> np.ndarray:
+    """Overwrites the first `cols` columns of a stack of n x n matrices over
+    R or C with those of the Q factors of their QR decompositions with
+    diag(R) > 0, and returns a mask of the matrices whose first `cols`
+    columns are independent (the others must be redrawn).
 
     That QR is unique, so Gram-Schmidt gives its Q directly, with no sign or
     phase step. The stack goes through _cgs2 transposed, so that the batch
@@ -284,21 +290,20 @@ def _qr_in_place(g: np.ndarray) -> np.ndarray:
     """
     n, b = g.shape[-1], len(g)
     parts = 2 if np.iscomplexobj(g) else 1
-    entries = g.view(np.float64).reshape(b, -1)  # per matrix: (i, k, p), row-major
+    entries = g.view(np.float64).reshape(b, n, n, parts)[:, :, :cols]  # (b, i, k, p)
     # A lone matrix gets a partner: np.einsum runs its sums over the batch
     # axis only when that axis is 2 or more long.
-    w = np.zeros((parts, n, n, parts, max(b, 2)))
-    cols = w[0].reshape(entries.shape[1], -1)
-    cols[:, :b] = entries.T
+    w = np.zeros((parts, n, cols, parts, max(b, 2)))
+    w[0, ..., :b] = entries.transpose(1, 2, 3, 0)
     ok = _cgs2(w)[:b]
-    entries[...] = cols[:, :b].T
+    entries[...] = w[0, ..., :b].transpose(3, 0, 1, 2)
     return ok
 
 
 def _cgs2(w: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt run twice, in place, on the columns of every
     matrix b of w[h, i, k, p, b] (entry i of column k, real or imaginary
-    part p). h = 0 holds the columns; over C, w[1, :, k] is written with
+    part p; the columns may be the first few of a square matrix). h = 0 holds the columns; over C, w[1, :, k] is written with
     i q_k = (-Im q_k, Re q_k) once q_k is final. Projecting on the real span
     of q_k and i q_k is projecting on the complex span of q_k, so one real
     loop serves both fields. The second pass keeps Q orthonormal to machine
@@ -309,11 +314,11 @@ def _cgs2(w: np.ndarray) -> np.ndarray:
     (h, k) for a projection. Returns the mask of matrices whose residual
     norms are all nonzero.
     """
-    parts, n, width = w.shape[0], w.shape[1], w.shape[-1]
+    parts, n, cols, width = w.shape[0], w.shape[1], w.shape[2], w.shape[-1]
     ok = np.ones(width, dtype=bool)
-    coef = np.empty((parts, n, width))
+    coef = np.empty((parts, cols, width))
     proj = np.empty((n, parts, width))
-    for k in range(n):
+    for k in range(cols):
         v, basis = w[0, :, k], w[:, :, :k]
         for _ in range(2):
             np.einsum("hijpb,ipb->hjb", basis, v, out=coef[:, :k])

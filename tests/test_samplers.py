@@ -364,7 +364,7 @@ def _cgs2_reference(a: np.ndarray) -> np.ndarray:
 def _haar_draw(n, dtype, seed, count):
     """(Gaussian stack, Haar sample) of one seed: the stack the sampler draws."""
     gauss = samplers._gaussian_stack(RngStream(seed), count, n, dtype)
-    return gauss, samplers._haar_qr(n, RngStream(seed), count, dtype, lambda q: q)[0]
+    return gauss, samplers._haar_qr(n, n, RngStream(seed), count, dtype, lambda q: q)[0]
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "sliced"])
