@@ -6,7 +6,10 @@ and reports milliseconds per 10^6 items. One more call, traced by
 tracemalloc, gives the layer's peak memory in bytes per item, its output
 included. An item is a word, deviate, value or row; for the Haar samplers
 it is a matrix (one entry of it for the entry reads), and those draw
---items / 10 matrices a call to keep the memory small. The one-entry read
+--items / 10 matrices a call to keep the memory small. The large-n entry
+reads, O(100) at (1,1) and (1,100) and U(20) at (3,2) (1-based, as `sample
+--entry` takes them), draw 1,000 values a call whatever --items is: a read
+of the last column costs about 1.6 ms a value at O(100). The one-entry read
 of a 1000 x 1000 triangular window draws the CLI's block at that n, 16
 values a call, so its row is what `sample` pays per value. The table goes to
 stdout and, with --out, the same numbers go to that path as JSON
@@ -47,6 +50,9 @@ from haar_digits.sphere import SphereExact
 from haar_digits.stats import build_empirical, ks_test
 
 
+_LARGE_N_READS = 1000  # values a call of each large-n Haar entry read
+
+
 def _layers(items: int, seed: int, workdir: str):
     """(name, item count, zero-argument call) for every layer."""
     rng = RngStream(seed)
@@ -77,6 +83,12 @@ def _layers(items: int, seed: int, workdir: str):
          lambda: samplers.sample_orthogonal_entry(4, 1, 2, rng, matrices)),
         ("sample_unitary_entry(3)", matrices,
          lambda: samplers.sample_unitary_entry(3, 1, 2, rng, matrices)),
+        ("sample_orthogonal_entry(100) (1,1)", _LARGE_N_READS,
+         lambda: samplers.sample_orthogonal_entry(100, 0, 0, rng, _LARGE_N_READS)),
+        ("sample_orthogonal_entry(100) (1,100)", _LARGE_N_READS,
+         lambda: samplers.sample_orthogonal_entry(100, 0, 99, rng, _LARGE_N_READS)),
+        ("sample_unitary_entry(20) (3,2)", _LARGE_N_READS,
+         lambda: samplers.sample_unitary_entry(20, 2, 1, rng, _LARGE_N_READS)),
         ("sample_triangular_entry(n=1000)", reads,
          lambda: samplers.sample_triangular_entry(1000, 10, spec, "left", 0, 1, rng, reads)),
         ("sample_sln_matrix_entry(3)", items,

@@ -173,75 +173,84 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarr
 def sample_orthogonal_haar(n: int, rng: RngStream, count: int, return_info: bool = False):
     """Haar-distributed O(n) matrices: Q of Gaussian matrices, diag(R) > 0.
 
-    Consumes count*n*n normals (row-major per matrix), then those of the
+    Consumes count*n*n normals (column-major per matrix), then those of the
     redraws: a numerically singular draw (a Gram-Schmidt residual of norm
     0) is drawn again. Pass return_info=True to receive the number of redraws.
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    q, resampled = _haar_qr(n, n, rng, count, float, lambda q: q)
+    q, resampled = _haar_qr(n, rng, count, float)
     return (q, {"resampled": resampled}) if return_info else q
 
 
 def sample_orthogonal_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
-    """Entry (i, j) (0-based) of sample_orthogonal_haar, bit for bit.
+    """Entry (i, j) (0-based) of Haar O(n) matrices: count*n*(j+1) normals.
 
-    Draws the same words, but orthogonalizes columns 0..j only, holds one
-    Gram-Schmidt slice of matrices at a time and keeps only this entry of
-    each: its memory is its output and one slice, not n^2 doubles a value.
-    A draw is redrawn when its columns 0..j are dependent, so one singular
-    in a later column only (an event of probability zero) is kept.
+    Column j of Q depends on Gaussian columns 0..j only, so a value draws
+    and orthogonalizes those columns alone, column-major as
+    sample_orthogonal_haar draws its matrices, and is redrawn when they are
+    dependent. At j = n - 1 the values are column n - 1 of
+    sample_orthogonal_haar's, bit for bit; at other j they have its law.
+    A call holds its output and one Gram-Schmidt slice.
     """
     n = check_int(n, "n", 1)
     i, j = _check_entry(n, i, j)
-    return _haar_qr(n, j + 1, rng, check_int(count, "count", 1), float, lambda q: q[:, i, j])[0]
+    return _haar_qr(n, rng, check_int(count, "count", 1), float, (i, j))[0]
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
     """Haar-distributed U(n) matrices: Q of complex Gaussian matrices, diag(R) > 0.
 
     Consumes 2*count*n*n normals, a (real, imaginary) pair per entry with
-    the entries row-major per matrix, then those of the redraws of
+    the entries column-major per matrix, then those of the redraws of
     numerically singular draws, as sample_orthogonal_haar does.
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    return _haar_qr(n, n, rng, count, complex, lambda q: q)[0]
+    return _haar_qr(n, rng, count, complex)[0]
 
 
 def sample_unitary_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
-    """Entry (i, j) (0-based) of sample_unitary_haar, bit for bit, holding one
-    Gram-Schmidt slice of matrices at a time as sample_orthogonal_entry does."""
+    """Entry (i, j) (0-based) of Haar U(n) matrices: 2*count*n*(j+1) normals,
+    columns 0..j of sample_unitary_haar's layout, drawn, orthogonalized and
+    redrawn as sample_orthogonal_entry does."""
     n = check_int(n, "n", 1)
     i, j = _check_entry(n, i, j)
-    return _haar_qr(n, j + 1, rng, check_int(count, "count", 1), complex, lambda q: q[:, i, j])[0]
+    return _haar_qr(n, rng, check_int(count, "count", 1), complex, (i, j))[0]
 
 
-def _haar_qr(n: int, cols: int, rng: RngStream, count: int, dtype, read) -> tuple:
-    """read(q) of `count` Haar matrices q of O(n) (dtype float) or U(n)
-    (complex), stacked, and the number of redraws (Mezzadri 2007: one QR
-    algorithm over R and C).
+def _haar_qr(n: int, rng: RngStream, count: int, dtype, entry=None) -> tuple:
+    """Entry (i, j) of `count` Haar matrices of O(n) (dtype float) or U(n)
+    (complex), or the whole matrices when entry is None, and the number of
+    redraws (Mezzadri 2007: one QR algorithm over R and C).
 
-    The matrices are drawn one Gram-Schmidt slice at a time. Each slice's
-    Gaussian stack is overwritten in its first `cols` columns by those of
-    the Q factors of its QR decompositions with diag(R) > 0, which makes the
-    law exactly Haar; column k of Q depends on Gaussian columns 0..k only,
-    so read(q) may read those columns alone. Only read(q) of a slice is
-    kept, so a call holds its output and one slice. A matrix whose columns
-    0..cols-1 leave a Gram-Schmidt residual of norm 0 is numerically
-    singular: after the whole first round, the failed ones are redrawn, in
-    order, as one stack per round.
+    Q of the QR with diag(R) > 0 makes the law exactly Haar, and its column
+    k depends on Gaussian columns 0..k only. So a value draws the c columns
+    its read needs, c = j + 1 for an entry and n for a matrix: c*n entries
+    in column-major order, one normal each over R, two over C (its real and
+    then its imaginary part). The values are drawn one Gram-Schmidt slice at
+    a time and only the read of each slice is kept, so a call holds its
+    output and one slice. A value whose c columns leave a Gram-Schmidt
+    residual of norm 0 is numerically singular: after the whole first round,
+    the failed ones are redrawn, in order, as one stack per round.
     """
+    parts = 2 if dtype is complex else 1
+    cols = n if entry is None else entry[1] + 1
+    size = cols * n * parts  # normals a value
 
     def draw(m: int) -> tuple:
-        g = _gaussian_stack(rng, m, n, dtype)
-        ok = _qr_in_place(g, cols)
-        return read(g), ok
+        # A lone value gets a partner: np.einsum runs its sums over the batch
+        # axis only when that axis is 2 or more long.
+        w = np.zeros((parts, cols, n, parts, max(m, 2)))
+        w[0].reshape(size, -1)[:, :m] = rng.normal((m, size)).T
+        ok = _cgs2(w)[:m]
+        q = w[0, ..., :m]  # q[k, i, p, b]: part p of entry i of column k of Q_b
+        return (q.transpose(3, 1, 0, 2) if entry is None else q[entry[1], entry[0]].T), ok
 
-    step = _qr_slice(n, 2 if dtype is complex else 1)
+    step = _qr_slice(parts * size)
     out, failed = None, []
     for start in range(0, count, step):
         vals, ok = draw(min(step, count - start))
         if out is None:
-            out = np.empty((count, *vals.shape[1:]), dtype=vals.dtype)
+            out = np.empty((count, *vals.shape[1:]))
         out[start : start + len(vals)] = vals
         failed.append(start + np.flatnonzero(~ok))
         del vals  # the next slice is drawn without this one
@@ -252,85 +261,49 @@ def _haar_qr(n: int, cols: int, rng: RngStream, count: int, dtype, read) -> tupl
         vals, ok = draw(todo.size)
         out[todo[ok]] = vals[ok]
         todo = todo[~ok]
-    return out, resampled
+    return out.view(dtype)[..., 0], resampled  # the parts axis as float or complex
 
 
-def _gaussian_stack(rng: RngStream, count: int, n: int, dtype) -> np.ndarray:
-    """`count` n x n standard Gaussian matrices over R or C (E|z|^2 = 1).
-
-    A complex entry takes two consecutive normals, its real part and then
-    its imaginary part, each divided by sqrt(2).
-    """
-    if dtype is float:
-        return rng.normal((count, n, n))
-    g = rng.normal(2 * count * n * n).view(complex).reshape(count, n, n)
-    g /= math.sqrt(2.0)
-    return g
-
-
-def _qr_slice(n: int, parts: int) -> int:
-    """Matrices per Gram-Schmidt slice of n x n matrices over R (parts 1) or
-    C (parts 2), and per SL_n product slice (parts 1): each takes (parts n)^2
-    doubles of work."""
-    return max(_QR_SLICE_DOUBLES // (parts * n) ** 2, _QR_SLICE_MIN)
-
-
-def _qr_in_place(g: np.ndarray, cols: int) -> np.ndarray:
-    """Overwrites the first `cols` columns of a stack of n x n matrices over
-    R or C with those of the Q factors of their QR decompositions with
-    diag(R) > 0, and returns a mask of the matrices whose first `cols`
-    columns are independent (the others must be redrawn).
-
-    That QR is unique, so Gram-Schmidt gives its Q directly, with no sign or
-    phase step. The stack goes through _cgs2 transposed, so that the batch
-    is the last, contiguous axis; _haar_qr passes one slice, or one round of
-    redraws, at a time. _cgs2 sums
-    each matrix on its own in a fixed order, so a matrix's factors do not
-    depend on the slicing.
-    """
-    n, b = g.shape[-1], len(g)
-    parts = 2 if np.iscomplexobj(g) else 1
-    entries = g.view(np.float64).reshape(b, n, n, parts)[:, :, :cols]  # (b, i, k, p)
-    # A lone matrix gets a partner: np.einsum runs its sums over the batch
-    # axis only when that axis is 2 or more long.
-    w = np.zeros((parts, n, cols, parts, max(b, 2)))
-    w[0, ..., :b] = entries.transpose(1, 2, 3, 0)
-    ok = _cgs2(w)[:b]
-    entries[...] = w[0, ..., :b].transpose(3, 0, 1, 2)
-    return ok
+def _qr_slice(doubles: int) -> int:
+    """Values per Gram-Schmidt slice, or per SL_n product slice, of a work
+    array that holds `doubles` doubles a value."""
+    return max(_QR_SLICE_DOUBLES // doubles, _QR_SLICE_MIN)
 
 
 def _cgs2(w: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt run twice, in place, on the columns of every
-    matrix b of w[h, i, k, p, b] (entry i of column k, real or imaginary
-    part p; the columns may be the first few of a square matrix). h = 0 holds the columns; over C, w[1, :, k] is written with
-    i q_k = (-Im q_k, Re q_k) once q_k is final. Projecting on the real span
-    of q_k and i q_k is projecting on the complex span of q_k, so one real
-    loop serves both fields. The second pass keeps Q orthonormal to machine
-    precision (Giraud, Langou and Rozloznik 2005: "twice is enough").
+    matrix b of w[h, k, i, p, b] (entry i of column k, real or imaginary
+    part p), giving Q of its QR with diag(R) > 0. That QR is unique, so no
+    sign or phase step follows. h = 0 holds the columns; over C, w[1, k] is
+    written with i q_k = (-Im q_k, Re q_k) once q_k is final. Projecting on
+    the real span of q_k and i q_k is projecting on the complex span of q_k,
+    so one real loop serves both fields. The second pass keeps Q orthonormal
+    to machine precision (Giraud, Langou and Rozloznik 2005: "twice is
+    enough").
 
     Each sum is an np.einsum with the batch innermost, so every matrix's
     sums run from 0 in one fixed order: over (i, p) for a coefficient, over
-    (h, k) for a projection. Returns the mask of matrices whose residual
-    norms are all nonzero.
+    (h, k) for a projection, and no matrix's result depends on the others
+    or on how the batch is sliced. Returns the mask of matrices whose
+    residual norms are all nonzero.
     """
-    parts, n, cols, width = w.shape[0], w.shape[1], w.shape[2], w.shape[-1]
+    parts, cols, width = w.shape[0], w.shape[1], w.shape[-1]
     ok = np.ones(width, dtype=bool)
     coef = np.empty((parts, cols, width))
-    proj = np.empty((n, parts, width))
+    proj = np.empty(w.shape[2:])
     for k in range(cols):
-        v, basis = w[0, :, k], w[:, :, :k]
+        v, basis = w[0, k], w[:, :k]
         for _ in range(2):
-            np.einsum("hijpb,ipb->hjb", basis, v, out=coef[:, :k])
-            np.einsum("hijpb,hjb->ipb", basis, coef[:, :k], out=proj)
+            np.einsum("hjipb,ipb->hjb", basis, v, out=coef[:, :k])
+            np.einsum("hjipb,hjb->ipb", basis, coef[:, :k], out=proj)
             v -= proj
         norm = np.sqrt(np.einsum("ipb,ipb->b", v, v))
         ok &= norm > 0.0
         norm[~ok] = 1.0  # a failed matrix is redrawn: no 0 / 0
         v /= norm
         if parts == 2:
-            np.negative(v[:, 1], out=w[1, :, k, 0])
-            w[1, :, k, 1] = v[:, 0]
+            np.negative(v[:, 1], out=w[1, k, :, 0])
+            w[1, k, :, 1] = v[:, 0]
     return ok
 
 
@@ -722,7 +695,7 @@ def sample_sln_matrix_entry(
     i, j = _check_entry(n, i, j)
     x, y, d = _lud_runs(n, base, spec, rng, check_int(count, "count", 1))
     out = np.empty(len(d))
-    step = _qr_slice(n, 1)
+    step = _qr_slice(n * n)
     for start in range(0, len(d), step):
         rows = slice(start, start + step)
         with np.errstate(over="ignore", invalid="ignore"):

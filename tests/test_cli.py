@@ -442,6 +442,8 @@ def test_missing_required_flag_is_named(capsys):
 # np.einsum, so their rows also pin NumPy's einsum loops. Re-taken when each
 # run's stream began to be keyed by its echo and split into fixed blocks, and
 # --workers left the payload; the --workers 2 rows draw what --workers 1 draws.
+# The orthogonal and unitary rows were re-taken when an entry read began to
+# draw only columns 0..j of each matrix, column by column.
 FROZEN_SAMPLE_DIGESTS = {
     ("--group", "rplus", "--workers", "2"):
         "a75356ac3cff45510cb40ed1cfd283af560d88b8150c707543942e861e3fdf75",
@@ -458,9 +460,9 @@ FROZEN_SAMPLE_DIGESTS = {
     ("--group", "gln-det", "--workers", "2"):
         "2217ffe67ecb01a418a0fb37b05530a480cf7793fcf352a33a7bc4c399336246",
     ("--group", "orthogonal", "--n", "4", "--entry", "2,3"):
-        "8a461379538798eedc42005dd418fe2f8f229253e750c6711abfe0fe3ac5cf1c",
+        "fc7240910dbbb2c6a285b74d5e4eabf9fb1a080fac08cca03dc690824d1243ee",
     ("--group", "unitary", "--n", "3", "--format", "csv"):
-        "f6768e565214c3c38b2d19b2d9df66badd7e6a1da8f32fe1df59db2b41039e2c",
+        "b9b93af9046f4a3d7c9dccb2ac243a8136c56a7ecda019a43ac1444da020427b",
 }
 
 

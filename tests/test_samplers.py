@@ -314,7 +314,8 @@ _HAAR_QR_IDS = [f"{'R' if dtype is float else 'C'}{n}" for n, dtype in _HAAR_QR_
 
 
 def _qr_slice(n, dtype):
-    return samplers._qr_slice(n, 2 if dtype is complex else 1)
+    """Matrices per Gram-Schmidt slice of a whole-matrix draw."""
+    return samplers._qr_slice((2 if dtype is complex else 1) ** 2 * n * n)
 
 
 def _haar_qr_count(n, dtype):
@@ -323,14 +324,15 @@ def _haar_qr_count(n, dtype):
 
 
 def _cgs2_reference(a: np.ndarray) -> np.ndarray:
-    """Q of one matrix by plain classical Gram-Schmidt run twice, with every
-    sum from 0 in samplers._cgs2's order: a column is the real vector of its
-    (entry, part) pairs, entry-major; over C it is orthogonalized against
-    q_0 .. q_k-1, then against i q_0 .. i q_k-1, i q = (-Im q, Re q)."""
-    n = a.shape[0]
+    """Q of one n x c matrix (c <= n) by plain classical Gram-Schmidt run
+    twice, with every sum from 0 in samplers._cgs2's order: a column is the
+    real vector of its (entry, part) pairs, entry-major; over C it is
+    orthogonalized against q_0 .. q_k-1, then against i q_0 .. i q_k-1,
+    i q = (-Im q, Re q)."""
+    n, width = a.shape
     cplx = np.iscomplexobj(a)
     cols, turned = [], []
-    for k in range(n):
+    for k in range(width):
         v = []
         for i in range(n):
             v += [a[i, k].real, a[i, k].imag] if cplx else [float(a[i, k])]
@@ -355,16 +357,24 @@ def _cgs2_reference(a: np.ndarray) -> np.ndarray:
         cols.append(v)
         if cplx:
             turned.append([y for re, im in zip(v[::2], v[1::2]) for y in (-im, re)])
-    q = np.empty((n, n), dtype=a.dtype)
+    q = np.empty((n, width), dtype=a.dtype)
     for k, v in enumerate(cols):
         q[:, k] = [complex(re, im) for re, im in zip(v[::2], v[1::2])] if cplx else v
     return q
 
 
+def _gaussian_columns(rng, count, n, cols, dtype):
+    """`count` n x cols Gaussian matrices as the Haar samplers draw them:
+    column by column, an entry one normal over R and two over C, its real
+    and then its imaginary part."""
+    g = rng.normal((count, cols, n * (2 if dtype is complex else 1)))
+    return (g.view(complex) if dtype is complex else g).transpose(0, 2, 1)
+
+
 def _haar_draw(n, dtype, seed, count):
     """(Gaussian stack, Haar sample) of one seed: the stack the sampler draws."""
-    gauss = samplers._gaussian_stack(RngStream(seed), count, n, dtype)
-    return gauss, samplers._haar_qr(n, n, RngStream(seed), count, dtype, lambda q: q)[0]
+    gauss = _gaussian_columns(RngStream(seed), count, n, n, dtype)
+    return gauss, samplers._haar_qr(n, RngStream(seed), count, dtype)[0]
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "sliced"])
@@ -422,12 +432,13 @@ def test_orthogonal_haar_footprint(traced_peak):
 
 def test_unitary_haar_word_order_is_re_im_per_entry():
     # A complex Gaussian entry is two consecutive normals, (real, imaginary),
-    # each divided by sqrt(2): the stack is one normal draw viewed as complex.
+    # and the entries run column by column: the stack is one normal draw
+    # viewed as complex, each matrix the transpose of its row-major reading.
     n, count = 3, 5
     qs = sample_unitary_haar(n, RngStream(67), count)
-    gauss = RngStream(67).normal(2 * count * n * n).view(complex) / math.sqrt(2.0)
+    gauss = RngStream(67).normal(2 * count * n * n).view(complex)
     for q, g in zip(qs, gauss.reshape(count, n, n)):
-        assert q.tobytes() == _cgs2_reference(g).tobytes()
+        assert q.tobytes() == _cgs2_reference(g.T).tobytes()
 
 
 _ENTRY_READS = {
@@ -440,13 +451,17 @@ _ENTRY_READS = {
 @pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_haar_entry_reads_equal_full_draws(monkeypatch, n, dtype, singular):
-    # Slices of _QR_SLICE_MIN matrices: the count spans three whole slices
-    # and a short one. With `singular`, one matrix of the first slice is
-    # zeroed and redrawn after the whole first round.
+    # Slices of _QR_SLICE_MIN values: the count spans three whole slices
+    # and a short one. With `singular`, value 5 of the first slice is zeroed
+    # and redrawn after the whole first round. An entry read draws columns
+    # 0..j of each value: at j = n - 1 the whole draw's words, so it reads
+    # the whole draw's last column bit for bit; at other j, each value is Q
+    # of its own first j + 1 columns.
     monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", 1)
     step = samplers._QR_SLICE_MIN
     count = 3 * step + 37
     full_read, entry_read = _ENTRY_READS[dtype]
+    parts = 2 if dtype is complex else 1
 
     def streams():
         """(the RngStream, what the sampler draws from)"""
@@ -458,12 +473,48 @@ def test_haar_entry_reads_equal_full_draws(monkeypatch, n, dtype, singular):
     if singular:
         assert stream.batches == 5  # four slices and one redraw
         assert not np.array_equal(full[5], full_read(n, RngStream(71), count)[5])
-    for i, j in sorted({(0, 0), (0, n - 1), (n - 1, 1), (n // 2, n - 2)}):
+    for i, j in sorted({(0, 0), (0, n - 1), (n - 1, 1), (n // 2, n - 2), (n - 1, n - 1)}):
         entry_rng, entry_stream = streams()
         got = entry_read(n, i, j, entry_stream, count)
         assert got.shape == (count,)
-        assert got.tobytes() == np.ascontiguousarray(full[:, i, j]).tobytes(), (i, j)
-        assert entry_rng.counter == rng.counter
+        if j == n - 1:
+            assert got.tobytes() == np.ascontiguousarray(full[:, i, j]).tobytes(), (i, j)
+            assert entry_rng.counter == rng.counter
+        # The first round's count values, then the one redraw, if any.
+        gauss = _gaussian_columns(RngStream(71), count + singular, n, j + 1, dtype)
+        if singular:
+            gauss[5] = gauss[count]
+        for b in sorted({0, 5, step - 1, step, 2 * step, 3 * step, count - 1}):
+            assert got[b].tobytes() == _cgs2_reference(gauss[b])[i, j].tobytes(), (i, j, b)
+        if not singular:
+            one_call = RngStream(71)
+            one_call.normal(count * parts * n * (j + 1))
+            assert entry_rng.counter == one_call.counter
+
+
+def test_haar_entry_reads_draw_only_their_columns():
+    # Entry (1,1) of O(100) draws 100 normals a value, not 10^4.
+    rng = RngStream(79)
+    sample_orthogonal_entry(100, 0, 0, rng, 1000)
+    one_call = RngStream(79)
+    one_call.normal(100 * 1000)
+    assert rng.counter == one_call.counter
+
+
+@pytest.mark.parametrize(
+    "entry_read, n, i, j, law_n",
+    [(sample_orthogonal_entry, 100, 0, 0, 99), (sample_unitary_entry, 20, 2, 1, 39)],
+    ids=["O100-1,1", "U20-3,2"],
+)
+def test_haar_entry_reads_follow_the_sphere_law(entry_read, n, i, j, law_n):
+    # A column of a Haar O(n) matrix is uniform on S^(n-1); the real part of
+    # a U(n) entry is a coordinate of S^(2n-1). Level and seed fixed in
+    # advance: alpha = 1e-3, seed 7. The same values fail against the law
+    # of a sphere of a tenth the dimension.
+    values = entry_read(n, i, j, RngStream(7), 20_000).real
+    sample = build_empirical(values, 10)
+    assert ks_test(sample, SphereExact(10, law_n), alpha=1e-3).passed
+    assert not ks_test(sample, SphereExact(10, law_n // 10), alpha=1e-3).passed
 
 
 @pytest.mark.parametrize("entry_read", [sample_orthogonal_entry, sample_unitary_entry])

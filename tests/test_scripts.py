@@ -60,9 +60,10 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     startup = lines.index("# start-up, best of 1 fresh processes")
     record = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:startup])
-    assert len(record["layers"]) == 16
+    assert len(record["layers"]) == 19
     assert record["layers"]["sample_orthogonal_haar(4)"]["items"] == 20
     assert record["layers"]["sample_unitary_entry(3)"]["items"] == 20
+    assert record["layers"]["sample_orthogonal_entry(100) (1,100)"]["items"] == 1000
     assert all(layer["ms_per_1e6"] > 0 for layer in record["layers"].values())
     assert all(layer["peak_bytes_per_item"] > 0 for layer in record["layers"].values())
     # Fresh processes: importing the CLI costs time and memory beyond NumPy,
