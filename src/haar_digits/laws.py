@@ -248,8 +248,20 @@ def windowed_power_cdf(base: int, k: float, m: int, s) -> float:
         if r == 1.0:  # k so close to 1 that B^(1-k) rounds to 1
             out = np.log(arr) / math.log(base)
         else:
-            geo = (1.0 - r**m) / (1.0 - r)  # sum_{l<m} r^l
-            numer = (np.power(arr, one_minus_k) - 1.0) / one_minus_k * geo
-            denom = (r**m - 1.0) / one_minus_k
-            out = numer / denom
+            try:
+                r_m = r**m
+            except OverflowError:
+                r_m = math.inf
+            geo = (1.0 - r_m) / (1.0 - r)  # sum_{l<m} r^l
+            denom = (r_m - 1.0) / one_minus_k
+            with np.errstate(over="ignore", invalid="ignore"):
+                numer = (np.power(arr, one_minus_k) - 1.0) / one_minus_k * geo
+                out = numer / denom
+            # For k < 1 the window's mass grows as B^(m(1-k)), which can
+            # leave the double range before B^m does.
+            if not (math.isfinite(denom) and np.isfinite(out).all()):
+                raise DomainError(
+                    f"windowed_power_cdf: the mass of x^(-k) on [1, B^m) with m={m}, k={k}, "
+                    f"base {base} is not a finite double"
+                )
     return float(out) if scalar else out

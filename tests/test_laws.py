@@ -249,6 +249,16 @@ def test_windowed_power_cdf_validation():
             windowed_power_cdf(10, 2.0, 3, nan)
 
 
+@pytest.mark.parametrize("m", [616, 10**6], ids=["past-B^m(1-k)-max", "r^m-overflows"])
+def test_windowed_power_cdf_refuses_a_window_mass_past_the_double_range(m):
+    # For k < 1 the window's mass grows as B^(m(1-k)): at m = 10^6, r^m
+    # raised OverflowError; at m = 616 it is finite, the mass is not, and
+    # the CDF read nan at s = 10 and 0.0 at s = 2. m = 615 still works.
+    with pytest.raises(DomainError, match=f"m={m}, k=0.5, base 10"):
+        windowed_power_cdf(10, 0.5, m, 2.0)
+    assert windowed_power_cdf(10, 0.5, 615, 2.0) == pytest.approx(PowerLaw(10, 0.5).cdf(2.0))
+
+
 def test_windowed_power_cdf_vectorized():
     s = np.array([1.0, 2.0, 10.0])
     out = windowed_power_cdf(10, 2.0, 3, s)

@@ -271,6 +271,25 @@ def test_ks_p_approx_shape():
         ks_p_approx(0.1, 0)
 
 
+def test_ks_p_approx_refuses_nan():
+    with pytest.raises(DomainError, match="d must be a number, got nan"):
+        ks_p_approx(math.nan, 5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 2.0, 0.0, 1.0, -0.1])
+@pytest.mark.parametrize("test", ["ks", "chi2", "independence"])
+def test_gof_tests_refuse_alpha_outside_the_unit_interval(test, alpha):
+    # A NaN or out-of-range level gave a report whose `passed` was False.
+    x = sample_log_uniform(10, 3, RngStream(523), count=2000)
+    run = {
+        "ks": lambda: ks_test(x, Benford(10), alpha=alpha),
+        "chi2": lambda: chi_square_first_digit(x, Benford(10), alpha=alpha),
+        "independence": lambda: chi_square_independence(np.full((3, 3), 10.0), alpha=alpha),
+    }[test]
+    with pytest.raises(DomainError, match=r"alpha must be in \(0, 1\)"):
+        run()
+
+
 def test_ks_test_report():
     x = sample_log_uniform(10, 3, RngStream(521), count=20000)
     report = ks_test(x, Benford(10))
