@@ -492,15 +492,6 @@ def test_haar_entry_reads_equal_full_draws(monkeypatch, n, dtype, singular):
             assert entry_rng.counter == one_call.counter
 
 
-def test_haar_entry_reads_draw_only_their_columns():
-    # Entry (1,1) of O(100) draws 100 normals a value, not 10^4.
-    rng = RngStream(79)
-    sample_orthogonal_entry(100, 0, 0, rng, 1000)
-    one_call = RngStream(79)
-    one_call.normal(100 * 1000)
-    assert rng.counter == one_call.counter
-
-
 @pytest.mark.parametrize(
     "entry_read, n, i, j, law_n",
     [(sample_orthogonal_entry, 100, 0, 0, 99), (sample_unitary_entry, 20, 2, 1, 39)],
