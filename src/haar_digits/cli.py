@@ -38,7 +38,7 @@ import numpy as np
 
 from . import samplers
 from ._frozen import Frozen
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_real
 from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .lie import (
     MC_SIGMAS,
@@ -573,8 +573,7 @@ _SAMPLE_FLAGS = {
 
 def _cmd_sample(args) -> _Report:
     seed = _resolve_seed(args.seed)
-    if not (0.0 < args.alpha < 1.0):
-        raise DomainError(f"alpha must be in (0, 1), got {args.alpha}")
+    check_real(args.alpha, "alpha", 0, 1, lo_open=True, hi_open=True)  # before any draw
     group = _GROUPS[args.group]
     _route(args, "--group", {r: g.reads for r, g in _GROUPS.items()}, args.group, _SAMPLE_FLAGS)
     spec = samplers.WindowSpec(eps=args.eps, m=args.m)

@@ -1,5 +1,5 @@
 """Shared exception types for the haar_digits package, and the one check of
-an integer argument."""
+an integer argument and the one check of a real one."""
 
 import math
 import numbers
@@ -35,3 +35,29 @@ def check_int(value, name: str, lo=None, hi=None) -> int:
         bounds = f" in [{lo}, {hi}]" if hi is not None else f" >= {lo}" if lo is not None else ""
         raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
     return n
+
+
+def check_real(value, name: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
+    """value as a float, if it is a finite Python or NumPy real that is >= lo
+    and <= hi where those bounds are given (hi only with lo); lo_open and
+    hi_open make a bound strict (> lo, < hi).
+
+    Anything else raises DomainError naming the parameter: bool, a string or
+    any other non-number, NaN, +-inf (every real parameter of the library is
+    finite), an int past the double range, and a value out of bounds.
+    """
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past 2^1024
+            pass
+    ok = math.isfinite(x) and (lo is None or (x > lo if lo_open else x >= lo))
+    if not (ok and (hi is None or (x < hi if hi_open else x <= hi))):
+        left, right = "(" if lo_open else "[", ")" if hi_open else "]"
+        bounds = (
+            f" in {left}{lo}, {hi}{right}" if hi is not None
+            else f" {'>' if lo_open else '>='} {lo}" if lo is not None else ""
+        )
+        raise DomainError(f"{name} must be a finite real{bounds}, got {value!r}")
+    return x

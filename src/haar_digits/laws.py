@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .significand import check_base, significand
 
 __all__ = [
@@ -29,6 +29,18 @@ __all__ = [
 ]
 
 
+def _check_sig(s, base: int):
+    """s as a float array, refused unless every point lies in [1, base], and
+    whether s was a scalar: the one check of a significand argument."""
+    # C order: NumPy's vectorized log gives a point the same bits in any layout.
+    arr = np.asarray(s, dtype=float, order="C")
+    if not ((arr >= 1.0) & (arr <= base)).all():  # also rejects NaN
+        raise DomainError(
+            f"significand must lie in [1, {base}], got range [{arr.min()}, {arr.max()}]"
+        )
+    return arr, np.isscalar(s) or np.ndim(s) == 0
+
+
 class DigitLaw:
     """Common behaviour for significand laws; subclasses set ``base``.
 
@@ -37,16 +49,6 @@ class DigitLaw:
     """
 
     base: int
-
-    def _check_sig(self, s):
-        # C order: NumPy's vectorized log gives a point the same bits in any layout.
-        arr = np.asarray(s, dtype=float, order="C")
-        if not ((arr >= 1.0) & (arr <= self.base)).all():  # also rejects NaN
-            raise DomainError(
-                f"significand must lie in [1, {self.base}], got range "
-                f"[{arr.min()}, {arr.max()}]"
-            )
-        return arr, np.isscalar(s) or np.ndim(s) == 0
 
     @staticmethod
     def _ret(arr, scalar):
@@ -74,11 +76,11 @@ class Benford(DigitLaw, Frozen):
         self._set(base=check_base(base))
 
     def cdf(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         return self._ret(np.log(arr) / math.log(self.base), scalar)
 
     def density(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         return self._ret(1.0 / (arr * math.log(self.base)), scalar)
 
 
@@ -94,13 +96,10 @@ class PowerLaw(DigitLaw, Frozen):
     _fields = ("base", "k")
 
     def __init__(self, base: int = 10, k: float = 2.0):
-        base = check_base(base)
-        if not (math.isfinite(k) and k > 0.0):
-            raise DomainError(f"PowerLaw exponent k must be > 0, got {k}")
-        self._set(base=base, k=k)
+        self._set(base=check_base(base), k=check_real(k, "k", 0, lo_open=True))
 
     def cdf(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         if self.k == 1.0:
             return self._ret(np.log(arr) / math.log(self.base), scalar)
         one_minus_k = 1.0 - self.k
@@ -113,7 +112,7 @@ class PowerLaw(DigitLaw, Frozen):
         return self._ret(num / den, scalar)
 
     def density(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         if self.k == 1.0:
             return self._ret(1.0 / (arr * math.log(self.base)), scalar)
         # c = (k-1) B^(k-1) / (B^(k-1) - 1) = (k-1) / -expm1((1-k) ln B)
@@ -130,11 +129,11 @@ class UniformSignificand(DigitLaw, Frozen):
         self._set(base=check_base(base))
 
     def cdf(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         return self._ret((arr - 1.0) / (self.base - 1.0), scalar)
 
     def density(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         out = np.full_like(arr, 1.0 / (self.base - 1.0))
         return self._ret(out, scalar)
 
@@ -152,18 +151,16 @@ class FlatWindowSignificand(DigitLaw, Frozen):
     _fields = ("base", "eps")  # t follows from them
 
     def __init__(self, base: int = 10, eps: float = 1.0):
-        base = check_base(base)
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise DomainError(f"FlatWindowSignificand: eps must be > 0, got {eps}")
+        base, eps = check_base(base), check_real(eps, "eps", 0, lo_open=True)
         self._set(base=base, eps=eps, t=significand(eps, base).significand)
 
     def cdf(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         out = np.minimum(arr, self.t) - 1.0 + (arr - 1.0) / (self.base - 1.0)
         return self._ret(out / self.t, scalar)
 
     def density(self, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         out = np.where(arr < self.t, 1.0, 0.0) + 1.0 / (self.base - 1.0)
         return self._ret(out / self.t, scalar)
 
@@ -231,13 +228,9 @@ def windowed_power_cdf(base: int, k: float, m: int, s) -> float:
     floating-point consistency check rather than a tautology.
     """
     base = check_base(base)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"windowed_power_cdf: k must be > 0, got {k}")
+    k = check_real(k, "k", 0, lo_open=True)
     m = check_int(m, "m", 1)
-    arr = np.asarray(s, dtype=float)
-    if not ((arr >= 1.0) & (arr <= base)).all():  # also rejects NaN
-        raise DomainError(f"windowed_power_cdf: s must lie in [1, {base}]")
-    scalar = np.isscalar(s) or np.ndim(s) == 0
+    arr, scalar = _check_sig(s, base)
 
     if k == 1.0:
         # Each decade contributes ln s; the window total is m ln B.

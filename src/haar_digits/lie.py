@@ -24,12 +24,12 @@ Two families of checks live here:
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import ConsistencyError, DomainError, check_int
+from .errors import ConsistencyError, DomainError, check_int, check_real
+from .laws import _check_sig
 from .rng import RngStream
 from .significand import check_base
 
@@ -65,16 +65,7 @@ class ConeProblem(Frozen):
     _fields = ("x", "eps")
 
     def __init__(self, x: float, eps: float = 0.1):
-        if not (math.isfinite(x) and x >= 1.0):
-            raise DomainError(f"ConeProblem: x must be >= 1, got {x}")
-        if not (0.0 < eps <= 1.0):
-            raise DomainError(f"ConeProblem: eps must be in (0, 1], got {eps}")
-        if eps * eps < sys.float_info.min:
-            raise DomainError(
-                f"ConeProblem: eps must be >= 2^-511 so that eps^2 is a normal double, "
-                f"got {eps}"
-            )
-        self._set(x=x, eps=eps)
+        self._set(x=check_real(x, "x", 1), eps=check_real(eps, "eps", 2.0**-511, 1))
 
 
 class MCVolume(Frozen):
@@ -96,7 +87,7 @@ class MCVolume(Frozen):
     def sigma_gap(self, exact: float) -> float:
         """|estimate - exact| in standard errors; with a zero error bar (every
         trial rejected, or every one accepted) a nonzero gap is infinite."""
-        gap = abs(self.estimate - exact)
+        gap = abs(self.estimate - check_real(exact, "exact"))
         return gap / self.stderr if self.stderr > 0.0 else (math.inf if gap else 0.0)
 
     def agrees(self, exact: float) -> bool:
@@ -227,17 +218,19 @@ def hyperbolic_cone_area(a: float, b: float) -> float:
     In coordinates s = uv, r = u/v the region is the rectangle
     (0,1] x [a^2, b^2] with density 1/(2r): the s-direction contributes a
     constant and the log comes entirely from the scale variable r, the
-    one-dimensional shadow of the cone mechanism."""
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
-        raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
-    return math.log(b / a)
+    one-dimensional shadow of the cone mechanism. b / a must be a finite double."""
+    a = check_real(a, "a", 0, lo_open=True)
+    b = check_real(b, "b", a, lo_open=True)
+    return math.log(check_real(b / a, "b / a"))
 
 
 def _rejection_volume(box: float, trials: int, inside) -> MCVolume:
     """Rejection estimate box * accepted / trials. inside(c) draws c points
     of the bounding box and counts those in the region; it is called on
-    batches of at most _MC_BATCH points, in order."""
+    batches of at most _MC_BATCH points, in order. The box volume must be a
+    finite double: past that range every estimate would read nan or inf."""
     trials = check_int(trials, "trials", 1)
+    box = check_real(box, "the bounding box volume")
     accepted = sum(
         inside(min(_MC_BATCH, trials - done)) for done in range(0, trials, _MC_BATCH)
     )
@@ -254,8 +247,8 @@ def _rejection_volume(box: float, trials: int, inside) -> MCVolume:
 def hyperbolic_cone_area_mc(a: float, b: float, rng: RngStream, trials: int) -> MCVolume:
     """Rejection estimate of hyperbolic_cone_area from the bounding box
     (0, b] x (0, 1/a]; uses only the membership inequalities."""
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
-        raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
+    a = check_real(a, "a", 0, lo_open=True)
+    b = check_real(b, "b", a, lo_open=True)
 
     def inside(c):
         u = b * rng.random(c)
@@ -334,8 +327,6 @@ def sl2_cone_induced_cdf(s, eps: float, base: int = 10):
     """
     base = check_base(base)
     cone = ConeProblem(float(base), eps)  # the window [1, B]; refuses eps as every cone does
-    arr = np.asarray(s, dtype=float)
-    if not np.all((arr >= 1.0) & (arr <= base)):  # NaN fails too
-        raise DomainError(f"significand must lie in [1, {base}]")
+    arr, scalar = _check_sig(s, base)
     out = _cone_volume(arr, cone.eps) / _cone_volume(cone.x, cone.eps)
-    return float(out) if arr.ndim == 0 else out
+    return float(out) if scalar else out

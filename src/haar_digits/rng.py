@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 
 __all__ = ["RngStream", "GAMMA", "TILE", "mix64"]
 
@@ -153,8 +153,9 @@ class RngStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """Uniform doubles in [low, high): low + (high - low) * U, high - low finite."""
-        if not (low < high and math.isfinite(high - low)):
-            raise DomainError(f"uniform: need low < high, high - low finite, got [{low}, {high})")
+        low = check_real(low, "low")
+        high = check_real(high, "high", low, lo_open=True)
+        check_real(high - low, "high - low")
         vals = self.random(size)
         if size is None:
             return low + (high - low) * vals
@@ -226,9 +227,7 @@ class RngStream:
         `remaining` uniforms, so the draw pattern is deterministic for a
         fixed call sequence.
         """
-        alpha = float(shape_param)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise DomainError(f"gamma: shape must be > 0, got {shape_param}")
+        alpha = check_real(shape_param, "shape_param", 0, lo_open=True)
         shape, n = _parse_size(size)
         if alpha < 1.0:
             out = self._gamma_ge1(alpha + 1.0, n)

@@ -25,13 +25,12 @@ full draw does, and they give the same values bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from functools import cached_property
 
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .rng import TILE, RngStream
 from .significand import check_base
@@ -75,12 +74,8 @@ class WindowSpec(Frozen):
     _fields = ("eps", "m")
 
     def __init__(self, eps: float = 1.0, m: int = 3):
-        if not (sys.float_info.min <= eps <= sys.float_info.max / 2):  # false for NaN
-            raise DomainError(
-                f"WindowSpec: eps must be in [{sys.float_info.min}, {sys.float_info.max / 2}], "
-                f"got {eps}"
-            )
-        self._set(eps=eps, m=check_int(m, "m", 1))
+        double = np.finfo(float)
+        self._set(eps=check_real(eps, "eps", double.tiny, double.max / 2), m=check_int(m, "m", 1))
 
 
 class SlnSample(Frozen):
@@ -170,16 +165,15 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarr
 # --- compact groups ---------------------------------------------------------
 
 
-def sample_orthogonal_haar(n: int, rng: RngStream, count: int, return_info: bool = False):
+def sample_orthogonal_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
     """Haar-distributed O(n) matrices: Q of Gaussian matrices, diag(R) > 0.
 
     Consumes count*n*n normals (column-major per matrix), then those of the
     redraws: a numerically singular draw (a Gram-Schmidt residual of norm
-    0) is drawn again. Pass return_info=True to receive the number of redraws.
+    0) is drawn again.
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    q, resampled = _haar_qr(n, rng, count, float)
-    return (q, {"resampled": resampled}) if return_info else q
+    return _haar_qr(n, rng, count, float)[0]
 
 
 def sample_orthogonal_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
@@ -481,9 +475,9 @@ def triangular_component_law(
     base = check_base(base)
     i, j = _check_upper_entry(n, i, j)
     expo = _haar_exponent(n, i, side)
+    flat = FlatWindowSignificand(base, eps)  # checks eps whatever the entry
     if i < j:
-        law = FlatWindowSignificand(base, eps)
-        return UniformSignificand(base) if law.t == 1.0 else law
+        return UniformSignificand(base) if flat.t == 1.0 else flat
     if expo == 1:
         return Benford(base)
     return PowerLaw(base, float(expo))

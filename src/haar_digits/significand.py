@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "SignificandDecomposition",
@@ -47,10 +47,7 @@ def significand(x: float, base: int = 10) -> SignificandDecomposition:
     Thin scalar wrapper over significand_parts so scalar and vectorized
     callers agree bit-for-bit.
     """
-    x = float(x)
-    if x == 0.0 or not math.isfinite(x):
-        raise DomainError(f"significand undefined for x={x!r}")
-    s, e, sg = significand_parts(np.array([x]), base)
+    s, e, sg = significand_parts(np.array([check_real(x, "x")]), base)  # refuses x = 0
     return SignificandDecomposition(float(s[0]), int(e[0]), int(sg[0]))
 
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_int
+from .errors import ConvergenceError, DomainError, check_int, check_real
 
 __all__ = [
     "erf",
@@ -173,9 +173,7 @@ def log_gamma(x: float) -> float:
     Stirling's series with Bernoulli terms through B_16 for x >= 10; smaller
     arguments are shifted up with log_gamma(x) = log_gamma(x+m) - log(x...(x+m-1)).
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma: argument must be finite and > 0, got {x}")
+    x = check_real(x, "x", 0, lo_open=True)
     shift = 0.0
     while x < _STIRLING_MIN_X:
         shift += math.log(x)
@@ -248,10 +246,8 @@ def betainc(a: float, b: float, x):
 def _betainc_tail(a: float, b: float, x):
     """I_x(a, b), or 1 - I_x on the mirrored lanes, as the continued fractions
     give them (flat, so a tail near 0 is not cancelled), the mirrored mask, x's shape."""
-    a = float(a)
-    b = float(b)
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"betainc: need finite a, b > 0, got ({a}, {b})")
+    a = check_real(a, "a", 0, lo_open=True)
+    b = check_real(b, "b", 0, lo_open=True)
     arr, shape = _flat("betainc", x)
     if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise DomainError("betainc: x must lie in [0, 1]")

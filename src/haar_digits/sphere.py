@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError, check_int
-from .laws import DigitLaw
+from .errors import DomainError, check_int, check_real
+from .laws import DigitLaw, _check_sig
 from .significand import check_base
 from .specfun import _betainc_tail, betainc, erf, gamma_half_ratio, integrate_arcsine_weight
 
@@ -86,10 +86,8 @@ def sphere_band_prob(n: int, a: float, b: float) -> float:
     symmetric about 0.
     """
     n = check_int(n, "n", 1)
-    a = float(a)
-    b = float(b)
-    if not (-1.0 <= a <= b <= 1.0):
-        raise DomainError(f"sphere_band_prob: need -1 <= a <= b <= 1, got ({a}, {b})")
+    a = check_real(a, "a", -1, 1)
+    b = check_real(b, "b", a, 1)
     if a < 0.0 < b:  # the two sides of 0 add
         return 0.5 * float(_band(n, 0.0, a * a) + _band(n, 0.0, b * b))
     return 0.5 * float(_band(n, *sorted((a * a, b * b))))
@@ -240,7 +238,7 @@ class _SphereLawBase(DigitLaw, Frozen):
     tail_tol = _TAIL_TOL
 
     def _blocked(self, block_fn, s):
-        arr, scalar = self._check_sig(s)
+        arr, scalar = _check_sig(s, self.base)
         flat = arr.reshape(-1)
         out = np.empty(flat.size)
         for start in range(0, flat.size, _BLOCK):

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .laws import DigitLaw
 from .rng import TILE
 from .significand import check_base, first_digits, significand_values
@@ -174,9 +174,7 @@ def ks_p_approx(d: float, n: int) -> float:
     Clamping lambda at lam* keeps the result monotone nonincreasing in d
     and conservative (never below the true tail) for small distances.
     """
-    n = check_int(n, "n", 1)
-    if math.isnan(d):
-        raise DomainError(f"d must be a number, got {d}")
+    n, d = check_int(n, "n", 1), check_real(d, "d")
     if d <= 0.0:
         return 1.0
     sqrt_n = math.sqrt(n)
@@ -186,15 +184,9 @@ def ks_p_approx(d: float, n: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _check_alpha(alpha: float) -> None:
-    """A test level must lie in (0, 1); NaN would fail every test silently."""
-    if not (0.0 < alpha < 1.0):  # false for NaN
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def ks_test(sample, law: DigitLaw, alpha: float = 0.001) -> GOFReport:
     """Kolmogorov-Smirnov goodness-of-fit report against a significand law."""
-    _check_alpha(alpha)
+    alpha = check_real(alpha, "alpha", 0, 1, lo_open=True, hi_open=True)
     emp = _as_empirical(sample, law.base)
     d = ks_statistic(emp, law)
     return GOFReport("ks", d, None, ks_p_approx(d, emp.n), alpha, emp.n)
@@ -217,7 +209,7 @@ def chi_square_first_digit(sample, law: DigitLaw, alpha: float = 0.001) -> GOFRe
     B-1 cells with fully specified probabilities give B-2 degrees of
     freedom. Requires enough samples for every expected count to clear
     the usual >= 5 rule."""
-    _check_alpha(alpha)
+    alpha = check_real(alpha, "alpha", 0, 1, lo_open=True, hi_open=True)
     emp = _as_empirical(sample, law.base)
     probs = np.asarray(law.first_digit_probs(), dtype=float)
     expected = emp.n * probs
@@ -258,7 +250,7 @@ def chi_square_independence(table, alpha: float = 0.001) -> GOFReport:
 
     Expected counts come from the product of the margins; degrees of
     freedom are (rows - 1)(cols - 1)."""
-    _check_alpha(alpha)
+    alpha = check_real(alpha, "alpha", 0, 1, lo_open=True, hi_open=True)
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
         raise DomainError(f"need a table with >= 2 rows and columns, got shape {t.shape}")

@@ -236,9 +236,9 @@ UNCHECKED = {
 }
 
 
-def _integer_parameters():
+def _annotated_parameters(annotation: str, names=()):
     """(function, parameter) for every parameter of a public function or
-    method annotated int, and every `size`."""
+    method annotated `annotation`, and every one named in `names`."""
     found = set()
     for module in ("significand", "laws", "sphere", "specfun", "rng", "samplers", "lie", "stats"):
         mod = importlib.import_module(f"haar_digits.{module}")
@@ -256,7 +256,9 @@ def _integer_parameters():
                     continue
                 params = inspect.signature(fn).parameters.values()
                 found.update(
-                    (label, p.name) for p in params if p.annotation == "int" or p.name == "size"
+                    (label, p.name)
+                    for p in params
+                    if p.annotation == annotation or p.name in names
                 )
     return found
 
@@ -264,7 +266,7 @@ def _integer_parameters():
 def test_every_integer_parameter_has_a_row():
     rows = {(func, param) for func, param, *_ in ROWS}
     assert len(rows) == len(ROWS)
-    assert _integer_parameters() == rows | UNCHECKED
+    assert _annotated_parameters("int", names=("size",)) == rows | UNCHECKED
 
 
 @pytest.mark.parametrize("func, param, ok, lo, hi, call", ROWS, ids=IDS)

@@ -2,6 +2,7 @@
 SL_2 cone volumes (analytic formulas against Monte Carlo rejection)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ def test_hyperbolic_cone_area_validation():
             hyperbolic_cone_area(a, b)
 
 
+def test_hyperbolic_cone_area_refuses_a_ratio_past_the_double_range():
+    # b / a = 1e310 overflowed to inf and the area read inf; ln(b / a) is
+    # about 713.8. The largest ratio that is a double is answered.
+    with pytest.raises(DomainError, match=r"^b / a must be a finite real, got inf$"):
+        hyperbolic_cone_area(1e-300, 1e10)
+    assert hyperbolic_cone_area(1.0, 1e308) == pytest.approx(308.0 * math.log(10.0), rel=1e-15)
+
+
+def test_hyperbolic_cone_area_mc_refuses_a_box_past_the_double_range():
+    # A box of volume b / a = 1e400 gave estimate=nan and box_volume=inf.
+    rng = RngStream(3)
+    with pytest.raises(DomainError, match=r"^the bounding box volume must be a finite real"):
+        hyperbolic_cone_area_mc(1e-200, 1e200, rng, trials=100)
+    assert rng.counter == 0
+
+
 def test_hyperbolic_cone_area_mc_agrees():
     vol = hyperbolic_cone_area_mc(0.5, 4.0, RngStream(6007), trials=200_000)
     exact = math.log(8.0)
@@ -321,6 +338,16 @@ def test_sl2_cone_volume_mc_deterministic_and_validated():
         sl2_cone_volume_mc(problem, RngStream(1), trials=0)
 
 
+def test_sl2_cone_volume_mc_refuses_a_box_past_the_double_range():
+    # The box x (2 eps)^2 (1 + eps^2) of x = 1e308, eps = 1 is 8e308: the
+    # estimate read nan with box_volume=inf. The exact volume is finite.
+    problem, rng = ConeProblem(1e308, 1.0), RngStream(3)
+    assert math.isfinite(sl2_cone_volume(problem))
+    with pytest.raises(DomainError, match=r"^the bounding box volume must be a finite real"):
+        sl2_cone_volume_mc(problem, rng, trials=100)
+    assert rng.counter == 0
+
+
 def test_sl2_cone_induced_cdf_is_benford():
     s = np.linspace(1.0, 10.0, 91)
     for eps in (0.1, 0.35, 1.0):
@@ -365,7 +392,8 @@ def test_sl2_cone_induced_cdf_refuses_eps_the_cone_refuses():
     # eps^2 subnormal or 0: the ratio of volumes is nan at 1e-200 and misses
     # log10(5) in the fifth digit at 1e-160. Both are refused as ConeProblem
     # refuses them; at 2^-511 the ratio is still log_B s.
+    bound = re.escape(f"eps must be a finite real in [{2.0**-511!r}, 1]")
     for eps in (1e-200, 1e-160, float(np.nextafter(2.0**-511, 0.0))):
-        with pytest.raises(DomainError, match="eps must be >= 2\\^-511"):
+        with pytest.raises(DomainError, match=f"^{bound}"):
             sl2_cone_induced_cdf(5.0, eps)
     assert sl2_cone_induced_cdf(5.0, 2.0**-511) == pytest.approx(math.log10(5.0), abs=1e-15)
