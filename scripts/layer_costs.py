@@ -18,8 +18,12 @@ library versions. Run it on two checkouts to compare them.
 
 A start-up section follows: for fresh `python -c "import numpy"` and
 `python -c "import haar_digits.cli"` processes, the best wall time of
---repeats and that process's peak RSS (ru_maxrss), and the modules the
-second imports beyond the first, a list that does not vary from run to run.
+--repeats, the best CPU time (ru_utime + ru_stime, which counts OpenBLAS
+workers that spin while idle) and the peak RSS (ru_maxrss), and the modules
+the second imports beyond the first, a list that does not vary from run to
+run. The processes get the caller's environment: OPENBLAS_THREAD_TIMEOUT is
+unset in the first unless the caller set it, and the second sets its own
+default.
 
 A source section ends the report: for each module of src/haar_digits and in
 total, its lines and its code lines, those that are not blank, not only a
@@ -43,11 +47,15 @@ import tracemalloc
 
 import numpy as np
 
-from haar_digits import cli, samplers
-from haar_digits.rng import RngStream
-from haar_digits.significand import significand_values
-from haar_digits.sphere import SphereExact
-from haar_digits.stats import build_empirical, ks_test
+# The start-up processes' environment, taken before importing haar_digits
+# sets a default OPENBLAS_THREAD_TIMEOUT in this one.
+_CALLER_ENV = dict(os.environ)
+
+from haar_digits import cli, samplers  # noqa: E402
+from haar_digits.rng import RngStream  # noqa: E402
+from haar_digits.significand import significand_values  # noqa: E402
+from haar_digits.sphere import SphereExact  # noqa: E402
+from haar_digits.stats import build_empirical, ks_test  # noqa: E402
 
 
 _LARGE_N_READS = 1000  # values a call of each large-n Haar entry read
@@ -103,10 +111,11 @@ _BEYOND_NUMPY = (
     "import sys, numpy; before = set(sys.modules); import haar_digits.cli; "
     "print(*sorted(set(sys.modules) - before))"
 )
-# Spawns `python -c argv[1]` argv[2] times and prints the least wall time and
-# the least ru_maxrss. It runs in a fresh interpreter of its own because a
-# child spawned from this process would report this process's peak: the
-# kernel carries the parent's high-water mark over a vfork and exec.
+# Spawns `python -c argv[1]` argv[2] times and prints the least wall time, the
+# least CPU time and the least ru_maxrss. It runs in a fresh interpreter of
+# its own because a child spawned from this process would report this
+# process's peak: the kernel carries the parent's high-water mark over a
+# vfork and exec.
 _LAUNCHER = """
 import os, sys, time
 runs = []
@@ -116,17 +125,18 @@ for _ in range(int(sys.argv[2])):
     _, status, usage = os.wait4(pid, 0)
     if os.waitstatus_to_exitcode(status):
         sys.exit(f"python -c {sys.argv[1]!r} failed")
-    runs.append((time.perf_counter() - start, usage.ru_maxrss))
-print(min(r[0] for r in runs), min(r[1] for r in runs))
+    cpu = usage.ru_utime + usage.ru_stime
+    runs.append((time.perf_counter() - start, cpu, usage.ru_maxrss))
+print(*(min(r[i] for r in runs) for i in range(3)))
 """
 
 
 def _startup(repeats: int) -> dict:
-    """The start-up record: each _STARTUP process's best time and peak RSS,
-    and the modules importing the CLI loads beyond NumPy's."""
+    """The start-up record: each _STARTUP process's best wall and CPU time
+    and peak RSS, and the modules importing the CLI loads beyond NumPy's."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    path = os.pathsep.join(filter(None, (src, _CALLER_ENV.get("PYTHONPATH"))))
+    env = {**_CALLER_ENV, "PYTHONPATH": path}
 
     def python(*args) -> str:
         return subprocess.run(
@@ -135,8 +145,12 @@ def _startup(repeats: int) -> dict:
 
     record = {}
     for code in _STARTUP:
-        best_s, maxrss_kib = python(_LAUNCHER, code, str(repeats)).split()
-        record[code] = {"best_s": float(best_s), "maxrss_mib": int(maxrss_kib) / 1024.0}
+        best_s, best_cpu_s, maxrss_kib = python(_LAUNCHER, code, str(repeats)).split()
+        record[code] = {
+            "best_s": float(best_s),
+            "best_cpu_s": float(best_cpu_s),
+            "maxrss_mib": int(maxrss_kib) / 1024.0,
+        }
     record["modules_beyond_numpy"] = python(_BEYOND_NUMPY).split()
     return record
 
@@ -217,10 +231,10 @@ def main(argv=None) -> int:
             print(f"{name:36s} {count:9d} {per_million:11.1f} {per_item:12.1f}")
     startup = _startup(args.repeats)
     print(f"# start-up, best of {args.repeats} fresh processes")
-    print(f"{'process':36s} {'ms':>9s} {'peak RSS MiB':>12s}")
+    print(f"{'process':36s} {'ms':>9s} {'CPU ms':>9s} {'peak RSS MiB':>12s}")
     for name in _STARTUP:
-        best_ms, rss = startup[name]["best_s"] * 1e3, startup[name]["maxrss_mib"]
-        print(f"{name:36s} {best_ms:9.1f} {rss:12.2f}")
+        best_ms, cpu_ms = startup[name]["best_s"] * 1e3, startup[name]["best_cpu_s"] * 1e3
+        print(f"{name:36s} {best_ms:9.1f} {cpu_ms:9.1f} {startup[name]['maxrss_mib']:12.2f}")
     print("# modules beyond numpy: " + " ".join(startup["modules_beyond_numpy"]))
     source = _source()
     print("# source, src/haar_digits")

@@ -6,6 +6,13 @@ uniform points on spheres, together with seeded Monte Carlo samplers and
 goodness-of-fit machinery to verify each law empirically.
 """
 
+import os
+
+# OpenBLAS workers spin ~2^28 cycles when idle; 4 (the minimum) has them sleep at once.
+# A value the caller set wins, and once NumPy is loaded this line does nothing.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+del os
+
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .laws import (
     Benford,

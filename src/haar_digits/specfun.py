@@ -13,7 +13,8 @@ Accuracy contracts:
 * ``gamma_half_ratio(n)`` = Gamma(n/2 + 1/2)/Gamma(n/2): relative error
   <= 1e-13 up to n = 1e8, with no overflow.
 * ``betainc(a, b, x)``: for a = 1/2, absolute error ~1e-15 up to b = 5e3
-  and below 1e-12 up to b = 5e7; up to ~max(a, b) ulp elsewhere.
+  and below 1e-12 up to b = 5e7; up to ~max(a, b) ulp elsewhere. a and b
+  are normal doubles, at most 1e8 (1e300 if the other one is 1/2).
 * ``integrate``: 20-node Gauss-Legendre on each panel the caller lays out
   (no adaptivity), exact for polynomials of degree <= 39 per panel and
   accurate to rounding for integrands analytic well beyond each panel.
@@ -22,6 +23,7 @@ Accuracy contracts:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -49,6 +51,13 @@ _ERF_SERIES_CUT = 2.0
 _EXP_UNDERFLOW = 745.0  # exp(-t) is 0 in double precision beyond this t
 _TINY = 1e-300  # Lentz guard against a zero partial denominator
 _MAX_ITER = 10_000  # per-lane iteration budget; never reached on valid input
+# betainc's largest a or b beside one that is not 1/2: ln B(a, b) is then a
+# difference of log-gammas, off by ~max(a, b) ulp, and at a = b the fraction
+# needs ~sqrt(a) steps of the budget near the mean. Beside 1/2, the bound
+# keeps the fraction's m (b - m) x terms finite within the budget.
+_BETA_PARAM_MAX = 1e8
+_BETA_HALF_MAX = 1e300
+_DOUBLE_MIN = 2.0**-1022  # least normal double
 
 
 def _flat(name: str, x):
@@ -217,9 +226,10 @@ def gamma_half_ratio(n: int) -> float:
 
 
 def _log_beta(a: float, b: float) -> float:
-    """ln B(a, b); with a parameter equal to 1/2 it is ln sqrt(pi) minus a gap."""
+    """ln B(a, b); with a parameter equal to 1/2 it is ln sqrt(pi) minus the
+    half gap of the other one."""
     if a == 0.5 or b == 0.5:
-        return _LN_SQRT_PI - _log_gamma_half_gap(a + b - 0.5)
+        return _LN_SQRT_PI - _log_gamma_half_gap(b if a == 0.5 else a)
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
@@ -232,36 +242,40 @@ def betainc(a: float, b: float, x):
     symmetry I_x(a, b) = 1 - I_(1-x)(b, a) above it, where the mirrored
     fraction converges fast (Numerical Recipes 6.4; DiDonato & Morris, ACM
     TOMS 18, 1992). Lanes whose front factor underflows to 0 are exactly 0
-    or 1.
+    or 1, and a value rounded past 0 or 1 is clipped to it.
 
-    For a = 1/2, the case the sphere laws use, the absolute error is about
-    1e-15 up to b = 5e3 and below 1e-12 up to b = 5e7; elsewhere expect up
-    to about max(a, b) ulp.
+    a and b must be normal doubles (>= 2^-1022: the front factor carries a
+    factor a or b, which a subnormal one would round away) and at most 1e8,
+    or 1e300 if the other one is 1/2. For a = 1/2, the case the sphere laws
+    use, the absolute error is about 1e-15 up to b = 5e3 and below 1e-12 up
+    to b = 5e7; elsewhere expect up to about max(a, b) ulp.
     """
     tail, mirrored, shape = _betainc_tail(a, b, x)
     tail[mirrored] = 1.0 - tail[mirrored]
-    return _shaped(tail, shape)
+    return _shaped(np.clip(tail, 0.0, 1.0, out=tail), shape)
 
 
 def _betainc_tail(a: float, b: float, x):
     """I_x(a, b), or 1 - I_x on the mirrored lanes, as the continued fractions
     give them (flat, so a tail near 0 is not cancelled), the mirrored mask, x's shape."""
-    a = check_real(a, "a", 0, lo_open=True)
-    b = check_real(b, "b", 0, lo_open=True)
+    # b is not checked yet: an array b must reach its own DomainError.
+    b_half = isinstance(b, numbers.Real) and b == 0.5
+    a = check_real(a, "a", _DOUBLE_MIN, _BETA_HALF_MAX if b_half else _BETA_PARAM_MAX)
+    b = check_real(b, "b", _DOUBLE_MIN, _BETA_HALF_MAX if a == 0.5 else _BETA_PARAM_MAX)
     arr, shape = _flat("betainc", x)
     if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise DomainError("betainc: x must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
+    # A huge a or b times a log overflows to -inf, and the front factor is 0.
+    with np.errstate(divide="ignore", over="ignore"):
         front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - _log_beta(a, b))
-    # Past the mean the mirrored fraction runs on the rounded 1 - x, an error
-    # of about max(a, b) ulp where x is tiny; for a <= b the direct one loses
-    # about 1/front ulp past its convergence point, so mirroring only once
-    # front < max(a, b)^-1/2 balances the two: for a = 1/2, b = 5e7 the worst
-    # error drops from 5e-10 to 1e-12. For a > b the direct fraction need not
-    # converge at all there (a = 5e3, b = 1/2, 1 - x = 2e-7), so every lane
-    # past the mean mirrors.
+    # Past the mean the direct fraction can settle on a wrong value (I_x - 1
+    # at a = b = 1e6, two deviations up), so those lanes mirror. Only for
+    # a = 1/2 <= b, where ln B is the exact half gap, do the lanes with
+    # front >= b^-1/2 stay direct: they lose about 1/front ulp there, while
+    # the mirrored fraction runs on the rounded 1 - x, about b ulp where x is
+    # tiny; at b = 5e7 the worst error is 1e-12 against 5e-10.
     swap = (arr >= (a + 1.0) / (a + b + 2.0)) & (
-        (a > b) | (front * math.sqrt(max(a, b)) < 1.0)
+        (a != 0.5) | (a > b) | (front * math.sqrt(b) < 1.0)
     )
     tail = np.zeros_like(arr)
     direct = ~swap & (front > 0.0)

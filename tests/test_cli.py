@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -1174,17 +1175,54 @@ def test_verify_deterministic(capsys):
 # --- module entry point ------------------------------------------------------------
 
 
-def test_python_dash_m_entry_point():
-    # The child imports the package from the tree under test, as this process does.
+def _child_env(**extra):
+    """The environment of a child that imports the package from the tree under
+    test, as this process does, with no OPENBLAS_THREAD_TIMEOUT of its own."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    return {**env, "PYTHONPATH": path, **extra}
+
+
+def test_python_dash_m_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "haar_digits", "law", "--law", "benford"],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["schema"] == 1 and payload["command"] == "law"
+
+
+def test_import_sets_the_openblas_idle_timeout_only_as_a_default():
+    code = "import os, haar_digits; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    for extra, expected in (({}, "4"), ({"OPENBLAS_THREAD_TIMEOUT": "20"}, "20")):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_child_env(**extra),
+        )
+        assert proc.returncode == 0 and proc.stdout == expected + "\n", extra
+
+
+def test_cli_run_spends_no_more_cpu_than_wall_time():
+    # With OpenBLAS's idle workers spinning before they sleep, this 0.21 s run
+    # took 0.34 s of CPU on a 2-core host. Load only adds wall time, so the
+    # check is one-sided; on one core it holds trivially.
+    argv = [sys.executable, "-m", "haar_digits", "law", "--law", "benford"]
+    start = time.perf_counter()
+    pid = os.posix_spawn(
+        sys.executable,
+        argv,
+        _child_env(OPENBLAS_NUM_THREADS="2"),
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_utime + usage.ru_stime <= wall + 0.05

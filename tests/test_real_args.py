@@ -66,8 +66,8 @@ ROWS = [
     ("sphere_band_prob", "b", 0.5, below(0.1), above(1.0),
      lambda v, r: sphere_band_prob(3, 0.1, v)),
     ("log_gamma", "x", 2.5, 0.0, None, lambda v, r: log_gamma(v)),
-    ("betainc", "a", 0.5, 0.0, None, lambda v, r: betainc(v, 2.0, 0.3)),
-    ("betainc", "b", 2.0, 0.0, None, lambda v, r: betainc(0.5, v, 0.3)),
+    ("betainc", "a", 0.5, below(DOUBLE.tiny), above(1e8), lambda v, r: betainc(v, 2.0, 0.3)),
+    ("betainc", "b", 2.0, below(DOUBLE.tiny), above(1e300), lambda v, r: betainc(0.5, v, 0.3)),
     ("RngStream.uniform", "low", -1.0, None, None, lambda v, r: r.uniform(v, 2.0, 4)),
     ("RngStream.uniform", "high", 1.0, -1.0, None, lambda v, r: r.uniform(-1.0, v, 4)),
     ("RngStream.gamma", "shape_param", 0.5, 0.0, None, lambda v, r: r.gamma(v, 4)),

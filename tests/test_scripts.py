@@ -67,9 +67,17 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     assert all(layer["ms_per_1e6"] > 0 for layer in record["layers"].values())
     assert all(layer["peak_bytes_per_item"] > 0 for layer in record["layers"].values())
     # Fresh processes: importing the CLI costs time and memory beyond NumPy,
-    # and loads the package's modules but neither dataclasses nor csv.
+    # and loads the package's modules but neither dataclasses nor csv. Each
+    # row gives the best wall and CPU time and the peak RSS.
     numpy, cli = record["startup"]["import numpy"], record["startup"]["import haar_digits.cli"]
     assert 0 < numpy["best_s"] and 0 < numpy["maxrss_mib"] < cli["maxrss_mib"]
+    assert 0 < numpy["best_cpu_s"] and 0 < cli["best_cpu_s"]
+    assert lines[startup + 1].split() == ["process", "ms", "CPU", "ms", "peak", "RSS", "MiB"]
+    row = lines[startup + 3].split()
+    assert row[:2] == ["import", "haar_digits.cli"]
+    assert [float(v) for v in row[2:]] == pytest.approx(
+        [cli["best_s"] * 1e3, cli["best_cpu_s"] * 1e3, cli["maxrss_mib"]], abs=0.051
+    )
     beyond = record["startup"]["modules_beyond_numpy"]
     assert "haar_digits.cli" in beyond and "dataclasses" not in beyond and "csv" not in beyond
     source_at = lines.index("# source, src/haar_digits")

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,57 @@ def test_betainc_arrays_endpoints_and_symmetry():
     # n = 2 sphere coordinate: I_x(1/2, 1) = sqrt(x)
     grid = np.linspace(0.0, 1.0, 41)
     assert np.allclose(betainc(0.5, 1.0, grid), np.sqrt(grid), rtol=1e-14, atol=0.0)
+
+
+def test_betainc_tiny_parameter_beside_a_half():
+    # ln B(1/2, b) is the half gap of b itself: a + b - 1/2 rounds a tiny b
+    # to 0. mpmath at 40 digits.
+    assert betainc(0.5, 1e-20, 0.3) == pytest.approx(1.2302440093121528739e-20, rel=1e-13)
+    # 1 - 1.2e-20: the fraction rounds it past 1, and the value is clipped.
+    assert betainc(1e-20, 0.5, 0.3) == 1.0
+    assert betainc(2.0, 1e-300, 0.3) == pytest.approx(5.6674943938732375575e-302, rel=1e-12)
+
+
+# I_x(a, a) at x = 1/2 + k deviations, k = 1, 2, 3, 5 (scipy.special.betainc),
+# lanes where the direct fraction settles on a wrong value (I_x - 1 at
+# a = 1e6, k = 2), so they must take the mirrored one.
+BETAINC_PAST_MEAN = {
+    1e4: (0.8413386968760405, 0.9772512180706427, 0.9986510990552835, 0.9999997153870366),
+    1e6: (0.8413446855758959, 0.97724988154958, 0.9986501119400211, 0.99999971336887),
+}
+
+
+@pytest.mark.parametrize("a", list(BETAINC_PAST_MEAN))
+def test_betainc_past_the_mean_at_equal_parameters(a):
+    sd = math.sqrt(a * a / ((2 * a) ** 2 * (2 * a + 1)))
+    got = betainc(a, a, 0.5 + sd * np.array([1.0, 2.0, 3.0, 5.0]))
+    assert np.allclose(got, BETAINC_PAST_MEAN[a], rtol=0.0, atol=4 * a * 2.0**-52)
+
+
+def test_betainc_refuses_parameters_it_cannot_answer():
+    # Subnormal a or b, past 1e8 beside a parameter that is not 1/2 (ln B is
+    # then a log-gamma difference, off by ~max(a, b) ulp), past 1e300 beside
+    # 1/2, or not a real; each error names betainc's own a or b.
+    for a, b, name in (
+        (0.5, 5e-324, "b"), (5e-324, 2.0, "a"), (1e308, 1e308, "a"),
+        (np.finfo(float).max, 2.0, "a"), (1e16, 3.0, "a"), (2.0, 1e9, "b"),
+        (0.5, 1e301, "b"), (1e301, 0.5, "a"), (0.5, np.array([1.0, 2.0]), "b"),
+    ):
+        with pytest.raises(DomainError, match=rf"^{name} must be a finite real in \["):
+            betainc(a, b, 0.3)
+
+
+def test_betainc_answers_in_range_without_warnings():
+    values = (2.0**-1022, 1e-300, 1e-20, 0.01, 0.5, 1.0, 2.0, 50.0, 1e4, 1e8, 1e300)
+    x = np.array([0.0, 1e-300, 1e-8, 0.3, 0.5, 0.7, 1.0 - 1e-8, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in values:
+            for b in values:
+                if max(a, b) > 1e8 and 0.5 not in (a, b):
+                    continue
+                got = betainc(a, b, np.append(x, a / (a + b)))
+                assert ((got >= 0.0) & (got <= 1.0)).all(), (a, b, got)
 
 
 def test_betainc_validation():
