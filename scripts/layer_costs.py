@@ -17,8 +17,8 @@ stdout and, with --out, the same numbers go to that path as JSON
 library versions. Run it on two checkouts to compare them.
 
 A start-up section follows: for fresh `python -c "import numpy"` and
-`python -c "import haar_digits.cli"` processes, the best wall time of
---repeats, the best CPU time (ru_utime + ru_stime, which counts OpenBLAS
+`python -c "import haar_digits.cli"` processes, launched alternately, the
+best wall time of --repeats, the best CPU time (ru_utime + ru_stime, which counts OpenBLAS
 workers that spin while idle) and the peak RSS (ru_maxrss), and the modules
 the second imports beyond the first, a list that does not vary from run to
 run. The processes get the caller's environment: OPENBLAS_THREAD_TIMEOUT is
@@ -111,23 +111,28 @@ _BEYOND_NUMPY = (
     "import sys, numpy; before = set(sys.modules); import haar_digits.cli; "
     "print(*sorted(set(sys.modules) - before))"
 )
-# Spawns `python -c argv[1]` argv[2] times and prints the least wall time, the
-# least CPU time and the least ru_maxrss. It runs in a fresh interpreter of
-# its own because a child spawned from this process would report this
-# process's peak: the kernel carries the parent's high-water mark over a
-# vfork and exec.
+# Spawns `python -c code` for each code of argv[2:] in turn, argv[1] rounds
+# of them, and prints one line per code: the least wall time, the least CPU
+# time and the least ru_maxrss. The codes alternate within a round, so a
+# drift in the host's speed reaches each of them alike. It runs in a fresh
+# interpreter of its own because a child spawned from this process would
+# report this process's peak: the kernel carries the parent's high-water
+# mark over a vfork and exec.
 _LAUNCHER = """
 import os, sys, time
-runs = []
-for _ in range(int(sys.argv[2])):
-    start = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", sys.argv[1]], os.environ)
-    _, status, usage = os.wait4(pid, 0)
-    if os.waitstatus_to_exitcode(status):
-        sys.exit(f"python -c {sys.argv[1]!r} failed")
-    cpu = usage.ru_utime + usage.ru_stime
-    runs.append((time.perf_counter() - start, cpu, usage.ru_maxrss))
-print(*(min(r[i] for r in runs) for i in range(3)))
+codes = sys.argv[2:]
+runs = {code: [] for code in codes}
+for _ in range(int(sys.argv[1])):
+    for code in codes:
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code], os.environ)
+        _, status, usage = os.wait4(pid, 0)
+        if os.waitstatus_to_exitcode(status):
+            sys.exit(f"python -c {code!r} failed")
+        cpu = usage.ru_utime + usage.ru_stime
+        runs[code].append((time.perf_counter() - start, cpu, usage.ru_maxrss))
+for code in codes:
+    print(*(min(r[i] for r in runs[code]) for i in range(3)))
 """
 
 
@@ -144,8 +149,9 @@ def _startup(repeats: int) -> dict:
         ).stdout
 
     record = {}
-    for code in _STARTUP:
-        best_s, best_cpu_s, maxrss_kib = python(_LAUNCHER, code, str(repeats)).split()
+    rows = python(_LAUNCHER, str(repeats), *_STARTUP).splitlines()
+    for code, row in zip(_STARTUP, rows):
+        best_s, best_cpu_s, maxrss_kib = row.split()
         record[code] = {
             "best_s": float(best_s),
             "best_cpu_s": float(best_cpu_s),

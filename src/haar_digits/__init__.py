@@ -28,7 +28,6 @@ from .lie import (
     MCVolume,
     adjoint_det_on_l,
     adjoint_det_on_u,
-    adjoint_product,
     hyperbolic_cone_area,
     hyperbolic_cone_area_mc,
     sl2_cone_induced_cdf,
@@ -41,10 +40,7 @@ from .samplers import (
     GlnSample,
     SlnSample,
     WindowSpec,
-    apply_even_permutations,
     nilpotent_exp,
-    permutation_parity,
-    random_even_permutation,
     sample_diagonal_entry,
     sample_diagonal_window,
     sample_gln_det,
@@ -56,7 +52,6 @@ from .samplers import (
     sample_sln_dfactor_entry,
     sample_sln_lud_window,
     sample_sln_matrix_entry,
-    sample_sphere,
     sample_sphere_coords,
     sample_triangular_entry,
     sample_unitary_entry,
@@ -85,7 +80,6 @@ from .sphere import (
     SphereErf,
     SphereExact,
     SphereLimit,
-    sphere_band_prob,
     sphere_joint_band_prob,
     sphere_joint_sig_approx,
     sphere_limit_cdf,

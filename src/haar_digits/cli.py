@@ -38,7 +38,7 @@ import numpy as np
 
 from . import samplers
 from ._frozen import Frozen
-from .errors import ConsistencyError, DomainError, check_real
+from .errors import ConsistencyError, DomainError, check_int, check_real
 from .laws import Benford, DigitLaw, FlatWindowSignificand, PowerLaw, UniformSignificand
 from .lie import (
     MC_SIGMAS,
@@ -246,17 +246,18 @@ def _flatten(payload: dict, prefix: str = ""):
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
+    """--seed, else $HAAR_DIGITS_SEED, else the default; a seed is one 64-bit word,
+    so a value outside [0, 2^64 - 1] is refused rather than reduced."""
     if arg_seed is not None:
-        return arg_seed
+        return check_int(arg_seed, "--seed", 0, 2**64 - 1)
     env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise DomainError(
-                f"{_SEED_ENV} must be an integer, got {env!r}"
-            ) from None
-    return _DEFAULT_SEED
+    if env is None:
+        return _DEFAULT_SEED
+    try:
+        seed = int(env, 0)
+    except ValueError:
+        raise DomainError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
+    return check_int(seed, _SEED_ENV, 0, 2**64 - 1)
 
 
 def _route(args, option: str, reads: dict, chosen: str, defaults: dict) -> None:

@@ -39,7 +39,6 @@ __all__ = [
     "MC_SIGMAS",
     "adjoint_det_on_u",
     "adjoint_det_on_l",
-    "adjoint_product",
     "hyperbolic_cone_area",
     "hyperbolic_cone_area_mc",
     "sl2_cone_membership",
@@ -202,11 +201,6 @@ def adjoint_det_on_l(d, u=None):
     adjoint_det_on_u does.
     """
     return _adjoint_det(d, u, lower=True)
-
-
-def adjoint_product(d, u=None):
-    """Product of the two adjoint determinants; identically 1."""
-    return adjoint_det_on_u(d, u) * adjoint_det_on_l(d, u)
 
 
 # --- planar warm-up: hyperbolic sector --------------------------------------

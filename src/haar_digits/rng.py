@@ -163,12 +163,6 @@ class RngStream:
         vals += low
         return vals
 
-    def index_below(self, bound: int) -> int:
-        """One integer in {0, ..., bound-1} (floor of a scaled uniform)."""
-        bound = check_int(bound, "bound", 1)
-        j = int(self.random() * bound)
-        return min(j, bound - 1)
-
     # --- Gaussian and gamma variates --------------------------------------
 
     def normal(self, size=None):

@@ -39,7 +39,6 @@ __all__ = [
     "WindowSpec",
     "SlnSample",
     "GlnSample",
-    "sample_sphere",
     "sample_sphere_coords",
     "sample_orthogonal_haar",
     "sample_orthogonal_entry",
@@ -56,9 +55,6 @@ __all__ = [
     "sample_sln_lud_window",
     "sample_sln_dfactor_entry",
     "sample_sln_matrix_entry",
-    "random_even_permutation",
-    "permutation_parity",
-    "apply_even_permutations",
     "sample_gln_pos_window",
     "sample_gln_det",
 ]
@@ -133,13 +129,6 @@ def _check_entry(n: int, *index) -> tuple:
 
 
 # --- spheres ----------------------------------------------------------------
-
-
-def sample_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
-    """Uniform points on S^n in R^(n+1): sample_sphere_coords at k = n + 1,
-    count*(n+1) normals (rows in order), each row divided by its norm."""
-    n = check_int(n, "n", 1)
-    return sample_sphere_coords(n, n + 1, rng, count)
 
 
 def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarray:
@@ -707,74 +696,6 @@ def _lud_product(sample: SlnSample) -> np.ndarray:
     g = nilpotent_exp(sample.X) @ nilpotent_exp(sample.Y)
     g *= sample.diag[..., None, :]
     return g
-
-
-def permutation_parity(sigma) -> int:
-    """+1 for even permutations, -1 for odd (cycle-count method)."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    n = sigma.size
-    if sorted(sigma.tolist()) != list(range(n)):
-        raise DomainError("permutation_parity: not a permutation of 0..n-1")
-    seen = np.zeros(n, dtype=bool)
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = int(sigma[j])
-    return 1 if (n - cycles) % 2 == 0 else -1
-
-
-def _permutation_matrix(sigma: np.ndarray) -> np.ndarray:
-    n = sigma.size
-    P = np.zeros((n, n))
-    P[np.arange(n), sigma] = 1.0
-    return P
-
-
-def random_even_permutation(n: int, rng: RngStream) -> np.ndarray:
-    """Uniform random even permutation as an n x n matrix with det +1.
-
-    Fisher-Yates with stream-driven indices; an odd draw is composed with
-    the transposition of the first two points, which maps the odd class
-    bijectively onto the even class, so the result is uniform on A_n.
-    """
-    n = check_int(n, "n", 1)
-    sigma = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = rng.index_below(i + 1)
-        sigma[i], sigma[j] = sigma[j], sigma[i]
-    if n >= 2 and permutation_parity(sigma) < 0:
-        sigma[0], sigma[1] = sigma[1].copy(), sigma[0].copy()
-    return _permutation_matrix(sigma)
-
-
-def _extract_permutation(P: np.ndarray) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    if P.shape != (n, n) or not np.all((P == 0.0) | (P == 1.0)):
-        raise DomainError("not a 0/1 permutation matrix")
-    if not (np.all(P.sum(axis=0) == 1.0) and np.all(P.sum(axis=1) == 1.0)):
-        raise DomainError("not a permutation matrix (row/column sums != 1)")
-    return np.argmax(P, axis=1)
-
-
-def apply_even_permutations(A, P, Q) -> np.ndarray:
-    """P A Q for even permutation matrices P, Q, preserving SL membership.
-
-    Both permutations must be even (det +1, i.e. P, Q in SL_n) or a
-    DomainError is raised. A may be one matrix or a stack (..., n, n);
-    the diagonal of P A Q picks out one A-entry per row, so Benford
-    components stay Benford.
-    """
-    A = np.asarray(A, dtype=float)
-    for M in (P, Q):
-        if permutation_parity(_extract_permutation(M)) < 0:
-            raise DomainError("odd permutation: P A Q would leave SL_n")
-    return np.asarray(P, dtype=float) @ A @ np.asarray(Q, dtype=float)
 
 
 def sample_gln_pos_window(

@@ -31,7 +31,6 @@ from .significand import check_base
 from .specfun import _betainc_tail, betainc, erf, gamma_half_ratio, integrate_arcsine_weight
 
 __all__ = [
-    "sphere_band_prob",
     "sphere_sig_cdf_exact",
     "sphere_sig_cdf_erf",
     "sphere_limit_cdf",
@@ -77,20 +76,6 @@ def _scales(n: int, base: int, slope: float, tail_tol: float, first) -> np.ndarr
         lo = max(lo, first)
     hi = math.ceil(math.log(slope * base / tail_tol) / log_b)
     return float(base) ** -np.arange(lo, hi + 1, dtype=float)
-
-
-def sphere_band_prob(n: int, a: float, b: float) -> float:
-    """P(first coordinate of a uniform S^n point lies in (a, b)).
-
-    P(0 <= x_1 <= t) = I_{t^2}(1/2, n/2) / 2 for t >= 0, and x_1 is
-    symmetric about 0.
-    """
-    n = check_int(n, "n", 1)
-    a = check_real(a, "a", -1, 1)
-    b = check_real(b, "b", a, 1)
-    if a < 0.0 < b:  # the two sides of 0 add
-        return 0.5 * float(_band(n, 0.0, a * a) + _band(n, 0.0, b * b))
-    return 0.5 * float(_band(n, *sorted((a * a, b * b))))
 
 
 def _band(n: int, lo, hi):

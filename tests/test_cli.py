@@ -155,6 +155,9 @@ def test_law_other_base(capsys):
         ("sample", "--group", "sphere", "--m", "6"),
         ("sample", "--group", "gln-det", "--eps", "0.5"),
         ("sample", "--group", "rplus", "--eps", "0"),
+        # a seed is one 64-bit word: refused outside [0, 2^64 - 1], not reduced
+        ("sample", "--group", "rplus", "--N", "1000", "--seed", "-1"),
+        ("sample", "--group", "rplus", "--N", "1000", "--seed", str(2**64)),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -722,6 +725,13 @@ def test_sample_seed_env_var(capsys, monkeypatch):
     monkeypatch.setenv("HAAR_DIGITS_SEED", "not-a-number")
     code, _, err = run_cli(capsys, "sample", "--group", "rplus", "--N", "1000")
     assert code == 2 and "HAAR_DIGITS_SEED" in err
+    for out_of_range in ("-1", hex(2**64)):
+        monkeypatch.setenv("HAAR_DIGITS_SEED", out_of_range)
+        code, _, err = run_cli(capsys, "sample", "--group", "rplus", "--N", "1000")
+        assert code == 2 and err.startswith("error: HAAR_DIGITS_SEED must be an integer in [0, ")
+    monkeypatch.setenv("HAAR_DIGITS_SEED", hex(2**64 - 1))
+    _, out_top, _ = run_cli(capsys, "sample", "--group", "rplus", "--N", "1000")
+    assert json.loads(out_top)["seed"] == 2**64 - 1
     monkeypatch.delenv("HAAR_DIGITS_SEED")
     _, out_default, _ = run_cli(capsys, "sample", "--group", "rplus", "--N", "1000")
     assert json.loads(out_default)["seed"] == 42

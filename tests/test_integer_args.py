@@ -42,7 +42,6 @@ from haar_digits.sphere import (
     SphereErf,
     SphereExact,
     SphereLimit,
-    sphere_band_prob,
     sphere_joint_band_prob,
     sphere_joint_sig_approx,
     sphere_limit_cdf,
@@ -68,7 +67,6 @@ ROWS = [
     ("FlatWindowSignificand", "base", 10, 2, None, lambda v, r: FlatWindowSignificand(v, 0.3)),
     ("windowed_power_cdf", "base", 10, 2, None, lambda v, r: windowed_power_cdf(v, 2.0, 3, 1.5)),
     ("windowed_power_cdf", "m", 3, 1, None, lambda v, r: windowed_power_cdf(10, 2.0, v, 1.5)),
-    ("sphere_band_prob", "n", 3, 1, None, lambda v, r: sphere_band_prob(v, 0.1, 0.5)),
     ("sphere_sig_cdf_exact", "n", 3, 1, None, lambda v, r: sphere_sig_cdf_exact(v, 10, 2.0)),
     ("sphere_sig_cdf_exact", "base", 10, 2, None, lambda v, r: sphere_sig_cdf_exact(3, v, 2.0)),
     ("sphere_sig_cdf_erf", "n", 3, 2, None, lambda v, r: sphere_sig_cdf_erf(v, 10, 2.0)),
@@ -99,10 +97,7 @@ ROWS = [
     ("RngStream.gamma", "size", 3, 0, None, lambda v, r: r.gamma(0.5, v)),
     ("RngStream.chi_square", "dof", 3, 1, None, lambda v, r: r.chi_square(v, 4)),
     ("RngStream.chi_square", "size", 3, 0, None, lambda v, r: r.chi_square(3, (2, v))),
-    ("RngStream.index_below", "bound", 3, 1, None, lambda v, r: r.index_below(v)),
     ("WindowSpec", "m", 3, 1, None, lambda v, r: S.WindowSpec(m=v)),
-    ("sample_sphere", "n", 3, 1, None, lambda v, r: S.sample_sphere(v, r, 4)),
-    ("sample_sphere", "count", 3, 1, None, lambda v, r: S.sample_sphere(3, r, v)),
     ("sample_sphere_coords", "n", 3, 1, None, lambda v, r: S.sample_sphere_coords(v, 1, r, 4)),
     ("sample_sphere_coords", "k", 3, 1, 4, lambda v, r: S.sample_sphere_coords(3, v, r, 4)),
     ("sample_sphere_coords", "count", 3, 1, None,
@@ -201,7 +196,6 @@ ROWS = [
      lambda v, r: S.sample_sln_matrix_entry(3, 10, SPEC, 0, v, r, 4)),
     ("sample_sln_matrix_entry", "count", 3, 1, None,
      lambda v, r: S.sample_sln_matrix_entry(3, 10, SPEC, 0, 1, r, v)),
-    ("random_even_permutation", "n", 3, 1, None, lambda v, r: S.random_even_permutation(v, r)),
     ("sample_gln_pos_window", "n", 3, 2, None,
      lambda v, r: S.sample_gln_pos_window(v, 10, SPEC, r, 4)),
     ("sample_gln_pos_window", "base", 10, 2, None,

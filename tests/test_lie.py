@@ -16,7 +16,6 @@ from haar_digits.lie import (
     MCVolume,
     adjoint_det_on_l,
     adjoint_det_on_u,
-    adjoint_product,
     hyperbolic_cone_area,
     hyperbolic_cone_area_mc,
     sl2_cone_induced_cdf,
@@ -58,7 +57,7 @@ def test_adjoint_dets_signed_diagonal():
     d = np.array([-2.0, 0.5])
     assert adjoint_det_on_u(d) == pytest.approx(-0.25, rel=1e-12)
     assert adjoint_det_on_l(d) == pytest.approx(-4.0, rel=1e-12)
-    assert adjoint_product(d) == pytest.approx(1.0, rel=1e-12)
+    assert adjoint_det_on_u(d) * adjoint_det_on_l(d) == pytest.approx(1.0, rel=1e-12)
 
 
 def _random_pair(stream, n):
@@ -101,7 +100,7 @@ def test_adjoint_stack_equals_single_calls(n):
     pairs = [_random_pair(stream, n) for _ in range(20)]
     d = np.stack([p[0] for p in pairs])
     u = np.stack([p[1] for p in pairs])
-    for fn in (adjoint_det_on_u, adjoint_det_on_l, adjoint_product):
+    for fn in (adjoint_det_on_u, adjoint_det_on_l):
         stacked = fn(d, u)
         assert stacked.shape == (20,)
         single = [fn(dk, uk) for dk, uk in zip(d, u)]
@@ -109,6 +108,7 @@ def test_adjoint_stack_equals_single_calls(n):
         assert np.array_equal(stacked, np.array(single))
         # One u (here the identity) is shared by a stack of diagonals.
         assert np.array_equal(fn(d), np.array([fn(dk) for dk in d]))
+    assert np.abs(adjoint_det_on_u(d, u) * adjoint_det_on_l(d, u) - 1.0).max() < 1e-9
 
 
 def test_adjoint_stack_validation():
@@ -125,7 +125,8 @@ def test_adjoint_stack_validation():
         adjoint_det_on_u(np.ones((2, 2, 3)))
     # An empty stack is m = 0 determinants, not an error.
     assert adjoint_det_on_u(np.ones((0, 3))).shape == (0,)
-    assert adjoint_product(np.ones(3), np.zeros((0, 3, 3))).shape == (0,)
+    empty = np.zeros((0, 3, 3))
+    assert (adjoint_det_on_u(np.ones(3), empty) * adjoint_det_on_l(np.ones(3), empty)).shape == (0,)
 
 
 def test_adjoint_consistency_error_names_the_draw(monkeypatch):
@@ -142,7 +143,7 @@ def test_adjoint_consistency_error_names_the_draw(monkeypatch):
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_adjoint_product_is_one(n, seed):
     d, u = _random_pair(RngStream(seed), n)
-    assert abs(adjoint_product(d, u) - 1.0) < 1e-9
+    assert abs(adjoint_det_on_u(d, u) * adjoint_det_on_l(d, u) - 1.0) < 1e-9
 
 
 @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))

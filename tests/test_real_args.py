@@ -27,7 +27,6 @@ from haar_digits.rng import RngStream
 from haar_digits import samplers as S
 from haar_digits.significand import significand
 from haar_digits.specfun import betainc, log_gamma
-from haar_digits.sphere import sphere_band_prob
 from haar_digits.stats import (
     chi_square_first_digit,
     chi_square_independence,
@@ -61,10 +60,6 @@ ROWS = [
     ("PowerLaw", "k", 2.0, 0.0, None, lambda v, r: PowerLaw(10, v)),
     ("FlatWindowSignificand", "eps", 0.3, 0.0, None, lambda v, r: FlatWindowSignificand(10, v)),
     ("windowed_power_cdf", "k", 2.0, 0.0, None, lambda v, r: windowed_power_cdf(10, v, 3, 1.5)),
-    ("sphere_band_prob", "a", 0.1, below(-1.0), above(1.0),
-     lambda v, r: sphere_band_prob(3, v, 1.0)),
-    ("sphere_band_prob", "b", 0.5, below(0.1), above(1.0),
-     lambda v, r: sphere_band_prob(3, 0.1, v)),
     ("log_gamma", "x", 2.5, 0.0, None, lambda v, r: log_gamma(v)),
     ("betainc", "a", 0.5, below(DOUBLE.tiny), above(1e8), lambda v, r: betainc(v, 2.0, 0.3)),
     ("betainc", "b", 2.0, below(DOUBLE.tiny), above(1e300), lambda v, r: betainc(0.5, v, 0.3)),

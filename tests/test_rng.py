@@ -148,18 +148,6 @@ def test_uniform_range_must_be_a_finite_double():
             RngStream(1).uniform(low, high, 5)
 
 
-def test_index_below():
-    rng = RngStream(3)
-    draws = [rng.index_below(7) for _ in range(2000)]
-    assert min(draws) == 0 and max(draws) == 6
-    counts = np.bincount(draws, minlength=7)
-    # loose uniformity: each cell within 5 sigma of 2000/7
-    expected = 2000 / 7
-    assert np.all(np.abs(counts - expected) < 5 * math.sqrt(expected))
-    with pytest.raises(DomainError):
-        rng.index_below(0)
-
-
 def test_gamma_moments():
     rng = RngStream(8)
     for shape in (0.5, 1.0, 2.5, 7.0):

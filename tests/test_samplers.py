@@ -18,10 +18,7 @@ from haar_digits.samplers import (
     GlnSample,
     SlnSample,
     WindowSpec,
-    apply_even_permutations,
     nilpotent_exp,
-    permutation_parity,
-    random_even_permutation,
     sample_diagonal_entry,
     sample_diagonal_window,
     sample_gln_det,
@@ -33,7 +30,6 @@ from haar_digits.samplers import (
     sample_sln_dfactor_entry,
     sample_sln_lud_window,
     sample_sln_matrix_entry,
-    sample_sphere,
     sample_sphere_coords,
     sample_triangular_entry,
     sample_unitary_entry,
@@ -83,8 +79,8 @@ def test_window_spec_eps_bounds_at_the_edge_and_past_it():
 
 def test_sample_sphere_shapes_and_norms():
     rng = RngStream(2024)
-    assert sample_sphere(4, rng, count=1).shape == (1, 5)
-    pts = sample_sphere(4, rng, count=500)
+    assert sample_sphere_coords(4, 5, rng, count=1).shape == (1, 5)
+    pts = sample_sphere_coords(4, 5, rng, count=500)
     assert pts.shape == (500, 5)
     norms = np.linalg.norm(pts, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -94,25 +90,26 @@ def test_sample_sphere_coordinate_second_moment():
     # Each coordinate of a uniform point on S^n has E[x^2] = 1/(n+1).
     rng = RngStream(7)
     n = 5
-    pts = sample_sphere(n, rng, count=20000)
+    pts = sample_sphere_coords(n, n + 1, rng, count=20000)
     m2 = np.mean(pts**2, axis=0)
     assert np.allclose(m2, 1.0 / (n + 1), atol=0.007)
 
 
 def test_sample_sphere_deterministic():
-    a = sample_sphere(3, RngStream(11), count=8)
-    b = sample_sphere(3, RngStream(11), count=8)
+    a = sample_sphere_coords(3, 4, RngStream(11), count=8)
+    b = sample_sphere_coords(3, 4, RngStream(11), count=8)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 50])
 def test_sample_sphere_is_normalized_normals(n):
-    # S^n is sample_sphere_coords at k = n + 1: no chi-square term, and bit
-    # for bit the normals divided by their row norms, across tile edges too.
+    # The whole point of S^n, k = n + 1: no chi-square term, and bit for bit
+    # the normals divided by their row norms, across tile edges too.
     for count in (1, 7, TILE + 3):
         z = RngStream(47).normal((count, n + 1))
         reference = z / np.linalg.norm(z, axis=1)[:, None]
-        assert sample_sphere(n, RngStream(47), count).tobytes() == reference.tobytes()
+        got = sample_sphere_coords(n, n + 1, RngStream(47), count)
+        assert got.tobytes() == reference.tobytes()
 
 
 def test_sample_sphere_coords_shapes_and_range():
@@ -166,10 +163,10 @@ def test_sample_sphere_coords_footprint(traced_peak):
 
 
 def test_sphere_significands_match_exact_law():
-    # Both the full-vector and the marginal sampler must reproduce the
-    # analytic first-coordinate significand law.
+    # Both the whole point (k = n + 1) and the marginal (k = 1) must
+    # reproduce the analytic first-coordinate significand law.
     n = 5
-    full = sample_sphere(n, RngStream(41), count=20000)[:, 0]
+    full = sample_sphere_coords(n, n + 1, RngStream(41), count=20000)[:, 0]
     ok_full, d_full = _ks_passes(full, SphereExact(base=10, n=n))
     assert ok_full, f"full-sphere KS statistic {d_full}"
     marginal = sample_sphere_coords(n, 1, RngStream(43), count=20000).ravel()
@@ -179,7 +176,6 @@ def test_sphere_significands_match_exact_law():
 
 # Every public sampler with its arguments but `count`.
 _SAMPLER_ARGS = {
-    "sample_sphere": (3, RngStream(1)),
     "sample_sphere_coords": (3, 1, RngStream(1)),
     "sample_orthogonal_haar": (3, RngStream(1)),
     "sample_orthogonal_entry": (3, 0, 1, RngStream(1)),
@@ -1104,64 +1100,6 @@ def test_one_entry_reads_are_o1_in_the_layout(read, words, blocks):
     assert st.skips <= 2
     assert st.generated == words
     assert st.counter == blocks * 3
-
-
-# --- permutations --------------------------------------------------------------
-
-
-def test_permutation_parity_known():
-    assert permutation_parity([0, 1, 2]) == 1
-    assert permutation_parity([1, 0, 2]) == -1
-    assert permutation_parity([1, 2, 0]) == 1
-    assert permutation_parity([3, 2, 1, 0]) == 1  # two disjoint swaps
-    with pytest.raises(DomainError):
-        permutation_parity([0, 0, 2])
-
-
-def test_random_even_permutation_always_even():
-    rng = RngStream(443)
-    for _ in range(200):
-        P = random_even_permutation(4, rng)
-        assert np.array_equal(np.sort(P, axis=1)[:, :-1], np.zeros((4, 3)))
-        assert np.linalg.det(P) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_random_even_permutation_uniform_on_a3():
-    # A_3 has exactly three elements; each should appear ~1/3 of the time.
-    rng = RngStream(449)
-    counts = {}
-    draws = 3000
-    for _ in range(draws):
-        key = tuple(np.argmax(random_even_permutation(3, rng), axis=1))
-        counts[key] = counts.get(key, 0) + 1
-    assert set(counts) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-    for key in counts:
-        assert abs(counts[key] - draws / 3) < 130  # ~5 sigma
-
-
-def test_apply_even_permutations():
-    rng = RngStream(457)
-    A = rng.normal((3, 3))
-    P = random_even_permutation(3, rng)
-    Q = random_even_permutation(3, rng)
-    out = apply_even_permutations(A, P, Q)
-    assert np.allclose(out, P @ A @ Q)
-    # Stacked input.
-    stack = rng.normal((5, 3, 3))
-    out = apply_even_permutations(stack, P, Q)
-    assert np.allclose(out, P @ stack @ Q)
-
-
-def test_apply_even_permutations_rejects_odd():
-    odd = np.eye(3)[[1, 0, 2]]
-    even = np.eye(3)
-    A = np.eye(3)
-    with pytest.raises(DomainError):
-        apply_even_permutations(A, odd, even)
-    with pytest.raises(DomainError):
-        apply_even_permutations(A, even, odd)
-    with pytest.raises(DomainError):
-        apply_even_permutations(A, np.full((3, 3), 0.5), even)
 
 
 # --- GL_n^+ ---------------------------------------------------------------------
