@@ -737,6 +737,40 @@ def test_sample_seed_env_var(capsys, monkeypatch):
     assert json.loads(out_default)["seed"] == 42
 
 
+# Every command that draws resolves its seed the same way. Each is refused
+# before any work, so the commands run at their defaults here.
+SEEDED = {
+    "sample": ("sample", "--group", "rplus", "--N", "1000"),
+    "fig1": ("fig1",),
+    "verify": ("verify", "--suite", "adjoint"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("command", SEEDED)
+def test_seed_outside_one_word_exits_2_naming_the_range(capsys, monkeypatch, command, value, source):
+    argv = SEEDED[command]
+    if source == "flag":
+        name, argv = "--seed", (*argv, "--seed", str(value))
+    else:
+        name = "HAAR_DIGITS_SEED"
+        monkeypatch.setenv(name, hex(value) if value > 0 else str(value))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be an integer in [0, {2**64 - 1}], got {value}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_are_sampled_as_given(capsys, monkeypatch, seed):
+    args = ("sample", "--group", "rplus", "--N", "1000")
+    code, out_flag, _ = run_cli(capsys, *args, "--seed", str(seed))
+    assert code == 0 and json.loads(out_flag)["seed"] == seed
+    monkeypatch.setenv("HAAR_DIGITS_SEED", hex(seed))
+    code, out_env, _ = run_cli(capsys, *args)
+    assert code == 0 and out_env == out_flag
+
+
 def test_sample_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "sample", "--group", "rplus", "--N", "20000", "--seed", "7", "--format", "csv"
