@@ -11,7 +11,9 @@ reads, O(100) at (1,1) and (1,100) and U(20) at (3,2) (1-based, as `sample
 --entry` takes them), draw 1,000 values a call whatever --items is: a read
 of the last column costs about 1.6 ms a value at O(100). The one-entry read
 of a 1000 x 1000 triangular window draws the CLI's block at that n, 16
-values a call, so its row is what `sample` pays per value. The table goes to
+values a call, so its row is what `sample` pays per value. For the SL_2
+cone's rejection Monte Carlo, the one draw of `verify --suite cone`, an
+item is a trial (a point of the bounding box). The table goes to
 stdout and, with --out, the same numbers go to that path as JSON
 (BENCH_layers.json by convention), together with the machine and the
 library versions. Run it on two checkouts to compare them.
@@ -52,6 +54,7 @@ import numpy as np
 _CALLER_ENV = dict(os.environ)
 
 from haar_digits import cli, samplers  # noqa: E402
+from haar_digits.lie import ConeProblem, sl2_cone_volume_mc  # noqa: E402
 from haar_digits.rng import RngStream  # noqa: E402
 from haar_digits.significand import significand_values  # noqa: E402
 from haar_digits.sphere import SphereExact  # noqa: E402
@@ -103,6 +106,8 @@ def _layers(items: int, seed: int, workdir: str):
          lambda: samplers.sample_sln_matrix_entry(3, 10, spec, 1, 1, rng, items)),
         ("--samples-out writer", items, lambda: cli._write_samples(empirical.values, path)),
         ("fig1 dimension (n=100)", items, lambda: cli._fig1_freqs(rng, 100, items, 10)),
+        ("sl2_cone_volume_mc(x=10)", items,
+         lambda: sl2_cone_volume_mc(ConeProblem(10.0), rng, items)),
     ]
 
 

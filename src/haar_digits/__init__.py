@@ -30,7 +30,6 @@ from .lie import (
     adjoint_det_on_u,
     hyperbolic_cone_area,
     hyperbolic_cone_area_mc,
-    sl2_cone_induced_cdf,
     sl2_cone_membership,
     sl2_cone_volume,
     sl2_cone_volume_mc,

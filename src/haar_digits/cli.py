@@ -47,7 +47,6 @@ from .lie import (
     adjoint_det_on_u,
     hyperbolic_cone_area,
     hyperbolic_cone_area_mc,
-    sl2_cone_induced_cdf,
     sl2_cone_volume,
     sl2_cone_volume_mc,
 )
@@ -565,6 +564,21 @@ _GROUPS = {
 }
 
 
+def _gof(empirical, law: DigitLaw, alpha: float):
+    """KS and first-digit chi-square reports of a sample against a law, and
+    whether those that ran passed; the chi-square is skipped, with the
+    reason, when an expected digit count is below 5."""
+    ks = ks_test(empirical, law, alpha=alpha)
+    reports = {"ks": ks.to_dict()}
+    try:
+        chi2 = chi_square_first_digit(empirical, law, alpha=alpha)
+    except DomainError as exc:
+        reports["chi2_first_digit"] = {"skipped": str(exc)}
+        return reports, ks.passed
+    reports["chi2_first_digit"] = chi2.to_dict()
+    return reports, ks.passed and chi2.passed
+
+
 # flag -> its value when it is not given; a group that reads k requires it.
 _SAMPLE_FLAGS = {
     "n": 3, "k": None, "m": 3, "eps": 1.0, "entry": "1,1", "side": "left",
@@ -598,15 +612,7 @@ def _cmd_sample(args) -> _Report:
     empirical = build_empirical(
         _draw(lambda st, c: group.draw(args, spec, i, j, st, c), root, args.N, block), args.base
     )
-    ks = ks_test(empirical, law, alpha=args.alpha)
-    reports = {"ks": ks.to_dict()}
-    try:
-        chi2 = chi_square_first_digit(empirical, law, alpha=args.alpha)
-        reports["chi2_first_digit"] = chi2.to_dict()
-        all_passed = ks.passed and chi2.passed
-    except DomainError as exc:
-        reports["chi2_first_digit"] = {"skipped": str(exc)}
-        all_passed = ks.passed
+    reports, all_passed = _gof(empirical, law, args.alpha)
     payload = {
         "schema": 1,
         "command": "sample",
@@ -712,51 +718,46 @@ def _verify_adjoint(stream: RngStream):
     return checks
 
 
-def _mc_check(name: str, analytic: float, mc, **setup) -> dict:
-    """A check that the Monte Carlo estimate `mc` agrees with `analytic` (MCVolume.agrees)."""
-    detail = {
-        **setup,
+def _mc_detail(analytic, mc) -> dict:
+    """How far the Monte Carlo estimate `mc` lies from `analytic`."""
+    return {
         "analytic": analytic,
         "mc_estimate": mc.estimate,
         "mc_stderr": mc.stderr,
         "relative_gap": abs(mc.estimate - analytic) / analytic,
         "sigma_gap": mc.sigma_gap(analytic),
-        "threshold": MC_SIGMAS,
     }
+
+
+def _mc_check(name: str, analytic: float, mc, **setup) -> dict:
+    """A check that the Monte Carlo estimate `mc` agrees with `analytic` (MCVolume.agrees)."""
+    detail = {**setup, **_mc_detail(analytic, mc), "threshold": MC_SIGMAS}
     return _check(name, mc.agrees(analytic), **detail)
 
 
 def _verify_cone(stream: RngStream, eps: float, trials: int):
-    ratios = [
-        sl2_cone_volume(ConeProblem(x, eps)) / math.log(x) for x in (2.0, 5.0, 10.0)
-    ]
-    spread = (max(ratios) - min(ratios)) / max(ratios)
-    checks = [
-        _check(
-            "cone_log_slope_constant",
-            spread < 1e-9,
-            ratios=ratios,
-            relative_spread=spread,
-            threshold=1e-9,
-        )
-    ]
+    # One draw in the cone of edge 10: its volume, the volumes of the cones of
+    # edge 2 and 5 inside it (points with s <= x), and the law of the edge s.
     problem = ConeProblem(10.0, eps)
-    analytic = sl2_cone_volume(problem)
-    mc = sl2_cone_volume_mc(problem, stream.substream(1), trials)
-    checks.append(_mc_check("cone_volume_mc", analytic, mc, x=problem.x, eps=eps, trials=trials))
-    base = 10
-    grid = _grid(base)
-    induced = np.asarray(sl2_cone_induced_cdf(grid, eps, base))
-    benford = np.log(grid) / math.log(base)
-    sup_gap = float(np.abs(induced - benford).max())
+    mc, edges = sl2_cone_volume_mc(problem, stream.substream(1), trials)
+    setup = {"eps": eps, "trials": trials}
+    checks = [_mc_check("cone_volume_mc", sl2_cone_volume(problem), mc, x=problem.x, **setup)]
+    xs = [2.0, 5.0, 10.0]
+    exact = [sl2_cone_volume(ConeProblem(x, eps)) for x in xs]
+    parts = [mc.subregion(int(np.count_nonzero(edges <= x))) for x in xs]
+    gaps = [_mc_detail(v, part) for v, part in zip(exact, parts)]
+    slope = {key: [gap[key] for gap in gaps] for key in gaps[0]}
+    passed = all(part.agrees(v) for v, part in zip(exact, parts))
+    checks.append(_check("cone_log_slope_mc", passed, x=xs, **setup, **slope, threshold=MC_SIGMAS))
+    # The two-sided level of a normal deviate MC_SIGMAS standard errors out.
+    alpha = math.erfc(MC_SIGMAS / math.sqrt(2.0))
+    law = Benford(10)
+    if edges.size:
+        tests, passed = _gof(build_empirical(edges, law.base), law, alpha)
+    else:
+        tests, passed = {"error": "no trial fell in the cone: there is no edge to test"}, False
     checks.append(
-        _check(
-            "cone_induced_cdf_is_benford",
-            sup_gap < 1e-9,
-            sup_gap=sup_gap,
-            threshold=1e-9,
-            grid_points=len(grid),
-        )
+        _check("cone_edge_is_benford", passed, x=problem.x, **setup, law=repr(law), **tests)
     )
     a, b = 0.5, 4.0
     area = hyperbolic_cone_area(a, b)
@@ -895,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify, based=False)  # no check reads a base: the cone is base 10
     p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p_verify.add_argument("--eps", type=float, help="cone box half-width (default 0.1)")
-    p_verify.add_argument("--trials", type=int, help="MC trials per cone check (default 1e6)")
+    p_verify.add_argument("--trials", type=int, help="MC trials per cone-suite draw (default 1e6)")
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 

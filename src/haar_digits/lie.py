@@ -15,10 +15,10 @@ Two families of checks live here:
 * Cone volumes. The region of 2x2 matrices with determinant in (0, 1]
   whose normalized part g / sqrt(det g) lies in the window
   {a in [1, x], |b| <= eps, |c| <= eps} of SL_2 has Lebesgue volume
-  exactly 2 eps^2 ln x. Volume ~ ln x is what makes the induced
-  significand law of the window edge exactly Benford. A rejection Monte
-  Carlo companion estimates the same volume from the membership test
-  alone, without using the formula.
+  exactly 2 eps^2 ln x, so the window edge s = w / sqrt(det g) of a uniform
+  point of the cone is exactly Benford. A rejection Monte Carlo companion
+  estimates the volume from the membership test alone, without using the
+  formula, and returns the edges of the points it accepted.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import ConsistencyError, DomainError, check_int, check_real
-from .laws import _check_sig
 from .rng import RngStream
-from .significand import check_base
 
 __all__ = [
     "ConeProblem",
@@ -44,12 +42,11 @@ __all__ = [
     "sl2_cone_membership",
     "sl2_cone_volume",
     "sl2_cone_volume_mc",
-    "sl2_cone_induced_cdf",
 ]
 
 _REL_TOL = 1e-10
 _TRI_TOL = 1e-12
-_MC_BATCH = 1_000_000  # rejection Monte Carlo points drawn per batch
+_MC_BATCH = 2**16  # rejection Monte Carlo points drawn per batch
 MC_SIGMAS = 5.0  # an estimate agrees with a value fewer standard errors away
 
 
@@ -57,8 +54,8 @@ class ConeProblem(Frozen):
     """SL_2 window cone: a in [1, x], off-diagonal coordinates in [-eps, eps].
 
     eps^2 must be a normal double (eps >= 2^-511): below that the volume
-    2 eps^2 ln x is subnormal or 0, and its ratios and the induced CDF lose
-    their digits.
+    2 eps^2 ln x is subnormal or 0, and its Monte Carlo estimates and their
+    error bars lose their digits.
     """
 
     _fields = ("x", "eps")
@@ -92,6 +89,12 @@ class MCVolume(Frozen):
     def agrees(self, exact: float) -> bool:
         """The Monte Carlo verdict: fewer than MC_SIGMAS standard errors from exact."""
         return self.sigma_gap(exact) < MC_SIGMAS
+
+    def subregion(self, accepted: int) -> MCVolume:
+        """The estimate, from the same trials and box, of a subregion that
+        `accepted` of the accepted points fall in."""
+        accepted = check_int(accepted, "accepted", 0, self.accepted)
+        return _box_estimate(self.box_volume, accepted, self.trials)
 
 
 def _check_stack(d, u):
@@ -228,6 +231,11 @@ def _rejection_volume(box: float, trials: int, inside) -> MCVolume:
     accepted = sum(
         inside(min(_MC_BATCH, trials - done)) for done in range(0, trials, _MC_BATCH)
     )
+    return _box_estimate(box, accepted, trials)
+
+
+def _box_estimate(box: float, accepted: int, trials: int) -> MCVolume:
+    """box * accepted / trials with its binomial standard error."""
     p = accepted / trials
     return MCVolume(
         estimate=box * p,
@@ -283,24 +291,22 @@ def sl2_cone_volume(problem: ConeProblem) -> float:
     off-diagonal coordinates leaves the invariant measure da/a of the
     window edge, so the volume grows logarithmically in x -- the cone
     analogue of log-uniformity."""
-    return float(_cone_volume(problem.x, problem.eps))
+    return 2.0 * problem.eps * problem.eps * math.log(problem.x)
 
 
-def _cone_volume(x, eps: float):
-    """2 eps^2 ln x, elementwise in the window edge x."""
-    return 2.0 * eps * eps * np.log(x)
-
-
-def sl2_cone_volume_mc(problem: ConeProblem, rng: RngStream, trials: int) -> MCVolume:
-    """Rejection estimate of the cone volume from its bounding box.
+def sl2_cone_volume_mc(problem: ConeProblem, rng: RngStream, trials: int):
+    """Rejection estimate of the cone volume from its bounding box, and the
+    window edge s = w / sqrt(det g) of each accepted point, in draw order.
 
     The cone fits in (0, x] x [-eps, eps]^2 x (0, 1 + eps^2] for the
     (w, p, q, z) coordinates; each batch of c points consumes 4c uniforms
     (w, p, q, z in that order). Membership is decided by
     sl2_cone_membership alone -- the analytic formula is never consulted.
+    P(s <= t) = vol(cone t) / vol(cone x) for the uniform accepted points.
     """
     x, eps = problem.x, problem.eps
     zmax = 1.0 + eps * eps
+    edges = []
 
     def inside(c):
         g = np.empty((c, 2, 2))
@@ -308,19 +314,9 @@ def sl2_cone_volume_mc(problem: ConeProblem, rng: RngStream, trials: int) -> MCV
         g[:, 0, 1] = rng.uniform(-eps, eps, c)
         g[:, 1, 0] = rng.uniform(-eps, eps, c)
         g[:, 1, 1] = zmax * rng.random(c)
-        return int(sl2_cone_membership(g, problem).sum())
+        g = g[sl2_cone_membership(g, problem)]
+        edges.append(g[:, 0, 0] / np.sqrt(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]))
+        return len(g)
 
-    return _rejection_volume(x * (2.0 * eps) ** 2 * zmax, trials, inside)
-
-
-def sl2_cone_induced_cdf(s, eps: float, base: int = 10):
-    """Significand CDF induced by the cone family: volume up to window edge
-    s over volume up to window edge B. Evaluates the volume function at
-    both edges rather than simplifying, so it is an identity check that
-    the result equals log_B(s) -- the Benford CDF -- and not a restatement.
-    """
-    base = check_base(base)
-    cone = ConeProblem(float(base), eps)  # the window [1, B]; refuses eps as every cone does
-    arr, scalar = _check_sig(s, base)
-    out = _cone_volume(arr, cone.eps) / _cone_volume(cone.x, cone.eps)
-    return float(out) if scalar else out
+    mc = _rejection_volume(x * (2.0 * eps) ** 2 * zmax, trials, inside)
+    return mc, np.concatenate(edges)

@@ -129,12 +129,12 @@ def sphere_joint_band_prob(n: int, bounds) -> float:
     Tail bands keep their relative accuracy; the result is clipped to [0, 1].
     """
     n = check_int(n, "n", 1)
-    pairs = [(float(a), float(b)) for a, b in bounds]
+    pairs = []
+    for j, (a, b) in enumerate(bounds, 1):  # 0 <= a_j < b_j
+        a = check_real(a, f"a_{j}", 0)
+        pairs.append((a, check_real(b, f"b_{j}", a, lo_open=True)))
     if not pairs:
         raise DomainError("joint bounds must be nonempty")
-    for a, b in pairs:
-        if not (0.0 <= a < b):
-            raise DomainError(f"joint bounds need 0 <= a < b per coordinate, got ({a}, {b})")
     if sum(b * b for _, b in pairs) >= 1.0:
         raise DomainError("joint integration region must lie strictly inside the unit ball")
     if len(pairs) > n:

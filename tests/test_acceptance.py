@@ -11,10 +11,10 @@ import numpy as np
 
 from haar_digits.laws import Benford, PowerLaw, UniformSignificand, windowed_power_cdf
 from haar_digits.lie import (
+    MC_SIGMAS,
     ConeProblem,
     adjoint_det_on_l,
     adjoint_det_on_u,
-    sl2_cone_induced_cdf,
     sl2_cone_volume,
     sl2_cone_volume_mc,
 )
@@ -248,21 +248,32 @@ def test_criterion_09_adjoint_identity():
 
 
 def test_criterion_10_sl2_cone():
-    ratios = [sl2_cone_volume(ConeProblem(x, 0.1)) / math.log(x) for x in (2.0, 5.0, 10.0)]
-    spread = (max(ratios) - min(ratios)) / max(ratios)
+    # One draw: the volume of the cone of edge 10, the volumes of the cones
+    # of edge 2 and 5 inside it, and the law of the accepted points' window
+    # edges, which is Benford because the volume grows as ln x.
     problem = ConeProblem(10.0, 0.1)
-    mc = sl2_cone_volume_mc(problem, RngStream(SEED), 10_000_000)
+    mc, edges = sl2_cone_volume_mc(problem, RngStream(SEED), 10_000_000)
     analytic = sl2_cone_volume(problem)
     mc_gap = abs(mc.estimate - analytic) / analytic
-    grid = np.linspace(1.0, 10.0, 99)
-    cdf_gap = float(np.max(np.abs(sl2_cone_induced_cdf(grid, 0.1) - np.log10(grid))))
+    sigma_gaps = [
+        mc.subregion(int(np.count_nonzero(edges <= x))).sigma_gap(
+            sl2_cone_volume(ConeProblem(x, 0.1))
+        )
+        for x in (2.0, 5.0, 10.0)
+    ]
+    alpha = math.erfc(MC_SIGMAS / math.sqrt(2.0))  # a normal deviate MC_SIGMAS out
+    law = Benford(10)
+    ks = ks_test(edges, law, alpha=alpha)
+    chi2 = chi_square_first_digit(edges, law, alpha=alpha)
     _report(
         10,
         "SL_2 cone volume law",
-        spread < 1e-9 and mc_gap < 0.02 and cdf_gap < 1e-9,
-        f"lambda(x)/ln(x) spread={spread:.2e} (<1e-9); MC gap at 10^7 trials="
-        f"{mc_gap:.4f} (<0.02, stderr {mc.stderr / analytic:.4f} rel); "
-        f"sup|induced cdf - log10|={cdf_gap:.2e} (<1e-9)",
+        mc_gap < 0.02 and max(sigma_gaps) < MC_SIGMAS and ks.passed and chi2.passed,
+        f"MC gap at 10^7 trials={mc_gap:.4f} (<0.02, stderr {mc.stderr / analytic:.4f} rel); "
+        f"vol(x) at x=2,5,10 from the same draw off by "
+        f"{', '.join(f'{g:.2f}' for g in sigma_gaps)} stderr (<{MC_SIGMAS:g}); "
+        f"{ks.n} edges vs Benford: KS p={ks.p_approx:.3g}, chi2 p={chi2.p_approx:.3g} "
+        f"(>={alpha:.2g})",
     )
 
 

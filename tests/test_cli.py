@@ -23,7 +23,7 @@ import pytest
 from haar_digits import cli, lie
 from haar_digits.cli import main
 from haar_digits.errors import DomainError
-from haar_digits.laws import UniformSignificand
+from haar_digits.laws import PowerLaw, UniformSignificand
 from haar_digits.rng import RngStream
 from haar_digits.significand import significand_values
 
@@ -1036,9 +1036,9 @@ def test_verify_all_checks_pass(capsys):
         "adjoint_product_n6",
         "adjoint_product_n7",
         "adjoint_product_n8",
-        "cone_log_slope_constant",
         "cone_volume_mc",
-        "cone_induced_cdf_is_benford",
+        "cone_log_slope_mc",
+        "cone_edge_is_benford",
         "hyperbolic_area_mc",
     ]
     assert all(c["passed"] for c in payload["checks"])
@@ -1068,16 +1068,17 @@ def test_verify_has_no_workers_flag(capsys):
     assert code == 0 and "workers" not in json.loads(out)
 
 
-# sha256 of `verify --suite cone --trials 2500001 --seed 7` stdout: three Monte
-# Carlo batches per rejection estimate (two full, one of a single point) and no
-# BLAS or LAPACK call, so a change here is a change to the draws or the count.
-# Re-taken when the Monte Carlo checks began to report their gap in standard
-# errors.
-FROZEN_CONE_DIGEST = "0cee964b2b9642ec7d3aa4c5e58530c0438c1e45edfb1e277bb4ff5ab0d4626d"
+# sha256 of `verify --suite cone --trials 2097153 --seed 7` stdout: 33 Monte
+# Carlo batches per rejection estimate (32 full, one of a single point) and no
+# BLAS or LAPACK call, so a change here is a change to the draws, the count or
+# the edge digit tests. Re-taken when the Monte Carlo checks began to report
+# their gap in standard errors, and when the batch fell from 10^6 points to
+# 2^16 and one draw began to check the cone's log slope and edge digits.
+FROZEN_CONE_DIGEST = "a999f23b437f33bf6f39cd473134bfee107f74a7a94d5fa860b62977de75254c"
 
 
 def test_verify_cone_stdout_digest_is_frozen(capsys):
-    args = ("verify", "--suite", "cone", "--trials", "2500001", "--seed", "7")
+    args = ("verify", "--suite", "cone", "--trials", "2097153", "--seed", "7")
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_CONE_DIGEST
@@ -1086,8 +1087,8 @@ def test_verify_cone_stdout_digest_is_frozen(capsys):
 # sha256 of stdout of law, fig1 and verify runs in JSON and CSV, taken before
 # the commands shared one report route. The adjoint rows take determinants
 # and inverses, so they also pin the LAPACK build. The verify row was
-# re-taken with the cone digest, and the fig1 JSON row when --workers left
-# its payload.
+# re-taken with the cone digest, twice, and the fig1 JSON row when --workers
+# left its payload.
 FROZEN_REPORT_DIGESTS = {
     ("law", "--law", "benford"):
         "b3aea2929dc802ac9299ff543bd4ff4971c95869b481b00b732092d4dd608a8b",
@@ -1100,7 +1101,7 @@ FROZEN_REPORT_DIGESTS = {
     ("verify", "--suite", "adjoint", "--seed", "3", "--format", "csv"):
         "6ebc2d20249bc08666de68448703c2c1bf7a925bffa43249ef70b7d77d5445eb",
     ("verify", "--trials", "200000", "--seed", "7"):
-        "a5d8101d69b2d22042da731707ec61ce2e8d849eda8d3f7c418657481283b4b1",
+        "31951b3308d0480643e6055b5ac8a9ff64858493dc66a880c4e196962cd6b3ac",
 }
 
 
@@ -1116,13 +1117,22 @@ def test_verify_csv_detail_keeps_list_entries(capsys):
         capsys, "verify", "--suite", "cone", "--trials", "20000", "--seed", "7", "--format", "csv"
     )
     assert code == 0
-    row = next(line for line in out.splitlines() if line.startswith("cone_log_slope_constant,"))
+    row = next(line for line in out.splitlines() if line.startswith("cone_log_slope_mc,"))
     name, passed, detail = row.split(",")
     pairs = dict(pair.split("=") for pair in detail.split(";"))
-    assert list(pairs) == ["ratios.0", "ratios.1", "ratios.2", "relative_spread", "threshold"]
+    lists = ("analytic", "mc_estimate", "mc_stderr", "relative_gap", "sigma_gap")
+    def entries(key):
+        return [f"{key}.{i}" for i in range(3)]
+
+    assert list(pairs) == [
+        *entries("analytic"), "eps", *entries("mc_estimate"), *entries("mc_stderr"),
+        *entries("relative_gap"), *entries("sigma_gap"), "threshold", "trials", *entries("x"),
+    ]
     _, out_json, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "20000", "--seed", "7")
-    ratios = json.loads(out_json)["checks"][0]["detail"]["ratios"]
-    assert [float(pairs[f"ratios.{i}"]) for i in range(3)] == ratios
+    slope = json.loads(out_json)["checks"][1]["detail"]
+    assert slope["x"] == [2.0, 5.0, 10.0]
+    for key in lists:
+        assert [float(pairs[f"{key}.{i}"]) for i in range(3)] == slope[key]
 
 
 def test_verify_all_is_adjoint_then_cone(capsys):
@@ -1153,6 +1163,12 @@ def test_verify_cone_passes_at_few_trials(capsys, seed):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_verify_cone_passes_at_the_default_trials(capsys, seed):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--seed", str(seed))
+    assert code == 0, out
+
+
 def test_verify_cone_eps_squared_bound_at_the_edge_and_past_it(capsys):
     # eps = 2^-511 squares to the least normal double and every check passes;
     # the next double below it is refused by name. Before the bound, 1e-160
@@ -1174,24 +1190,86 @@ def test_verify_cone_eps_squared_bound_at_the_edge_and_past_it(capsys):
 )
 def test_verify_mc_check_catches_a_planted_error(capsys, monkeypatch, name, formula):
     # A closed form 5 % off is ~18 (cone) and ~30 (hyperbolic) standard
-    # errors away at the default 10^6 trials.
+    # errors away at the default 10^6 trials. The edge digit check never
+    # reads a closed form, so it still passes.
     exact = getattr(cli, formula)
     monkeypatch.setattr(cli, formula, lambda *a: 1.05 * exact(*a))
     code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--seed", "7")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert not checks[name]["passed"] and checks[name]["detail"]["sigma_gap"] > 5.0
-    assert checks["cone_induced_cdf_is_benford"]["passed"]
+    assert checks["cone_log_slope_mc"]["passed"] == (name == "hyperbolic_area_mc")
+    assert checks["cone_edge_is_benford"]["passed"]
+
+
+def _cone_checks(capsys, *argv):
+    code, out, err = run_cli(capsys, "verify", "--suite", "cone", "--seed", "7", *argv)
+    assert err == ""
+    return code, {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+@pytest.mark.parametrize("eps", ["0.5", "1"])
+def test_verify_cone_passes_at_any_box_width(capsys, eps):
+    # The edge law is Benford whatever the width of the window's
+    # off-diagonal box; a wider box accepts fewer of its points.
+    code, checks = _cone_checks(capsys, "--trials", "1000000", "--eps", eps)
+    assert code == 0
+    assert checks["cone_edge_is_benford"]["detail"]["ks"]["n"] > 50000
+
+
+@pytest.mark.parametrize("law", [UniformSignificand(10), PowerLaw(10, 1.1)], ids=repr)
+def test_verify_cone_edge_check_fails_against_a_wrong_law(capsys, monkeypatch, law):
+    # Negative controls fixed before the run: 10^6 trials at seed 7, about
+    # 114000 edges.
+    monkeypatch.setattr(cli, "Benford", lambda base: law)
+    code, checks = _cone_checks(capsys, "--trials", "1000000")
+    assert code == 1
+    edge = checks["cone_edge_is_benford"]
+    assert not edge["passed"] and edge["detail"]["law"] == repr(law)
+    assert not edge["detail"]["ks"]["pass"] and not edge["detail"]["chi2_first_digit"]["pass"]
+    assert [name for name, c in checks.items() if not c["passed"]] == ["cone_edge_is_benford"]
+
+
+def test_verify_cone_fails_when_membership_drops_the_window(capsys, monkeypatch):
+    # Keeping only det in (0, 1] accepts points whose w / sqrt(det) is not a
+    # window edge: neither their count nor their digits pass.
+    def det_only(mats, problem):
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return (det > 0.0) & (det <= 1.0)
+
+    monkeypatch.setattr(lie, "sl2_cone_membership", det_only)
+    code, checks = _cone_checks(capsys, "--trials", "1000000")
+    assert code == 1
+    assert [name for name, c in checks.items() if not c["passed"]] == [
+        "cone_volume_mc", "cone_log_slope_mc", "cone_edge_is_benford"
+    ]
+    assert checks["cone_edge_is_benford"]["detail"]["ks"]["p_approx"] == 0.0
+
+
+def test_verify_cone_edge_check_at_few_edges(capsys):
+    # 500 trials accept about 57 points, too few for the chi-square's 5 a
+    # cell (109 edges): it is skipped in sample's words and KS decides alone.
+    code, checks = _cone_checks(capsys, "--trials", "500")
+    assert code == 0
+    detail = checks["cone_edge_is_benford"]["detail"]
+    assert detail["ks"]["pass"] and 0 < detail["ks"]["n"] < 109
+    assert detail["chi2_first_digit"]["skipped"].startswith(
+        "sample too small for the digit chi-square: min expected count"
+    )
 
 
 def test_verify_one_trial_fails(capsys):
     # One trial rejected gives estimate 0 with a zero standard error: an
-    # infinite gap (JSON null), not a pass.
-    code, out, _ = run_cli(capsys, "verify", "--suite", "cone", "--trials", "1", "--seed", "7")
+    # infinite gap (JSON null), not a pass. No edge is left to test.
+    code, checks = _cone_checks(capsys, "--trials", "1")
     assert code == 1
-    for check in json.loads(out)["checks"]:
-        if check["name"].endswith("_mc"):
-            assert not check["passed"] and check["detail"]["sigma_gap"] is None
+    assert not any(check["passed"] for check in checks.values())
+    assert checks["cone_volume_mc"]["detail"]["sigma_gap"] is None
+    assert checks["hyperbolic_area_mc"]["detail"]["sigma_gap"] is None
+    assert checks["cone_log_slope_mc"]["detail"]["sigma_gap"] == [None, None, None]
+    assert checks["cone_edge_is_benford"]["detail"]["error"] == (
+        "no trial fell in the cone: there is no edge to test"
+    )
 
 
 def test_verify_adjoint_reports_consistency_failure(capsys, monkeypatch):

@@ -24,8 +24,8 @@ from haar_digits.laws import (
 )
 from haar_digits.lie import (
     ConeProblem,
+    MCVolume,
     hyperbolic_cone_area_mc,
-    sl2_cone_induced_cdf,
     sl2_cone_volume_mc,
 )
 from haar_digits.rng import RngStream
@@ -51,6 +51,7 @@ from haar_digits.sphere import (
 from haar_digits.stats import build_empirical, digit_contingency, ks_p_approx
 
 SPEC = S.WindowSpec()
+MC = MCVolume(estimate=0.5, stderr=0.1, accepted=5, trials=10, box_volume=1.0)
 X = np.array([0.5, 3.0, 70.0, -2.0])
 
 # (function, parameter, a valid value, least value, greatest value or None,
@@ -209,7 +210,7 @@ ROWS = [
      lambda v, r: hyperbolic_cone_area_mc(1.0, 2.0, r, v)),
     ("sl2_cone_volume_mc", "trials", 50, 1, None,
      lambda v, r: sl2_cone_volume_mc(ConeProblem(10.0), r, v)),
-    ("sl2_cone_induced_cdf", "base", 10, 2, None, lambda v, r: sl2_cone_induced_cdf(2.0, 0.1, v)),
+    ("MCVolume.subregion", "accepted", 3, 0, 5, lambda v, r: MC.subregion(v)),
     ("build_empirical", "base", 10, 2, None, lambda v, r: build_empirical(X, v)),
     ("ks_p_approx", "n", 3, 1, None, lambda v, r: ks_p_approx(0.01, v)),
     ("digit_contingency", "base", 10, 2, None, lambda v, r: digit_contingency(X, X, v)),

@@ -2,7 +2,7 @@
 SL_2 cone volumes (analytic formulas against Monte Carlo rejection)."""
 
 import math
-import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from haar_digits.lie import (
     adjoint_det_on_u,
     hyperbolic_cone_area,
     hyperbolic_cone_area_mc,
-    sl2_cone_induced_cdf,
     sl2_cone_membership,
     sl2_cone_volume,
     sl2_cone_volume_mc,
@@ -241,8 +240,9 @@ def test_mc_verdict_without_an_error_bar():
     assert _mc(0.0, 0.0).sigma_gap(0.0139) == math.inf
     assert not _mc(0.0, 0.0).agrees(0.0139)
     assert _mc(2.0, 0.0).sigma_gap(2.0) == 0.0 and _mc(2.0, 0.0).agrees(2.0)
-    one = sl2_cone_volume_mc(ConeProblem(2.0), RngStream(42), trials=1)
-    assert one.stderr == 0.0 and not one.agrees(sl2_cone_volume(ConeProblem(2.0)))
+    one, edges = sl2_cone_volume_mc(ConeProblem(2.0), RngStream(42), trials=1)
+    assert one.stderr == 0.0 and edges.size == one.accepted
+    assert not one.agrees(sl2_cone_volume(ConeProblem(2.0)))
 
 
 # --- the SL_2 cone ---------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_sl2_cone_membership_stacked_and_validated():
 
 def test_sl2_cone_volume_mc_agrees():
     problem = ConeProblem(10.0, eps=0.1)
-    vol = sl2_cone_volume_mc(problem, RngStream(6011), trials=400_000)
+    vol, _ = sl2_cone_volume_mc(problem, RngStream(6011), trials=400_000)
     exact = sl2_cone_volume(problem)
     assert vol.estimate == pytest.approx(vol.box_volume * vol.accepted / vol.trials, rel=1e-12)
     assert abs(vol.estimate - exact) < 4.0 * vol.stderr
@@ -332,9 +332,9 @@ def test_sl2_cone_volume_mc_agrees():
 
 def test_sl2_cone_volume_mc_deterministic_and_validated():
     problem = ConeProblem(4.0, eps=0.5)
-    a = sl2_cone_volume_mc(problem, RngStream(29), trials=10_000)
-    b = sl2_cone_volume_mc(problem, RngStream(29), trials=10_000)
-    assert a == b
+    a, edges_a = sl2_cone_volume_mc(problem, RngStream(29), trials=10_000)
+    b, edges_b = sl2_cone_volume_mc(problem, RngStream(29), trials=10_000)
+    assert a == b and edges_a.tobytes() == edges_b.tobytes()
     with pytest.raises(DomainError):
         sl2_cone_volume_mc(problem, RngStream(1), trials=0)
 
@@ -349,52 +349,48 @@ def test_sl2_cone_volume_mc_refuses_a_box_past_the_double_range():
     assert rng.counter == 0
 
 
-def test_sl2_cone_induced_cdf_is_benford():
-    s = np.linspace(1.0, 10.0, 91)
-    for eps in (0.1, 0.35, 1.0):
-        out = sl2_cone_induced_cdf(s, eps)
-        assert np.max(np.abs(out - np.log10(s))) < 1e-12
-    # Scalar in, scalar out.
-    val = sl2_cone_induced_cdf(2.0, 0.1)
-    assert isinstance(val, float)
-    assert val == pytest.approx(math.log10(2.0), abs=1e-15)
-    # Other bases: cdf at s = base is 1, at sqrt(base) is 1/2.
-    assert sl2_cone_induced_cdf(2.0, 0.2, base=4) == pytest.approx(0.5, abs=1e-15)
+def test_sl2_cone_volume_mc_edges_are_those_of_the_accepted_points():
+    # Batches of 2^16 points: the edges of a 150000-trial draw are those of
+    # its three batches, each accepted point's w / sqrt(det) in draw order.
+    problem = ConeProblem(10.0, eps=0.3)
+    vol, edges = sl2_cone_volume_mc(problem, RngStream(17), trials=150_000)
+    assert edges.shape == (vol.accepted,)
+    assert np.all((edges >= 1.0) & (edges <= 10.0 * (1.0 + 1e-15)))
+    rng, expected = RngStream(17), []
+    for c in (2**16, 2**16, 150_000 - 2**17):
+        w = 10.0 * rng.random(c)
+        p, q = rng.uniform(-0.3, 0.3, c), rng.uniform(-0.3, 0.3, c)
+        z = 1.09 * rng.random(c)
+        keep = sl2_cone_membership(np.stack([w, p, q, z], axis=-1).reshape(c, 2, 2), problem)
+        expected.append(w[keep] / np.sqrt(w[keep] * z[keep] - p[keep] * q[keep]))
+    assert edges.tobytes() == np.concatenate(expected).tobytes()
 
 
-@pytest.mark.parametrize("base", [2, 7, 10, 36])
-def test_sl2_cone_induced_cdf_is_the_volume_ratio(base):
-    # The per-point route: one ConeProblem and one volume per grid point.
-    s = 1.0 + np.arange(1, 100) * (base - 1) / 99
-    for eps in (0.1, 0.35):
-        ref = [
-            sl2_cone_volume(ConeProblem(v, eps)) / sl2_cone_volume(ConeProblem(float(base), eps))
-            for v in s
-        ]
-        np.testing.assert_allclose(sl2_cone_induced_cdf(s, eps, base), ref, rtol=1e-15, atol=0)
+def test_rejection_draws_hold_one_batch_at_a_time():
+    # 10^6 trials in batches of 2^16 points: the cone draw peaks at about
+    # 5 MiB, under 1 MiB of it the accepted points' edges, and the planar
+    # one at about 2 MiB. One batch of 10^6 points peaked at 63 and 25 MiB.
+    assert lie._MC_BATCH == 2**16
+    tracemalloc.start()
+    try:
+        _, edges = sl2_cone_volume_mc(ConeProblem(10.0), RngStream(3), 10**6)
+        cone_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        hyperbolic_cone_area_mc(0.5, 4.0, RngStream(3), 10**6)
+        planar_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.nbytes < 2**20 and cone_peak < 8 * 2**20 and planar_peak < 4 * 2**20
 
 
-def test_sl2_cone_induced_cdf_validation():
-    with pytest.raises(DomainError):
-        sl2_cone_induced_cdf(0.5, 0.1)
-    with pytest.raises(DomainError):
-        sl2_cone_induced_cdf(11.0, 0.1)
-    with pytest.raises(DomainError):
-        sl2_cone_induced_cdf(2.0, 0.0)
-    with pytest.raises(DomainError):
-        sl2_cone_induced_cdf(2.0, 1.5)
-    with pytest.raises(DomainError):
-        sl2_cone_induced_cdf(2.0, 0.1, base=1)
-    with pytest.raises(DomainError):
-        sl2_cone_induced_cdf(np.array([2.0, np.nan]), 0.1)
-
-
-def test_sl2_cone_induced_cdf_refuses_eps_the_cone_refuses():
-    # eps^2 subnormal or 0: the ratio of volumes is nan at 1e-200 and misses
-    # log10(5) in the fifth digit at 1e-160. Both are refused as ConeProblem
-    # refuses them; at 2^-511 the ratio is still log_B s.
-    bound = re.escape(f"eps must be a finite real in [{2.0**-511!r}, 1]")
-    for eps in (1e-200, 1e-160, float(np.nextafter(2.0**-511, 0.0))):
-        with pytest.raises(DomainError, match=f"^{bound}"):
-            sl2_cone_induced_cdf(5.0, eps)
-    assert sl2_cone_induced_cdf(5.0, 2.0**-511) == pytest.approx(math.log10(5.0), abs=1e-15)
+def test_mc_volume_subregion_is_the_same_draw_with_fewer_points():
+    vol, edges = sl2_cone_volume_mc(ConeProblem(10.0), RngStream(5), trials=200_000)
+    part = vol.subregion(int(np.count_nonzero(edges <= 2.0)))
+    p = part.accepted / vol.trials
+    assert (part.trials, part.box_volume) == (vol.trials, vol.box_volume)
+    assert part.estimate == vol.box_volume * p
+    assert part.stderr == vol.box_volume * math.sqrt(p * (1.0 - p) / vol.trials)
+    assert part.agrees(sl2_cone_volume(ConeProblem(2.0)))
+    assert vol.subregion(vol.accepted) == vol
+    with pytest.raises(DomainError, match=r"^accepted must be an integer in \[0, "):
+        vol.subregion(vol.accepted + 1)

@@ -21,7 +21,6 @@ from haar_digits.lie import (
     MCVolume,
     hyperbolic_cone_area,
     hyperbolic_cone_area_mc,
-    sl2_cone_induced_cdf,
 )
 from haar_digits.rng import RngStream
 from haar_digits import samplers as S
@@ -82,8 +81,6 @@ ROWS = [
      lambda v, r: hyperbolic_cone_area_mc(v, 4.0, r, 50)),
     ("hyperbolic_cone_area_mc", "b", 4.0, 0.5, None,
      lambda v, r: hyperbolic_cone_area_mc(0.5, v, r, 50)),
-    ("sl2_cone_induced_cdf", "eps", 0.1, below(CONE_EPS), above(1.0),
-     lambda v, r: sl2_cone_induced_cdf(2.0, v)),
     ("ks_p_approx", "d", 0.01, None, None, lambda v, r: ks_p_approx(v, 100)),
     ("ks_test", "alpha", 0.01, 0.0, 1.0, lambda v, r: ks_test(SAMPLE, Benford(10), v)),
     ("chi_square_first_digit", "alpha", 0.01, 0.0, 1.0,

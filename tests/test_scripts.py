@@ -24,32 +24,11 @@ def _load(name):
             ["--dims", "100,300", "--points", "9"],
             "# sup-gap between exact and erf CDF on 9 grid points, base 10",
         ),
-        (
-            "cone_volume_scan",
-            ["--edges", "2,10", "--trials", "20000"],
-            "# eps=0.1, 20000 trials per edge, seed=42",
-        ),
     ],
 )
 def test_script_runs(capsys, name, argv, header):
     assert _load(name).main(argv) == 0
     assert capsys.readouterr().out.splitlines()[0] == header
-
-
-def test_cone_volume_scan_fails_without_an_error_bar(capsys):
-    # One trial per edge is rejected: estimate 0, standard error 0. That is
-    # an infinite gap, not a pass.
-    assert _load("cone_volume_scan").main(["--edges", "2,10", "--trials", "1"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "# worst deviation: inf standard errors"
-
-
-@pytest.mark.parametrize("edges", ["1", "2,1", "0.5", "", "two"])
-def test_cone_volume_scan_rejects_bad_edges(capsys, edges):
-    # ln(1) = 0 used to end in ZeroDivisionError; it is a usage error.
-    with pytest.raises(SystemExit) as exc:
-        _load("cone_volume_scan").main(["--edges", edges, "--trials", "100"])
-    assert exc.value.code == 2
-    assert "--edges" in capsys.readouterr().err
 
 
 def test_layer_costs_writes_every_layer(capsys, tmp_path):
@@ -60,9 +39,10 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     startup = lines.index("# start-up, best of 1 fresh processes")
     record = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:startup])
-    assert len(record["layers"]) == 19
+    assert len(record["layers"]) == 20
     assert record["layers"]["sample_orthogonal_haar(4)"]["items"] == 20
     assert record["layers"]["sample_unitary_entry(3)"]["items"] == 20
+    assert record["layers"]["sl2_cone_volume_mc(x=10)"]["items"] == 200
     assert record["layers"]["sample_orthogonal_entry(100) (1,100)"]["items"] == 1000
     assert all(layer["ms_per_1e6"] > 0 for layer in record["layers"].values())
     assert all(layer["peak_bytes_per_item"] > 0 for layer in record["layers"].values())

@@ -258,8 +258,10 @@ def test_joint_band_validation():
         sphere_joint_band_prob(3, ())
     with pytest.raises(DomainError):
         sphere_joint_band_prob(3, ((0.5, 0.1),))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^a_1 must be a finite real >= 0, got -0\.1$"):
         sphere_joint_band_prob(3, ((-0.1, 0.5),))
+    with pytest.raises(DomainError, match=r"^b_2 must be a finite real > 0\.2, got 0\.2$"):
+        sphere_joint_band_prob(3, ((0.1, 0.5), (0.2, 0.2)))
     with pytest.raises(DomainError):
         sphere_joint_band_prob(2, ((0.0, 0.9), (0.0, 0.9)))  # sum b^2 >= 1
     with pytest.raises(DomainError):
@@ -269,6 +271,23 @@ def test_joint_band_validation():
     s = 0.3
     box = 192.0 / math.pi**2 * (s**4 - 8.0 * s**6 / 3.0 + 32.0 * s**8 / 15.0)
     assert sphere_joint_band_prob(9, ((0.0, s),) * 4) == pytest.approx(box, abs=1e-14)
+
+
+def test_joint_band_bounds_are_finite_reals_named_by_position():
+    # A bare float() read the string "0.1" as 0.1 and answered 0.4819.
+    ok = ((0.1, 0.5), (0.0, 0.3))
+    for value in ("0.1", True, False, math.nan, np.float64(math.inf), None):
+        for j, side in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            bounds = [list(pair) for pair in ok]
+            bounds[j][side] = value
+            name = f"{'ab'[side]}_{j + 1}"
+            with pytest.raises(DomainError, match=rf"^{name} must be a finite real\b"):
+                sphere_joint_band_prob(3, bounds)
+    expected = sphere_joint_band_prob(3, ok)
+    assert sphere_joint_band_prob(3, np.array(ok)) == expected
+    assert sphere_joint_band_prob(3, ((0, np.float32(0.5)),)) == sphere_joint_band_prob(
+        3, ((0.0, 0.5),)
+    )
 
 
 def test_joint_sig_approx_factorizes_over_components():

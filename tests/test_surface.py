@@ -231,6 +231,13 @@ DELETED = {
         "sphere_band_prob(3, 0.1, 0.5)",
         ["sphere.sphere_band_prob"],
     ),
+    "sl2_cone_induced_cdf": (
+        [("lie", "def sl2_cone_induced_cdf(s, eps, base=10):\n"
+                 "    cone = ConeProblem(float(base), eps)\n"
+                 "    return sl2_cone_volume(ConeProblem(s, eps)) / sl2_cone_volume(cone)\n")],
+        "sl2_cone_induced_cdf(2.0, 0.1)",
+        ["lie.sl2_cone_induced_cdf"],
+    ),
     "permutations": ([PERMUTATIONS], PERMUTED, PERMUTATION_NAMES),
     "index_below": ([INDEX_BELOW], "rng.index_below(7)", ["rng.RngStream.index_below"]),
     # index_below's only caller was random_even_permutation: both go unreached
