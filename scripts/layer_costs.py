@@ -11,7 +11,9 @@ reads, O(100) at (1,1) and (1,100) and U(20) at (3,2) (1-based, as `sample
 --entry` takes them), draw 1,000 values a call whatever --items is: a read
 of the last column costs about 1.6 ms a value at O(100). The one-entry read
 of a 1000 x 1000 triangular window draws the CLI's block at that n, 16
-values a call, so its row is what `sample` pays per value. For the SL_2
+values a call, so its row is what `sample` pays per value. The sphere
+coordinate rows at n = 9 and n = 50000 show what a coordinate costs at
+`sample --group sphere` and at `fig1`'s largest dimension. For the SL_2
 cone's rejection Monte Carlo, the one draw of `verify --suite cone`, an
 item is a trial (a point of the bounding box). The table goes to
 stdout and, with --out, the same numbers go to that path as JSON
@@ -83,6 +85,8 @@ def _layers(items: int, seed: int, workdir: str):
         ("gamma(49.5)", items, lambda: rng.gamma(49.5, items)),
         ("sample_sphere_coords(9, 1)", items,
          lambda: samplers.sample_sphere_coords(9, 1, rng, items)),
+        ("sample_sphere_coords(50000, 1)", items,
+         lambda: samplers.sample_sphere_coords(50000, 1, rng, items)),
         ("significand_values", items, lambda: significand_values(raw, 10)),
         ("build_empirical", items, lambda: build_empirical(raw, 10).values),  # sorted
         ("ks_test (warm SphereExact(10, 9))", items, lambda: ks_test(sphere, law)),

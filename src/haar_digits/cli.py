@@ -313,8 +313,8 @@ def _draw(generate, root: RngStream, count: int, block: int) -> np.ndarray:
 
     Block b holds values b * block to min((b + 1) * block, count) - 1 and is
     drawn in one call on root.substream(b); the blocks follow each other in
-    order. Gamma deviates depend on the batch they are drawn in, so a group's
-    block size is part of what its output depends on.
+    order. Each block starts a substream of its own, so a group's block size
+    is part of what its output depends on.
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")

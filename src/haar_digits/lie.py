@@ -65,20 +65,25 @@ class ConeProblem(Frozen):
 
 
 class MCVolume(Frozen):
-    """Rejection Monte Carlo volume estimate with a binomial error bar."""
+    """Rejection Monte Carlo volume estimate: `accepted` of `trials` points
+    of a box of volume `box_volume` fell in the region. The estimate and its
+    binomial standard error are read from those three."""
 
-    _fields = ("estimate", "stderr", "accepted", "trials", "box_volume")
+    _fields = ("accepted", "trials", "box_volume")
 
-    def __init__(
-        self, estimate: float, stderr: float, accepted: int, trials: int, box_volume: float
-    ):
-        self._set(
-            estimate=estimate,
-            stderr=stderr,
-            accepted=accepted,
-            trials=trials,
-            box_volume=box_volume,
-        )
+    def __init__(self, accepted: int, trials: int, box_volume: float):
+        self._set(accepted=accepted, trials=trials, box_volume=box_volume)
+
+    @property
+    def estimate(self) -> float:
+        """box_volume * accepted / trials."""
+        return self.box_volume * (self.accepted / self.trials)
+
+    @property
+    def stderr(self) -> float:
+        """The binomial standard error of the estimate."""
+        p = self.accepted / self.trials
+        return self.box_volume * math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
 
     def sigma_gap(self, exact: float) -> float:
         """|estimate - exact| in standard errors; with a zero error bar (every
@@ -94,7 +99,7 @@ class MCVolume(Frozen):
         """The estimate, from the same trials and box, of a subregion that
         `accepted` of the accepted points fall in."""
         accepted = check_int(accepted, "accepted", 0, self.accepted)
-        return _box_estimate(self.box_volume, accepted, self.trials)
+        return MCVolume(accepted, self.trials, self.box_volume)
 
 
 def _check_stack(d, u):
@@ -231,19 +236,7 @@ def _rejection_volume(box: float, trials: int, inside) -> MCVolume:
     accepted = sum(
         inside(min(_MC_BATCH, trials - done)) for done in range(0, trials, _MC_BATCH)
     )
-    return _box_estimate(box, accepted, trials)
-
-
-def _box_estimate(box: float, accepted: int, trials: int) -> MCVolume:
-    """box * accepted / trials with its binomial standard error."""
-    p = accepted / trials
-    return MCVolume(
-        estimate=box * p,
-        stderr=box * math.sqrt(max(p * (1.0 - p), 0.0) / trials),
-        accepted=accepted,
-        trials=trials,
-        box_volume=box,
-    )
+    return MCVolume(accepted, trials, box)
 
 
 def hyperbolic_cone_area_mc(a: float, b: float, rng: RngStream, trials: int) -> MCVolume:

@@ -132,23 +132,66 @@ def _check_entry(n: int, *index) -> tuple:
 
 
 def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarray:
-    """First k (1 <= k <= n + 1) coordinates of uniform S^n points.
+    """First k (1 <= k <= n + 1) coordinates of uniform S^n points, one
+    accepted Marsaglia polar pair a coordinate and no gamma deviate.
 
-    Uses (z_1..z_k)/sqrt(|z|^2 + W) with W chi-square on n+1-k degrees of
-    freedom, which has exactly the joint law of the first k coordinates.
-    Consumes count*k normals, then the chi-square draws; at k = n + 1, W = 0
-    and no chi-square is drawn. Essential when n is large (S^10000
-    histograms would otherwise need 10^10 normals).
+    A pair is two consecutive uniforms mapped to u, v = 2U - 1, and it is
+    accepted when 0 < w = u^2 + v^2 < 1. The first coordinate of S^d is then
+    y = u sqrt(-expm1(a ln w) / w) with a = 2 / (d - 1): u^2 / w = cos^2 of
+    a uniform angle is Beta(1/2, 1/2), 1 - w^a is Beta(1, (d - 1)/2) and
+    independent of it, and their product is Beta(1/2, d/2), the law of a
+    squared coordinate of S^d; the sign of u makes y symmetric (after
+    Bailey, Math. Comp. 62, 1994). At d = 1, a is infinite and y = u / sqrt(w)
+    up to rounding; at d = 0, the last coordinate of a whole point
+    (k = n + 1), y = sign(u).
+
+    Coordinate j of a value is r_j y_j, where y_j is the first coordinate of
+    S^(n-j), r_0 = 1 and r_(j+1) = r_j sqrt(1 - y_j^2): the other coordinates
+    of a point scaled by 1 / sqrt(1 - x_0^2) are a point of S^(n-1). Value i
+    takes accepted pairs i*k to i*k + k - 1. A round draws min(pairs still
+    needed, TILE / 2) pairs, so no accepted pair is dropped: the values and
+    the counter depend only on the stream and the number of values drawn,
+    never on how a draw is split into calls or rounds. A coordinate costs
+    about 2.5 uniforms whatever n is.
     """
     n = check_int(n, "n", 1)
     k = check_int(k, "k", 1, n + 1)  # S^n has n + 1 coordinates
     c = check_int(count, "count", 1)
-    z = rng.normal((c, k))
-    norm = rng.chi_square(n + 1 - k, c) if k <= n else np.zeros(c)
-    for start in range(0, c, TILE):  # |z|^2 a tile of rows at a time
-        norm[start : start + TILE] += np.sum(np.square(z[start : start + TILE]), axis=1)
-    z /= np.sqrt(norm, out=norm)[:, None]
-    return z
+    out = np.empty((c, k))
+    y = out.reshape(-1)  # y_j of value i at i*k + j
+    # a of each coordinate j; at d = 0 any finite y serves, its sign is kept.
+    a = np.array([2.0 / (d - 1) if d > 1 else math.inf for d in range(n, n - k, -1)])
+    pos = 0
+    while pos < y.size:
+        uv = rng.random(2 * min(y.size - pos, TILE // 2))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv[0::2], uv[1::2]
+        w = u * u
+        w += v * v
+        idx = np.flatnonzero((w > 0.0) & (w < 1.0))
+        w = w.take(idx)
+        f = np.log(w)
+        f *= a[0] if k == 1 else a.take(np.arange(pos, pos + idx.size) % k)
+        np.expm1(f, out=f)
+        f /= w
+        np.negative(f, out=f)
+        dest = y[pos : pos + idx.size]
+        u.take(idx, out=dest)
+        dest *= np.sqrt(f, out=f)
+        pos += idx.size
+    if k == n + 1:
+        np.copysign(1.0, out[:, n], out=out[:, n])
+    if k > 1:  # x_j = r_j y_j, a tile of rows at a time
+        step = max(1, TILE // k)
+        for start in range(0, c, step):
+            rows = out[start : start + step]
+            r = np.multiply(rows[:, :-1], rows[:, :-1])
+            np.subtract(1.0, r, out=r)
+            np.sqrt(r, out=r)
+            np.cumprod(r, axis=1, out=r)  # r[:, j] = r_(j+1)
+            rows[:, 1:] *= r
+    return out
 
 
 # --- compact groups ---------------------------------------------------------

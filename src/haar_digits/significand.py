@@ -68,9 +68,16 @@ def _reduce(values, base: int):
     x = np.asarray(values, dtype=float)
     if x.size and not np.all(np.isfinite(x) & (x != 0.0)):
         raise DomainError("significand_parts: values must be finite and nonzero")
-    ax = np.abs(x).reshape(-1)
+    s, e = _reduce_finite(x.reshape(-1), base)
+    return s.reshape(x.shape)[()], e.reshape(x.shape)[()]
+
+
+def _reduce_finite(x: np.ndarray, base: int):
+    """_reduce of a flat array of finite nonzero doubles and a checked base,
+    which it takes on trust: (s, e) as flat arrays."""
+    ax = np.abs(x)
     if ax.size == 0:
-        return x.copy(), x.astype(np.int64)
+        return ax, ax.astype(np.int64)
     e = np.log(ax)
     e /= math.log(base)
     idx = np.floor(e, out=e).astype(np.int64)
@@ -108,7 +115,7 @@ def _reduce(values, base: int):
             if two_step:
                 divide_in_two_steps(moved & (idx < e_min - lo))
     idx += lo
-    return s.reshape(x.shape)[()], idx.reshape(x.shape)[()]
+    return s, idx
 
 
 @functools.lru_cache(maxsize=64)

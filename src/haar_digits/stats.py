@@ -31,7 +31,7 @@ from ._frozen import Frozen
 from .errors import DomainError, check_int, check_real
 from .laws import DigitLaw
 from .rng import TILE
-from .significand import check_base, first_digits, significand_values
+from .significand import _reduce_finite, check_base, first_digits
 from .specfun import normal_cdf
 
 __all__ = [
@@ -119,12 +119,10 @@ def build_empirical(values, base: int = 10) -> EmpiricalDigitDistribution:
     for start in range(0, arr.size, TILE):
         x = arr[start : start + TILE]
         keep = np.isfinite(x) & (x != 0.0)
-        s = significand_values(x if keep.all() else x[keep], base)
+        s = _reduce_finite(x if keep.all() else x[keep], base)[0]
         sig[kept : kept + s.size] = s
         kept += s.size
-        digits = np.floor(s, out=s).astype(np.int64)
-        np.clip(digits, 1, base - 1, out=digits)
-        counts += np.bincount(digits - 1, minlength=base - 1)
+        counts += np.bincount(s.astype(np.intp), minlength=base)[1:]  # s in [1, B)
     n_rejected = int(arr.size - kept)
     if kept == 0:
         raise DomainError("no usable values in sample (all zero or non-finite)")

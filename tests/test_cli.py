@@ -449,14 +449,15 @@ def test_missing_required_flag_is_named(capsys):
 # run's stream began to be keyed by its echo and split into fixed blocks, and
 # --workers left the payload; the --workers 2 rows draw what --workers 1 draws.
 # The orthogonal and unitary rows were re-taken when an entry read began to
-# draw only columns 0..j of each matrix, column by column.
+# draw only columns 0..j of each matrix, column by column, and the sphere row
+# when a sphere coordinate began to be one polar pair, with no gamma deviate.
 FROZEN_SAMPLE_DIGESTS = {
     ("--group", "rplus", "--workers", "2"):
         "a75356ac3cff45510cb40ed1cfd283af560d88b8150c707543942e861e3fdf75",
     ("--group", "power", "--k", "2", "--base", "7"):
         "9334dca353413e6ed6fd2660d51f1b3ecd54d139783405690082c7bcbf9fcc2e",
     ("--group", "sphere", "--n", "9"):
-        "3863625e1656d8b20502d80e8bf2e3912de38d54d03301f7f8ad380c3954c922",
+        "8b7b764a1ebfcdad13baf421d13fac870b9911a9131b130dc033da7aa24b4bb2",
     ("--group", "triangular", "--n", "4", "--entry", "1,2", "--side", "right"):
         "c3caf180a948aa271a6a346f782d8d82119df06df77b92014d18f60951b48fe4",
     ("--group", "diagonal", "--det-one", "--entry", "2,2", "--format", "csv"):
@@ -480,14 +481,15 @@ def test_sample_stdout_digest_is_frozen(capsys, args):
 
 
 # sha256 of (stdout, --samples-out file) at --N 100000 --seed 7. At this size
-# the uniform, normal and gamma kernels cross several tile edges, and the
-# one-entry reads skip most of each windowed layout; the digests were taken
-# from untiled kernels that drew every entry. Re-taken when each run's stream
-# began to be keyed by its echo; the fixed blocks alone moved no file byte.
+# the uniform kernel and the sphere's polar rounds cross several tile edges,
+# and the one-entry reads skip most of each windowed layout; the digests were
+# taken from untiled kernels that drew every entry. Re-taken when each run's
+# stream began to be keyed by its echo; the fixed blocks alone moved no file
+# byte. The sphere row was re-taken when a coordinate became one polar pair.
 FROZEN_LARGE_SAMPLE_DIGESTS = {
     ("--group", "sphere", "--n", "9"): (
-        "af0805c68dadb4c9f65270bc8f3d785e9d23d40b416657f798d45d0d3cff449d",
-        "f3c18a0876082406713507891ed24e60ea704196272eb63b7a5203dad7d9d6bb",
+        "6e86aeb8c8f15f53141ff21e28bc5a74ee4d3ee2ef4b8045c18b77240be57545",
+        "131f94e39bf3d797d3f34293eea28dda8ced32d280cd206f25cb273fb79eca3a",
     ),
     ("--group", "triangular", "--n", "5", "--entry", "3,3"): (
         "e5ee9b737455d09e23ee300e40af4753f2be44ca185c04f75507bb09fbef67d3",
@@ -663,8 +665,8 @@ def test_sample_bytes_do_not_depend_on_workers(capsys, tmp_path, monkeypatch, ar
 
 def test_sample_blocks_follow_the_documented_order(capsys, monkeypatch):
     # Block b is one sampler call on root.substream(b), with root the seed's
-    # stream keyed by the run's echo. Sphere draws gammas, whose values depend
-    # on the batch, so the block sizes 40, 40 and 20 are part of the bits.
+    # stream keyed by the run's echo, so the block sizes 40, 40 and 20 are
+    # part of the bits: each block starts a substream of its own.
     monkeypatch.setattr(cli, "_SCALAR_CHUNK", 40)
     drawn, build = [], cli.build_empirical
     monkeypatch.setattr(cli, "build_empirical", lambda v, base: drawn.append(v) or build(v, base))
@@ -1088,16 +1090,17 @@ def test_verify_cone_stdout_digest_is_frozen(capsys):
 # the commands shared one report route. The adjoint rows take determinants
 # and inverses, so they also pin the LAPACK build. The verify row was
 # re-taken with the cone digest, twice, and the fig1 JSON row when --workers
-# left its payload.
+# left its payload. Both fig1 rows were re-taken when a sphere coordinate
+# became one polar pair, with no gamma deviate.
 FROZEN_REPORT_DIGESTS = {
     ("law", "--law", "benford"):
         "b3aea2929dc802ac9299ff543bd4ff4971c95869b481b00b732092d4dd608a8b",
     ("law", "--law", "sphere-exact", "--n", "9", "--format", "csv"):
         "2294fbd10541da31d317af80f179403b9527099a972de29ea9debb2c8775a371",
     ("fig1", "--dims", "5,100", "--N", "20000", "--seed", "7"):
-        "c4d1070b4876b6f6816cafa9c6cda6109e5b36ab06743b8688567616a7d36f5e",
+        "0aee9683e1af4b7d407dcfa8be5d0a2f87991eea4b689b8351c7f31c88889289",
     ("fig1", "--dims", "5,100", "--N", "20000", "--seed", "7", "--format", "csv"):
-        "2e3240aea8d8dff14b653446a3da26126b9bff355e2053d86b725d8e004a4273",
+        "a176decd2d31c2fe02f666748a4593c8be43c4388b9dac5435a3dea6a72392c5",
     ("verify", "--suite", "adjoint", "--seed", "3", "--format", "csv"):
         "6ebc2d20249bc08666de68448703c2c1bf7a925bffa43249ef70b7d77d5445eb",
     ("verify", "--trials", "200000", "--seed", "7"):

@@ -89,9 +89,9 @@ CASES = [
     (ConeProblem, (3.0, 0.5), dict(x=3.0, eps=0.5), "ConeProblem(x=3.0, eps=0.5)", True),
     (
         MCVolume,
-        (0.5, 0.1, 5, 10, 1.0),
-        dict(estimate=0.5, stderr=0.1, accepted=5, trials=10, box_volume=1.0),
-        "MCVolume(estimate=0.5, stderr=0.1, accepted=5, trials=10, box_volume=1.0)",
+        (5, 10, 1.0),
+        dict(accepted=5, trials=10, box_volume=1.0),
+        "MCVolume(accepted=5, trials=10, box_volume=1.0)",
         True,
     ),
     (WindowSpec, (), dict(eps=1.0, m=3), "WindowSpec(eps=1.0, m=3)", True),

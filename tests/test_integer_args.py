@@ -51,7 +51,7 @@ from haar_digits.sphere import (
 from haar_digits.stats import build_empirical, digit_contingency, ks_p_approx
 
 SPEC = S.WindowSpec()
-MC = MCVolume(estimate=0.5, stderr=0.1, accepted=5, trials=10, box_volume=1.0)
+MC = MCVolume(accepted=5, trials=10, box_volume=1.0)
 X = np.array([0.5, 3.0, 70.0, -2.0])
 
 # (function, parameter, a valid value, least value, greatest value or None,

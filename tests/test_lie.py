@@ -223,23 +223,31 @@ def test_hyperbolic_cone_area_mc_deterministic_and_validated():
         hyperbolic_cone_area_mc(1.0, 2.0, RngStream(1), trials=0)
 
 
-def _mc(estimate, stderr):
-    return MCVolume(estimate=estimate, stderr=stderr, accepted=0, trials=1, box_volume=1.0)
+def test_mc_volume_reads_its_estimate_from_its_counts():
+    # The estimate and its error bar follow from the counts and the box, so
+    # a value cannot disagree with itself.
+    vol = MCVolume(accepted=32, trials=64, box_volume=2.0)
+    assert (vol.estimate, vol.stderr) == (1.0, 0.125)  # 2 * 1/2, 2 * sqrt(1/4 / 64)
+    p = 3 / 10
+    assert MCVolume(3, 10, 4.0).estimate == 4.0 * p
+    assert MCVolume(3, 10, 4.0).stderr == 4.0 * math.sqrt(p * (1.0 - p) / 10)
 
 
 def test_mc_verdict_in_standard_errors():
+    vol = MCVolume(accepted=32, trials=64, box_volume=2.0)  # 1.0 with stderr 0.125
     assert lie.MC_SIGMAS == 5.0
-    assert _mc(1.0, 0.1).sigma_gap(1.3) == pytest.approx(3.0)
-    assert _mc(1.0, 0.1).agrees(1.49) and not _mc(1.0, 0.1).agrees(1.51)
-    assert not _mc(1.0, 0.1).agrees(0.5)  # exactly 5 standard errors fails
+    assert vol.sigma_gap(1.375) == 3.0
+    assert vol.agrees(1.62) and not vol.agrees(1.63)
+    assert not vol.agrees(0.375)  # exactly 5 standard errors fails
 
 
 def test_mc_verdict_without_an_error_bar():
     # Every trial rejected (or every one accepted) leaves a zero standard
     # error: the gap is infinite unless the estimate is exact.
-    assert _mc(0.0, 0.0).sigma_gap(0.0139) == math.inf
-    assert not _mc(0.0, 0.0).agrees(0.0139)
-    assert _mc(2.0, 0.0).sigma_gap(2.0) == 0.0 and _mc(2.0, 0.0).agrees(2.0)
+    none, every = MCVolume(0, 1, 1.0), MCVolume(1, 1, 2.0)
+    assert none.sigma_gap(0.0139) == math.inf
+    assert not none.agrees(0.0139)
+    assert every.sigma_gap(2.0) == 0.0 and every.agrees(2.0)
     one, edges = sl2_cone_volume_mc(ConeProblem(2.0), RngStream(42), trials=1)
     assert one.stderr == 0.0 and edges.size == one.accepted
     assert not one.agrees(sl2_cone_volume(ConeProblem(2.0)))

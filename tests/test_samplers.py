@@ -4,6 +4,7 @@ Monte Carlo assertions run at fixed seeds with thresholds several standard
 errors wide, so they are deterministic and far from flaky.
 """
 
+import itertools
 import math
 import sys
 
@@ -39,7 +40,7 @@ from haar_digits.samplers import (
 )
 from haar_digits.significand import significand_values
 from haar_digits.sphere import SphereExact
-from haar_digits.stats import build_empirical, ks_test
+from haar_digits.stats import build_empirical, ks_p_approx, ks_test
 
 
 def _ks_passes(values, law, base=10):
@@ -101,15 +102,39 @@ def test_sample_sphere_deterministic():
     assert np.array_equal(a, b)
 
 
+def _polar_reference(n, k, seed, count):
+    """sample_sphere_coords(n, k, RngStream(seed), count) replayed by hand:
+    the pairs of one untiled rng.random call, the first count*k accepted ones,
+    each value's coordinates from k consecutive ones; and the counter, the
+    words up to the last of them."""
+    need = count * k
+    uv = RngStream(seed).random(2 * (2 * need + 64)) * 2.0 - 1.0
+    u, v = uv[0::2], uv[1::2]
+    w = u * u + v * v
+    kept = np.flatnonzero((w > 0.0) & (w < 1.0))
+    assert kept.size >= need
+    kept = kept[:need]
+    u, w = u[kept], w[kept]
+    d = n - np.arange(need) % k  # coordinate j is the first one of S^(n-j)
+    with np.errstate(divide="ignore"):
+        a = np.where(d > 1, 2.0 / (d - 1.0), np.inf)
+    y = u * np.sqrt(-np.expm1(a * np.log(w)) / w)
+    y = np.where(d == 0, np.copysign(1.0, u), y).reshape(count, k)
+    x = y.copy()
+    x[:, 1:] *= np.cumprod(np.sqrt(1.0 - y * y), axis=1)[:, :-1]
+    return x, 2 * (int(kept[-1]) + 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 50])
-def test_sample_sphere_is_normalized_normals(n):
-    # The whole point of S^n, k = n + 1: no chi-square term, and bit for bit
-    # the normals divided by their row norms, across tile edges too.
+def test_sample_sphere_whole_point_replays_polar_pairs(n):
+    # The whole point of S^n, k = n + 1, bit for bit the hand replay, with
+    # the last coordinate sign(u) times the radius left; across tile edges too.
     for count in (1, 7, TILE + 3):
-        z = RngStream(47).normal((count, n + 1))
-        reference = z / np.linalg.norm(z, axis=1)[:, None]
-        got = sample_sphere_coords(n, n + 1, RngStream(47), count)
+        rng = RngStream(47)
+        got = sample_sphere_coords(n, n + 1, rng, count)
+        reference, words = _polar_reference(n, n + 1, 47, count)
         assert got.tobytes() == reference.tobytes()
+        assert rng.counter == words
 
 
 def test_sample_sphere_coords_shapes_and_range():
@@ -138,28 +163,39 @@ def test_sample_sphere_coords_second_moment():
     assert np.allclose(np.mean(coords**2, axis=0), 1.0 / (n + 1), atol=0.004)
 
 
-def _sphere_coords_reference(n, k, rng, count):
-    """sample_sphere_coords with |z|^2 summed over all rows in one expression."""
-    z = rng.normal((count, k))
-    norm = np.asarray(rng.chi_square(n + 1 - k, count), dtype=float).reshape(count)
-    norm += np.sum(z * z, axis=1)
-    return z / np.sqrt(norm)[:, None]
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
-def test_sample_sphere_coords_matches_one_expression_reference(k):
-    # The row sums are taken a tile at a time; every bit stays the same,
-    # across tile edges too.
+def test_sample_sphere_coords_replays_polar_pairs(k):
+    # Rounds of at most TILE / 2 pairs; every bit and the counter are those
+    # of the untiled hand replay, across tile edges too.
     count = 2 * TILE + 17
-    got = sample_sphere_coords(9, k, RngStream(29), count)
-    assert np.array_equal(got, _sphere_coords_reference(9, k, RngStream(29), count))
+    rng = RngStream(29)
+    got = sample_sphere_coords(9, k, rng, count)
+    reference, words = _polar_reference(9, k, 29, count)
+    assert got.tobytes() == reference.tobytes()
+    assert rng.counter == words
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])  # 10 = n + 1, the whole point of S^9
+def test_sample_sphere_coords_do_not_depend_on_how_a_draw_is_split(k):
+    # Every 2- and 3-way split of one draw at the cuts below gives the bytes
+    # and the final counter of the single call.
+    n, count = 9, 2 * TILE + 17
+    rng = RngStream(53)
+    whole = sample_sphere_coords(n, k, rng, count).tobytes()
+    cuts = (1, 17, TILE // 2, TILE, TILE + 1, 2 * TILE, count - 1)
+    for split in [(c,) for c in cuts] + list(itertools.combinations(cuts, 2)):
+        bounds = (0, *split, count)
+        part = RngStream(53)
+        got = [sample_sphere_coords(n, k, part, b - a) for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate(got).tobytes() == whole, split
+        assert part.counter == rng.counter, split
 
 
 def test_sample_sphere_coords_footprint(traced_peak):
-    # The output, the chi-square draw and one tile of squares; no
-    # output-sized z * z temporary or row sum.
+    # The output and one round's temporaries (1.3 MiB): no radius array at
+    # k = 1, and nothing else of the output's size.
     coords, peak = traced_peak(lambda: sample_sphere_coords(9, 1, RngStream(31), 1_000_000))
-    assert peak <= 2.5 * coords.nbytes
+    assert peak <= coords.nbytes + 1.5 * 2**20
 
 
 def test_sphere_significands_match_exact_law():
@@ -172,6 +208,41 @@ def test_sphere_significands_match_exact_law():
     marginal = sample_sphere_coords(n, 1, RngStream(43), count=20000).ravel()
     ok_marg, d_marg = _ks_passes(marginal, SphereExact(base=10, n=n))
     assert ok_marg, f"marginal-sampler KS statistic {d_marg}"
+
+
+# (n, a sphere whose law the draws must not pass for, or None): the controls
+# are a tenth or a third of the dimension, and S^1 beside S^2.
+_SPHERE_KS = [(1, None), (2, 1), (3, None), (9, 3), (100, 30), (50_000, 5_000)]
+
+
+@pytest.mark.parametrize("n, control", _SPHERE_KS, ids=[f"n{n}" for n, _ in _SPHERE_KS])
+def test_sphere_coordinate_passes_ks_against_its_own_sphere_only(n, control):
+    # 10^6 draws at alpha = 1e-3: the law of S^n passes, a nearby one fails.
+    draws = build_empirical(sample_sphere_coords(n, 1, RngStream(1000 + n), 10**6)[:, 0], 10)
+    assert ks_test(draws, SphereExact(10, n)).passed
+    if control is not None:
+        assert not ks_test(draws, SphereExact(10, control)).passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 100])
+def test_sphere_two_coordinates_have_the_radius_law(n):
+    # x_1^2 + x_2^2 of S^n is Beta(1, (n - 1)/2): CDF 1 - (1 - t)^((n-1)/2).
+    # This checks the radius recursion r_1 = sqrt(1 - y_0^2) across pairs.
+    x = sample_sphere_coords(n, 2, RngStream(2000 + n), 10**6)
+    t = np.sort(np.sum(x * x, axis=1))
+    cdf = -np.expm1((n - 1) / 2 * np.log1p(-t))
+    i = np.arange(1, t.size + 1)
+    d = max(np.max(i / t.size - cdf), np.max(cdf - (i - 1) / t.size))
+    assert ks_p_approx(d, t.size) >= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
+def test_sphere_whole_points_are_unit_with_a_balanced_last_sign(n):
+    # The recursion costs about one rounding a coordinate; the last
+    # coordinate's sign is that of u, positive half of the time.
+    pts = sample_sphere_coords(n, n + 1, RngStream(3000 + n), 20_000)
+    assert np.max(np.abs(np.sum(pts * pts, axis=1) - 1.0)) <= (n + 1) * np.finfo(float).eps
+    assert abs(np.mean(pts[:, -1] > 0.0) - 0.5) < 5 * 0.5 / math.sqrt(len(pts))
 
 
 # Every public sampler with its arguments but `count`.

@@ -39,7 +39,9 @@ def test_layer_costs_writes_every_layer(capsys, tmp_path):
     startup = lines.index("# start-up, best of 1 fresh processes")
     record = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(record["layers"]) == sorted(line.split("  ")[0] for line in lines[2:startup])
-    assert len(record["layers"]) == 20
+    assert len(record["layers"]) == 21
+    # A sphere coordinate costs the same at n = 9 and n = 50000.
+    assert record["layers"]["sample_sphere_coords(50000, 1)"]["items"] == 200
     assert record["layers"]["sample_orthogonal_haar(4)"]["items"] == 20
     assert record["layers"]["sample_unitary_entry(3)"]["items"] == 20
     assert record["layers"]["sl2_cone_volume_mc(x=10)"]["items"] == 200
