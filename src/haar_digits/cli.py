@@ -318,7 +318,10 @@ def _draw(generate, root: RngStream, count: int, block: int) -> np.ndarray:
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
-    out = np.empty(count) if count > block else None  # one block is returned as drawn
+    try:
+        out = np.empty(count) if count > block else None  # one block is returned as drawn
+    except MemoryError:  # every caller draws --N values
+        raise DomainError(f"--N {count} values cannot be allocated") from None
     for b, start in enumerate(range(0, count, block)):
         c = min(block, count - start)
         vals = np.asarray(generate(root.substream(b), c), dtype=float).reshape(c)

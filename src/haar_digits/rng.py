@@ -183,35 +183,39 @@ class RngStream:
             self._pending_normal = None
             pos = 1
         while pos < n:
-            npairs = min((n - pos + 1) // 2, TILE // 2)
-            flat = self.random(2 * npairs)
-            flat *= 2.0
-            flat -= 1.0
-            u, v = flat[0::2], flat[1::2]
-            s = u * u
-            s += v * v
-            idx = np.flatnonzero((s > 0.0) & (s < 1.0))
-            if idx.size == 0:
-                continue
-            s = s.take(idx)
+            u, v, s = self._polar_pairs((n - pos + 1) // 2)
             f = np.log(s)
             f *= -2.0
             f /= s
             np.sqrt(f, out=f)
             # accepted pair p gives u_p f_p, v_p f_p; an odd request leaves
-            # the last v_p f_p over (at most one, as npairs <= ceil(rem / 2)).
-            take = min(2 * idx.size, n - pos)
+            # the last v_p f_p over (at most one, as a round draws at most
+            # ceil(rem / 2) pairs).
+            take = min(2 * u.size, n - pos)
             dest = out[pos : pos + take]
-            np.multiply(u.take(idx), f, out=dest[0::2])
+            np.multiply(u, f, out=dest[0::2])
             nv = take // 2
-            v = v.take(idx)
             np.multiply(v[:nv], f[:nv], out=dest[1::2])
-            if nv < idx.size:
+            if nv < u.size:
                 self._pending_normal = float(v[nv] * f[nv])
             pos += take
         if shape is None:
             return float(out[0])
         return out.reshape(shape)
+
+    def _polar_pairs(self, pairs: int) -> tuple:
+        """One Marsaglia polar round: min(pairs, TILE / 2) pairs of
+        consecutive uniforms, each mapped to u, v = 2U - 1, and the accepted
+        ones, 0 < w = u^2 + v^2 < 1, as arrays (u, v, w) in pair order. The
+        normal and sphere kernels draw through here."""
+        uv = self.random(2 * min(pairs, TILE // 2))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv[0::2], uv[1::2]
+        w = u * u
+        w += v * v
+        idx = np.flatnonzero((w > 0.0) & (w < 1.0))
+        return u.take(idx), v.take(idx), w.take(idx)
 
     def gamma(self, shape_param: float, size=None):
         """Gamma(shape, scale=1) variates via Marsaglia-Tsang rejection.

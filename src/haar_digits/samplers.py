@@ -109,11 +109,9 @@ class GlnSample(Frozen):
         return g
 
 
-# Doubles in the Gram-Schmidt work array of one slice of matrices (1 MiB),
-# so that it stays in a core's L2 cache: slices of 4096 matrices ran O(4) as
-# fast and U(10) 25 % slower, np.einsum then streaming the array from L3.
-# A slice still holds _QR_SLICE_MIN matrices when they are large: at U(40),
-# slices of 20 matrices took twice as long, in per-call overhead.
+# Doubles in the work arrays of one slice of Haar values (1 MiB), so that
+# they stay in a core's L2 cache. A slice still holds _QR_SLICE_MIN values
+# when they are large, so that per-call overhead stays small.
 _QR_SLICE_DOUBLES = 1 << 17
 _QR_SLICE_MIN = 128
 
@@ -163,23 +161,14 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarr
     a = np.array([2.0 / (d - 1) if d > 1 else math.inf for d in range(n, n - k, -1)])
     pos = 0
     while pos < y.size:
-        uv = rng.random(2 * min(y.size - pos, TILE // 2))
-        uv *= 2.0
-        uv -= 1.0
-        u, v = uv[0::2], uv[1::2]
-        w = u * u
-        w += v * v
-        idx = np.flatnonzero((w > 0.0) & (w < 1.0))
-        w = w.take(idx)
+        u, _, w = rng._polar_pairs(y.size - pos)
         f = np.log(w)
-        f *= a[0] if k == 1 else a.take(np.arange(pos, pos + idx.size) % k)
+        f *= a[0] if k == 1 else a.take(np.arange(pos, pos + w.size) % k)
         np.expm1(f, out=f)
         f /= w
         np.negative(f, out=f)
-        dest = y[pos : pos + idx.size]
-        u.take(idx, out=dest)
-        dest *= np.sqrt(f, out=f)
-        pos += idx.size
+        np.multiply(u, np.sqrt(f, out=f), out=y[pos : pos + w.size])
+        pos += w.size
     if k == n + 1:
         np.copysign(1.0, out[:, n], out=out[:, n])
     if k > 1:  # x_j = r_j y_j, a tile of rows at a time
@@ -198,139 +187,134 @@ def sample_sphere_coords(n: int, k: int, rng: RngStream, count: int) -> np.ndarr
 
 
 def sample_orthogonal_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
-    """Haar-distributed O(n) matrices: Q of Gaussian matrices, diag(R) > 0.
+    """Haar-distributed O(n) matrices: a product of n Householder reflections
+    of Gaussian vectors, diag(R) > 0.
 
-    Consumes count*n*n normals (column-major per matrix), then those of the
-    redraws: a numerically singular draw (a Gram-Schmidt residual of norm
-    0) is drawn again.
+    Consumes count*n(n+1)/2 normals, a value's vectors g_0 .. g_(n-1) in
+    turn (see _haar_qr).
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    return _haar_qr(n, rng, count, float)[0]
+    return _haar_qr(n, rng, count, float)
 
 
 def sample_orthogonal_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
-    """Entry (i, j) (0-based) of Haar O(n) matrices: count*n*(j+1) normals.
+    """Entry (i, j) (0-based) of Haar O(n) matrices: count*(j+1)(2n-j)/2 normals.
 
-    Column j of Q depends on Gaussian columns 0..j only, so a value draws
-    and orthogonalizes those columns alone, column-major as
-    sample_orthogonal_haar draws its matrices, and is redrawn when they are
-    dependent. At j = n - 1 the values are column n - 1 of
+    Column j of Q depends on the Gaussian vectors g_0..g_j only, so a value
+    draws and reflects those alone, in the order sample_orthogonal_haar
+    draws them. At j = n - 1 the values are column n - 1 of
     sample_orthogonal_haar's, bit for bit; at other j they have its law.
-    A call holds its output and one Gram-Schmidt slice.
+    A call holds its output and one slice of values.
     """
     n = check_int(n, "n", 1)
     i, j = _check_entry(n, i, j)
-    return _haar_qr(n, rng, check_int(count, "count", 1), float, (i, j))[0]
+    return _haar_qr(n, rng, check_int(count, "count", 1), float, (i, j))
 
 
 def sample_unitary_haar(n: int, rng: RngStream, count: int) -> np.ndarray:
-    """Haar-distributed U(n) matrices: Q of complex Gaussian matrices, diag(R) > 0.
+    """Haar-distributed U(n) matrices: a product of n Householder reflections
+    of complex Gaussian vectors, diag(R) > 0.
 
-    Consumes 2*count*n*n normals, a (real, imaginary) pair per entry with
-    the entries column-major per matrix, then those of the redraws of
-    numerically singular draws, as sample_orthogonal_haar does.
+    Consumes count*n(n+1) normals, a (real, imaginary) pair per entry, in
+    sample_orthogonal_haar's order.
     """
     n, count = check_int(n, "n", 1), check_int(count, "count", 1)
-    return _haar_qr(n, rng, count, complex)[0]
+    return _haar_qr(n, rng, count, complex)
 
 
 def sample_unitary_entry(n: int, i: int, j: int, rng: RngStream, count: int) -> np.ndarray:
-    """Entry (i, j) (0-based) of Haar U(n) matrices: 2*count*n*(j+1) normals,
-    columns 0..j of sample_unitary_haar's layout, drawn, orthogonalized and
-    redrawn as sample_orthogonal_entry does."""
+    """Entry (i, j) (0-based) of Haar U(n) matrices: count*(j+1)(2n-j)
+    normals, the vectors g_0..g_j of sample_unitary_haar's layout, drawn
+    and reflected as sample_orthogonal_entry does."""
     n = check_int(n, "n", 1)
     i, j = _check_entry(n, i, j)
-    return _haar_qr(n, rng, check_int(count, "count", 1), complex, (i, j))[0]
+    return _haar_qr(n, rng, check_int(count, "count", 1), complex, (i, j))
 
 
-def _haar_qr(n: int, rng: RngStream, count: int, dtype, entry=None) -> tuple:
+def _haar_qr(n: int, rng: RngStream, count: int, dtype, entry=None) -> np.ndarray:
     """Entry (i, j) of `count` Haar matrices of O(n) (dtype float) or U(n)
-    (complex), or the whole matrices when entry is None, and the number of
-    redraws (Mezzadri 2007: one QR algorithm over R and C).
+    (complex), or the whole matrices when entry is None: one Householder
+    product over R and C (Stewart, SIAM J. Numer. Anal. 17, 1980), with the
+    diag(R) > 0 convention of Mezzadri (Notices AMS 54, 2007).
 
-    Q of the QR with diag(R) > 0 makes the law exactly Haar, and its column
-    k depends on Gaussian columns 0..k only. So a value draws the c columns
-    its read needs, c = j + 1 for an entry and n for a matrix: c*n entries
-    in column-major order, one normal each over R, two over C (its real and
-    then its imaginary part). The values are drawn one Gram-Schmidt slice at
-    a time and only the read of each slice is kept, so a call holds its
-    output and one slice. A value whose c columns leave a Gram-Schmidt
-    residual of norm 0 is numerically singular: after the whole first round,
-    the failed ones are redrawn, in order, as one stack per round.
+    Q = H_0 ... H_(n-1) D. H_k = I - 2 v_k v_k^H / |v_k|^2 acts on
+    coordinates k..n-1, v_k = g_k + phi_k |g_k| e_0 for a fresh vector g_k
+    of n - k Gaussian entries, phi_k = g_k[0] / |g_k[0]| (1 when that is 0)
+    and D_kk = -phi_k. H_k fixes e_j for k > j and maps -phi_j e_0 to
+    g_j / |g_j|, so column j is H_0 ... H_(j-1) y_j, with y_j = g_j / |g_j|
+    on coordinates j..n-1. A g_k of zeros takes v_k = e_0 and y_k = e_0, a
+    fixed reflection: no value is redrawn.
+
+    A value draws the vectors its read needs, g_0 .. g_(c-1) with c = j + 1
+    for an entry and n for a matrix, c(2n - c + 1)/2 entries in that order:
+    one normal each over R, two over C (its real and then its imaginary
+    part). The values are drawn one slice at a time and only the read of
+    each slice is kept, so a call holds its output and one slice.
     """
-    parts = 2 if dtype is complex else 1
     cols = n if entry is None else entry[1] + 1
-    size = cols * n * parts  # normals a value
-
-    def draw(m: int) -> tuple:
-        # A lone value gets a partner: np.einsum runs its sums over the batch
-        # axis only when that axis is 2 or more long.
-        w = np.zeros((parts, cols, n, parts, max(m, 2)))
-        w[0].reshape(size, -1)[:, :m] = rng.normal((m, size)).T
-        ok = _cgs2(w)[:m]
-        q = w[0, ..., :m]  # q[k, i, p, b]: part p of entry i of column k of Q_b
-        return (q.transpose(3, 1, 0, 2) if entry is None else q[entry[1], entry[0]].T), ok
-
-    step = _qr_slice(parts * size)
-    out, failed = None, []
+    first = 0 if entry is None else entry[1]  # the first column read
+    size = cols * (2 * n - cols + 1) // 2  # entries a value
+    parts = 2 if dtype is complex else 1
+    step = _qr_slice(parts * (size + n * (cols - first)))
+    out = np.empty((count, n, n) if entry is None else count, dtype)
     for start in range(0, count, step):
-        vals, ok = draw(min(step, count - start))
-        if out is None:
-            out = np.empty((count, *vals.shape[1:]))
-        out[start : start + len(vals)] = vals
-        failed.append(start + np.flatnonzero(~ok))
-        del vals  # the next slice is drawn without this one
-    todo = np.concatenate(failed)
-    resampled = 0
-    while todo.size:
-        resampled += todo.size
-        vals, ok = draw(todo.size)
-        out[todo[ok]] = vals[ok]
-        todo = todo[~ok]
-    return out.view(dtype)[..., 0], resampled  # the parts axis as float or complex
+        m = min(step, count - start)
+        # A lone value gets a partner of zeros: np.einsum runs its sums over
+        # the batch axis only when that axis is 2 or more long.
+        g = np.zeros((size, max(m, 2)), dtype)
+        g[:, :m] = rng.normal((m, parts * size)).view(dtype).T
+        q = _householder(g, n, cols, first)[..., :m]
+        out[start : start + m] = q.transpose(2, 0, 1) if entry is None else q[entry[0], 0]
+        del g, q  # the next slice is drawn without this one
+    return out
 
 
 def _qr_slice(doubles: int) -> int:
-    """Values per Gram-Schmidt slice, or per SL_n product slice, of a work
-    array that holds `doubles` doubles a value."""
+    """Values per Householder slice, or per SL_n product slice, of work
+    arrays that hold `doubles` doubles a value."""
     return max(_QR_SLICE_DOUBLES // doubles, _QR_SLICE_MIN)
 
 
-def _cgs2(w: np.ndarray) -> np.ndarray:
-    """Classical Gram-Schmidt run twice, in place, on the columns of every
-    matrix b of w[h, k, i, p, b] (entry i of column k, real or imaginary
-    part p), giving Q of its QR with diag(R) > 0. That QR is unique, so no
-    sign or phase step follows. h = 0 holds the columns; over C, w[1, k] is
-    written with i q_k = (-Im q_k, Re q_k) once q_k is final. Projecting on
-    the real span of q_k and i q_k is projecting on the complex span of q_k,
-    so one real loop serves both fields. The second pass keeps Q orthonormal
-    to machine precision (Giraud, Langou and Rozloznik 2005: "twice is
-    enough").
+def _householder(g: np.ndarray, n: int, cols: int, first: int) -> np.ndarray:
+    """Columns first..c-1 of Q = H_0 ... H_(n-1) D (see _haar_qr) for every
+    value b of g[t, b], which holds the entries of g_0 .. g_(c-1) in turn,
+    as q[r, k - first, b] = entry r of column k; g_k is overwritten by v_k.
 
-    Each sum is an np.einsum with the batch innermost, so every matrix's
-    sums run from 0 in one fixed order: over (i, p) for a coefficient, over
-    (h, k) for a projection, and no matrix's result depends on the others
-    or on how the batch is sliced. Returns the mask of matrices whose
-    residual norms are all nonzero.
+    Each sum is an np.einsum with the batch innermost, so every value's sums
+    run from 0 in one fixed order: over t for |g_k|^2 and v_k^H x, and no
+    value's result depends on the others or on the slice size. Column j
+    meets H_(j-1), ..., H_0 in that order, whatever other columns are read.
     """
-    parts, cols, width = w.shape[0], w.shape[1], w.shape[-1]
-    ok = np.ones(width, dtype=bool)
-    coef = np.empty((parts, cols, width))
-    proj = np.empty(w.shape[2:])
-    for k in range(cols):
-        v, basis = w[0, k], w[:, :k]
-        for _ in range(2):
-            np.einsum("hjipb,ipb->hjb", basis, v, out=coef[:, :k])
-            np.einsum("hjipb,hjb->ipb", basis, coef[:, :k], out=proj)
-            v -= proj
-        norm = np.sqrt(np.einsum("ipb,ipb->b", v, v))
-        ok &= norm > 0.0
-        norm[~ok] = 1.0  # a failed matrix is redrawn: no 0 / 0
-        v /= norm
-        if parts == 2:
-            np.negative(v[:, 1], out=w[1, k, :, 0])
-            w[1, k, :, 1] = v[:, 0]
-    return ok
+    q = np.zeros((n, cols - first, g.shape[1]), g.dtype)
+    for k in range(cols - 1, -1, -1):
+        off = k * (2 * n - k + 1) // 2
+        gk = g[off : off + n - k]
+        nrm = np.sqrt(np.einsum("tb,tb->b", gk.conj(), gk).real)
+        zero = nrm == 0.0  # the stand-in e_0
+        if k >= first:
+            y = q[k:, k - first]
+            _divide(gk, np.where(zero, 1.0, nrm), y)
+            y[0, zero] = 1.0
+        if k < cols - 1:  # H_k, on the columns after k
+            a = np.hypot(gk[0].real, gk[0].imag)  # libm hypot; np.abs is not
+            phi = np.empty_like(gk[0])
+            _divide(gk[0], np.where(a == 0.0, 1.0, a), phi)
+            phi[a == 0.0] = 1.0
+            gk[0] += phi * nrm  # g_k is now v_k
+            gk[0, zero] = 1.0
+            x = q[k:, max(k + 1 - first, 0) :]
+            coef = np.einsum("tb,tcb->cb", gk.conj(), x)
+            coef *= 1.0 / np.where(zero, 0.5, nrm * (nrm + a))  # 2 / |v_k|^2
+            x -= np.einsum("tb,cb->tcb", gk, coef)
+    return q
+
+
+def _divide(z: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """out = z / r for real r, each part of a complex z divided on its own:
+    NumPy would divide a complex by a real as a multiply by its reciprocal."""
+    np.divide(z.real, r, out=out.real)
+    if np.iscomplexobj(z):
+        np.divide(z.imag, r, out=out.imag)
 
 
 # --- scalar windowed densities ----------------------------------------------

@@ -166,6 +166,16 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [("sample", "--group", "rplus"), ("fig1", "--workers", "1")])
+def test_an_n_past_the_address_space_is_a_usage_error(capsys, command):
+    # 10^15 doubles are 8 PB, past any x86-64 address space: the allocation
+    # fails at once, before a word is drawn, and is named as --N, not a
+    # failed check (exit 1) or a traceback.
+    code, out, err = run_cli(capsys, *command, "--N", str(10**15))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --N {10**15} values cannot be allocated"
+
+
 def test_orthogonal_n1_names_its_flags(capsys):
     code, out, err = run_cli(capsys, "sample", "--group", "orthogonal", "--n", "1")
     assert code == 2 and out == ""
@@ -444,13 +454,16 @@ def test_missing_required_flag_is_named(capsys):
 
 # sha256 of stdout at --N 4000 --seed 7. A change here is a change to the
 # random streams, the samplers or the output format. No row makes a BLAS or
-# LAPACK call; orthogonal and unitary sum their Gram-Schmidt steps through
+# LAPACK call; orthogonal and unitary sum their Householder steps through
 # np.einsum, so their rows also pin NumPy's einsum loops. Re-taken when each
 # run's stream began to be keyed by its echo and split into fixed blocks, and
 # --workers left the payload; the --workers 2 rows draw what --workers 1 draws.
 # The orthogonal and unitary rows were re-taken when an entry read began to
 # draw only columns 0..j of each matrix, column by column, and the sphere row
 # when a sphere coordinate began to be one polar pair, with no gamma deviate.
+# The orthogonal row was re-taken when Q became a product of Householder
+# reflections of fresh Gaussian vectors; the unitary row reads column 0,
+# g_0 / |g_0| under either kernel, and kept its digest.
 FROZEN_SAMPLE_DIGESTS = {
     ("--group", "rplus", "--workers", "2"):
         "a75356ac3cff45510cb40ed1cfd283af560d88b8150c707543942e861e3fdf75",
@@ -467,7 +480,7 @@ FROZEN_SAMPLE_DIGESTS = {
     ("--group", "gln-det", "--workers", "2"):
         "2217ffe67ecb01a418a0fb37b05530a480cf7793fcf352a33a7bc4c399336246",
     ("--group", "orthogonal", "--n", "4", "--entry", "2,3"):
-        "fc7240910dbbb2c6a285b74d5e4eabf9fb1a080fac08cca03dc690824d1243ee",
+        "3b8e5a56674ca592978d1fe63e73577783f42e56438cab8f729877b4368b7da0",
     ("--group", "unitary", "--n", "3", "--format", "csv"):
         "b9b93af9046f4a3d7c9dccb2ac243a8136c56a7ecda019a43ac1444da020427b",
 }

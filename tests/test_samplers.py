@@ -290,60 +290,12 @@ def test_orthogonal_haar_is_orthogonal():
     assert (dets > 0).any() and (dets < 0).any()
 
 
-def test_orthogonal_haar_shapes_info_and_determinism():
+def test_orthogonal_haar_shapes_and_determinism():
     assert sample_orthogonal_haar(3, RngStream(9), count=1).shape == (1, 3, 3)
     mats = sample_orthogonal_haar(3, RngStream(9), count=4)
     assert mats.shape == (4, 3, 3)
-    assert samplers._haar_qr(3, RngStream(9), 4, float)[1] == 0  # no redraw
     again = sample_orthogonal_haar(3, RngStream(9), count=4)
     assert np.array_equal(mats, again)
-
-
-class _SingularFirstDraw:
-    """Stream wrapper that zeroes matrix `row` of the first Gaussian stack of
-    `count` matrices: its first `calls` normal batches hold that stack, one
-    batch per Gram-Schmidt slice over R and C alike. QR of the all-zero
-    matrix gives diag(R) = 0, so the sampler must redraw it."""
-
-    def __init__(self, stream, row, count, calls):
-        self.stream = stream
-        self.row, self.count, self.calls = row, count, calls
-        self.batches = 0
-
-    def normal(self, size):
-        g = self.stream.normal(size)
-        if self.batches < self.calls:
-            g.reshape(self.count, -1)[self.row] = 0.0
-        self.batches += 1
-        return g
-
-
-def test_orthogonal_haar_resamples_singular_draw():
-    plain = sample_orthogonal_haar(3, RngStream(31), count=6)
-    stub = _SingularFirstDraw(RngStream(31), row=2, count=6, calls=1)
-    mats = sample_orthogonal_haar(3, stub, count=6)
-    assert stub.batches == 2
-    again = _SingularFirstDraw(RngStream(31), row=2, count=6, calls=1)
-    assert samplers._haar_qr(3, again, 6, float)[1] == 1  # one redraw
-    others = [0, 1, 3, 4, 5]
-    assert np.array_equal(mats[others], plain[others])
-    assert not np.array_equal(mats[2], plain[2])
-    for q in mats:
-        assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
-
-
-def test_unitary_haar_resamples_singular_draw():
-    # The same QR-and-redraw loop as O(n): the zero matrix is drawn again
-    # (one batch of normals, as its slice was) and the others keep their bytes.
-    plain = sample_unitary_haar(3, RngStream(37), count=6)
-    stub = _SingularFirstDraw(RngStream(37), row=4, count=6, calls=1)
-    mats = sample_unitary_haar(3, stub, count=6)
-    assert stub.batches == 2
-    others = [0, 1, 2, 3, 5]
-    assert mats[others].tobytes() == plain[others].tobytes()
-    assert not np.array_equal(mats[4], plain[4])
-    for u in mats:
-        assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
 
 
 def test_orthogonal_haar_first_entry_moment():
@@ -371,7 +323,7 @@ def test_unitary_haar_entry_moment():
 
 
 def test_unitary_haar_footprint(traced_peak):
-    # Each Gram-Schmidt slice is drawn, overwritten by its Q factors and
+    # Each slice's vectors are drawn, reflected into its Q factors and
     # copied to the output before the next one is drawn.
     us, peak = traced_peak(lambda: sample_unitary_haar(3, RngStream(37), count=100_000))
     assert peak <= 1.3 * us.nbytes
@@ -379,70 +331,73 @@ def test_unitary_haar_footprint(traced_peak):
 
 _HAAR_QR_CASES = [(n, dtype) for dtype in (float, complex) for n in (1, 2, 3, 4, 10)]
 _HAAR_QR_IDS = [f"{'R' if dtype is float else 'C'}{n}" for n, dtype in _HAAR_QR_CASES]
+_PARTS = {float: 1, complex: 2}
+
+
+def _vector_entries(n, cols):
+    """Entries of a value's vectors g_0 .. g_(cols-1): n + (n - 1) + ..."""
+    return cols * (2 * n - cols + 1) // 2
 
 
 def _qr_slice(n, dtype):
-    """Matrices per Gram-Schmidt slice of a whole-matrix draw."""
-    return samplers._qr_slice((2 if dtype is complex else 1) ** 2 * n * n)
+    """Matrices per slice of a whole-matrix draw."""
+    return samplers._qr_slice(_PARTS[dtype] * (_vector_entries(n, n) + n * n))
 
 
 def _haar_qr_count(n, dtype):
-    """Two whole Gram-Schmidt slices and a short one."""
+    """Two whole slices and a short one."""
     return 2 * _qr_slice(n, dtype) + 5
 
 
-def _cgs2_reference(a: np.ndarray) -> np.ndarray:
-    """Q of one n x c matrix (c <= n) by plain classical Gram-Schmidt run
-    twice, with every sum from 0 in samplers._cgs2's order: a column is the
-    real vector of its (entry, part) pairs, entry-major; over C it is
-    orthogonalized against q_0 .. q_k-1, then against i q_0 .. i q_k-1,
-    i q = (-Im q, Re q)."""
-    n, width = a.shape
-    cplx = np.iscomplexobj(a)
-    cols, turned = [], []
-    for k in range(width):
-        v = []
-        for i in range(n):
-            v += [a[i, k].real, a[i, k].imag] if cplx else [float(a[i, k])]
-        basis = cols + turned
-        for _ in range(2):
-            coef = []
-            for q in basis:
-                acc = 0.0
-                for x, y in zip(q, v):
-                    acc += x * y
-                coef.append(acc)
-            for r in range(len(v)):
-                acc = 0.0
-                for q, c in zip(basis, coef):
-                    acc += q[r] * c
-                v[r] -= acc
-        acc = 0.0
-        for x in v:
-            acc += x * x
-        norm = math.sqrt(acc)
-        v = [x / norm for x in v]
-        cols.append(v)
-        if cplx:
-            turned.append([y for re, im in zip(v[::2], v[1::2]) for y in (-im, re)])
-    q = np.empty((n, width), dtype=a.dtype)
-    for k, v in enumerate(cols):
-        q[:, k] = [complex(re, im) for re, im in zip(v[::2], v[1::2])] if cplx else v
+def _gaussian_vectors(rng, count, n, cols, dtype):
+    """The vectors g_0 .. g_(cols-1) of each of `count` values as the Haar
+    samplers draw them: value by value, each value's vectors in turn, an
+    entry one normal over R and two over C, its real and then its imaginary
+    part. A list (one per value) of lists of Python numbers."""
+    flat = rng.normal((count, _PARTS[dtype] * _vector_entries(n, cols))).view(dtype)
+    offsets = [_vector_entries(n, k) for k in range(cols + 1)]
+    return [[row[offsets[k] : offsets[k + 1]].tolist() for k in range(cols)] for row in flat]
+
+
+def _householder_reference(vectors, n):
+    """Q (n x c) of one value from its vectors g_0 .. g_(c-1), by plain
+    Python arithmetic in the kernel's order (|z| of a complex is abs, libm's
+    hypot, as np.hypot is). y_k = g_k / |g_k| and
+    v_k = g_k + phi_k |g_k| e_0 with phi_k = g_k[0] / |g_k[0]|, or e_0 and
+    e_0 for a zero g_k; 2 / |v_k|^2 = 1 / (|g_k| (|g_k| + |g_k[0]|)),
+    or 2. Column j is H_0 ... H_(j-1) y_j, each H_k applied as
+    x -= v_k (beta_k sum_t conj(v_k[t]) x[t]), the sum from 0 upward."""
+    refl, q = [], np.zeros((n, len(vectors)), dtype=type(vectors[0][0]))
+    for k, g in enumerate(vectors):
+        acc = 0 * g[0]
+        for z in g:
+            acc += z.conjugate() * z
+        nrm = math.sqrt(acc.real)
+        if nrm == 0.0:
+            unit = [1.0] + [0.0] * (n - k - 1)
+            refl.append((unit, 2.0))
+        else:
+            a = abs(g[0])
+            phi = g[0] / a if a else 1.0
+            refl.append(([g[0] + phi * nrm] + g[1:], 1.0 / (nrm * (nrm + a))))
+            unit = [z / nrm for z in g]
+        x = [0.0] * k + unit
+        for h in range(k - 1, -1, -1):
+            v, beta = refl[h]
+            acc = 0 * x[0]
+            for t, z in enumerate(v):
+                acc += z.conjugate() * x[h + t]
+            w = acc * beta
+            for t, z in enumerate(v):
+                x[h + t] = x[h + t] - z * w
+        q[:, k] = x
     return q
 
 
-def _gaussian_columns(rng, count, n, cols, dtype):
-    """`count` n x cols Gaussian matrices as the Haar samplers draw them:
-    column by column, an entry one normal over R and two over C, its real
-    and then its imaginary part."""
-    g = rng.normal((count, cols, n * (2 if dtype is complex else 1)))
-    return (g.view(complex) if dtype is complex else g).transpose(0, 2, 1)
-
-
 def _haar_draw(n, dtype, seed, count):
-    """(Gaussian stack, Haar sample) of one seed: the stack the sampler draws."""
-    gauss = _gaussian_columns(RngStream(seed), count, n, n, dtype)
-    return gauss, samplers._haar_qr(n, RngStream(seed), count, dtype)[0]
+    """(vectors, Haar sample) of one seed: the vectors the sampler draws."""
+    vectors = _gaussian_vectors(RngStream(seed), count, n, n, dtype)
+    return vectors, samplers._haar_qr(n, RngStream(seed), count, dtype)
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["lone", "sliced"])
@@ -450,31 +405,49 @@ def _haar_draw(n, dtype, seed, count):
 def test_haar_qr_matches_per_matrix_reference(n, dtype, lone):
     # Bit for bit, for a lone matrix and on both sides of each slice edge.
     count = 1 if lone else _haar_qr_count(n, dtype)
-    gauss, q = _haar_draw(n, dtype, 41, count)
+    vectors, q = _haar_draw(n, dtype, 41, count)
     step = _qr_slice(n, dtype)
     edges = {0, step - 1, step, 2 * step - 1, 2 * step, count - 1}
     for b in sorted(edges & set(range(count))):
-        assert q[b].tobytes() == _cgs2_reference(gauss[b]).tobytes(), b
+        assert q[b].tobytes() == _householder_reference(vectors[b], n).tobytes(), b
 
 
 @pytest.mark.parametrize("n, dtype", _HAAR_QR_CASES, ids=_HAAR_QR_IDS)
-def test_haar_qr_slices_match_one_slice(monkeypatch, n, dtype):
+def test_haar_qr_output_does_not_depend_on_the_slice_size(monkeypatch, n, dtype):
+    # Slices of _QR_SLICE_MIN values, the default, and one slice for all.
     count = _haar_qr_count(n, dtype)
-    _, sliced = _haar_draw(n, dtype, 43, count)
-    monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", 4 * n * n * count)
-    _, whole = _haar_draw(n, dtype, 43, count)
-    assert sliced.tobytes() == whole.tobytes()
+    draws = []
+    for doubles in (1, samplers._QR_SLICE_DOUBLES, 4 * n * n * count):
+        monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", doubles)
+        reads = [None] + [(n - 1, j) for j in range(n)]
+        draws.append([samplers._haar_qr(n, RngStream(43), count, dtype, e) for e in reads])
+    for others in draws[1:]:
+        for a, b in zip(draws[0], others):
+            assert a.tobytes() == b.tobytes()
+
+
+def _dense_reflection_product(vectors, n):
+    """Q = H_0 ... H_(n-1) D of one value, each H_k a dense n x n matrix and
+    the product formed with @."""
+    q = np.eye(n, dtype=complex)
+    phases = []
+    for k, g in enumerate(vectors):
+        g = np.array(g, dtype=complex)
+        phi = g[0] / abs(g[0])
+        v = g.copy()
+        v[0] += phi * np.linalg.norm(g)
+        h = np.eye(n, dtype=complex)
+        h[k:, k:] -= 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        q = q @ h
+        phases.append(-phi)
+    return q @ np.diag(phases)
 
 
 @pytest.mark.parametrize("n, dtype", _HAAR_QR_CASES, ids=_HAAR_QR_IDS)
-def test_haar_qr_matches_lapack_q_up_to_phases(n, dtype):
-    # Q of the QR with diag(R) > 0 is unique: LAPACK's Q times the phases of
-    # its diag(R) is the same matrix, to rounding.
-    gauss, q = _haar_draw(n, dtype, 47, _haar_qr_count(n, dtype))
-    q_lapack, r = np.linalg.qr(gauss)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q_lapack *= (d / np.abs(d))[:, None, :]
-    assert np.abs(q - q_lapack).max() <= 1e-12
+def test_haar_qr_is_the_product_of_its_reflections(n, dtype):
+    vectors, q = _haar_draw(n, dtype, 47, 200)
+    dense = np.array([_dense_reflection_product(v, n) for v in vectors])
+    assert np.abs(q - dense).max() <= 1e-12
     assert np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(n)).max() <= 1e-14
 
 
@@ -492,21 +465,60 @@ def test_haar_samplers_make_no_lapack_qr_call(monkeypatch):
 
 
 def test_orthogonal_haar_footprint(traced_peak):
-    # Each Gram-Schmidt slice is drawn, overwritten by its Q factors and
+    # Each slice's vectors are drawn, reflected into its Q factors and
     # copied to the output before the next one is drawn.
     qs, peak = traced_peak(lambda: sample_orthogonal_haar(4, RngStream(37), count=100_000))
     assert peak <= 1.3 * qs.nbytes
 
 
-def test_unitary_haar_word_order_is_re_im_per_entry():
-    # A complex Gaussian entry is two consecutive normals, (real, imaginary),
-    # and the entries run column by column: the stack is one normal draw
-    # viewed as complex, each matrix the transpose of its row-major reading.
+@pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
+def test_haar_word_order_is_value_by_value_and_vector_by_vector(dtype):
+    # One normal draw, viewed as complex over C: a complex entry is two
+    # consecutive normals, (real, imaginary). Value b holds the words
+    # b * size to (b + 1) * size, its g_0 (n entries), then its g_1 (n - 1),
+    # and so on to its g_(n-1) (one entry).
     n, count = 3, 5
-    qs = sample_unitary_haar(n, RngStream(67), count)
-    gauss = RngStream(67).normal(2 * count * n * n).view(complex)
-    for q, g in zip(qs, gauss.reshape(count, n, n)):
-        assert q.tobytes() == _cgs2_reference(g.T).tobytes()
+    qs = samplers._haar_qr(n, RngStream(67), count, dtype)
+    flat = RngStream(67).normal(count * _PARTS[dtype] * 6).view(dtype).reshape(count, 6)
+    for q, row in zip(qs, flat.tolist()):
+        assert q.tobytes() == _householder_reference([row[0:3], row[3:5], row[5:6]], n).tobytes()
+
+
+class _ZeroVector:
+    """Stream wrapper that zeroes vector g_k of value `row` of the first
+    batch of normals, a batch of `count` n x n values."""
+
+    def __init__(self, stream, n, count, row, k):
+        self.stream = stream
+        self.n, self.count, self.row, self.k = n, count, row, k
+        self.batches = 0
+
+    def normal(self, size):
+        g = self.stream.normal(size)
+        if self.batches == 0:
+            per_entry = size[1] // _vector_entries(self.n, self.n)
+            lo, hi = _vector_entries(self.n, self.k), _vector_entries(self.n, self.k + 1)
+            g.reshape(self.count, -1)[self.row, per_entry * lo : per_entry * hi] = 0.0
+        self.batches += 1
+        return g
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
+def test_a_zero_vector_takes_the_fixed_reflection(dtype, k):
+    # A g_k of zeros takes v_k = e_0 and y_k = e_0: the value is kept, the
+    # stream is read once and the other values keep their bytes.
+    n, count, row = 3, 6, 2
+    plain = samplers._haar_qr(n, RngStream(31), count, dtype)
+    stub = _ZeroVector(RngStream(31), n, count, row, k)
+    mats = samplers._haar_qr(n, stub, count, dtype)
+    assert stub.batches == 1
+    others = [b for b in range(count) if b != row]
+    assert mats[others].tobytes() == plain[others].tobytes()
+    vectors = _gaussian_vectors(RngStream(31), count, n, n, dtype)[row]
+    vectors[k] = [0 * vectors[k][0]] * len(vectors[k])
+    assert mats[row].tobytes() == _householder_reference(vectors, n).tobytes()
+    assert np.abs(mats[row].conj().T @ mats[row] - np.eye(n)).max() <= 1e-15
 
 
 _ENTRY_READS = {
@@ -515,49 +527,34 @@ _ENTRY_READS = {
 }
 
 
-@pytest.mark.parametrize("singular", [False, True], ids=["plain", "singular"])
 @pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_haar_entry_reads_equal_full_draws(monkeypatch, n, dtype, singular):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
+def test_haar_entry_reads_equal_full_draws(monkeypatch, n, dtype):
     # Slices of _QR_SLICE_MIN values: the count spans three whole slices
-    # and a short one. With `singular`, value 5 of the first slice is zeroed
-    # and redrawn after the whole first round. An entry read draws columns
-    # 0..j of each value: at j = n - 1 the whole draw's words, so it reads
-    # the whole draw's last column bit for bit; at other j, each value is Q
-    # of its own first j + 1 columns.
+    # and a short one. An entry read draws the vectors g_0..g_j of each
+    # value: at j = n - 1 the whole draw's words, so it reads the whole
+    # draw's last column bit for bit; at other j, each value is column j of
+    # the reflections of its own first j + 1 vectors.
     monkeypatch.setattr(samplers, "_QR_SLICE_DOUBLES", 1)
     step = samplers._QR_SLICE_MIN
     count = 3 * step + 37
     full_read, entry_read = _ENTRY_READS[dtype]
-    parts = 2 if dtype is complex else 1
-
-    def streams():
-        """(the RngStream, what the sampler draws from)"""
-        rng = RngStream(71)
-        return rng, _SingularFirstDraw(rng, row=5, count=step, calls=1) if singular else rng
-
-    rng, stream = streams()
-    full = full_read(n, stream, count)
-    if singular:
-        assert stream.batches == 5  # four slices and one redraw
-        assert not np.array_equal(full[5], full_read(n, RngStream(71), count)[5])
-    for i, j in sorted({(0, 0), (0, n - 1), (n - 1, 1), (n // 2, n - 2), (n - 1, n - 1)}):
-        entry_rng, entry_stream = streams()
-        got = entry_read(n, i, j, entry_stream, count)
+    rng = RngStream(71)
+    full = full_read(n, rng, count)
+    for i, j in itertools.product(range(n), repeat=2):
+        entry_rng = RngStream(71)
+        got = entry_read(n, i, j, entry_rng, count)
         assert got.shape == (count,)
         if j == n - 1:
             assert got.tobytes() == np.ascontiguousarray(full[:, i, j]).tobytes(), (i, j)
             assert entry_rng.counter == rng.counter
-        # The first round's count values, then the one redraw, if any.
-        gauss = _gaussian_columns(RngStream(71), count + singular, n, j + 1, dtype)
-        if singular:
-            gauss[5] = gauss[count]
+        vectors = _gaussian_vectors(RngStream(71), count, n, j + 1, dtype)
         for b in sorted({0, 5, step - 1, step, 2 * step, 3 * step, count - 1}):
-            assert got[b].tobytes() == _cgs2_reference(gauss[b])[i, j].tobytes(), (i, j, b)
-        if not singular:
-            one_call = RngStream(71)
-            one_call.normal(count * parts * n * (j + 1))
-            assert entry_rng.counter == one_call.counter
+            want = _householder_reference(vectors[b], n)[i, j]
+            assert got[b].tobytes() == want.tobytes(), (i, j, b)
+        one_call = RngStream(71)
+        one_call.normal(count * _PARTS[dtype] * _vector_entries(n, j + 1))
+        assert entry_rng.counter == one_call.counter
 
 
 @pytest.mark.parametrize(
@@ -586,7 +583,7 @@ def test_haar_entry_reads_refuse_entries_outside_the_matrix(entry_read):
 @pytest.mark.parametrize("dtype", [float, complex], ids=["R", "C"])
 @pytest.mark.parametrize("n", [4, 10])
 def test_haar_entry_reads_footprint(traced_peak, n, dtype):
-    # One Gram-Schmidt slice at a time beside the output, where a whole draw
+    # One slice of vectors at a time beside the output, where a whole draw
     # would hold n^2 doubles a value (2 n^2 over C).
     entry_read = _ENTRY_READS[dtype][1]
     vals, peak = traced_peak(lambda: entry_read(n, 1, 2, RngStream(73), 400_000))
