@@ -335,23 +335,22 @@ def _fan_out(fn: Callable, items: list, limit: Optional[int]) -> list:
     """[fn(x) for x in items], computed by up to one process per usable CPU.
 
     With P = min(len(items), usable CPUs, limit) processes, where a limit of
-    None sets no bound, process k computes items k, k + P, ... in order.
-    Process 0 is the caller; each other one is a fork that pickles its
-    results, or the exception that stopped it, into a pipe and leaves by
+    None sets no bound, process k computes items k, k + P, ... in order, up
+    to its first item that raises. Process 0 is the caller; each other one
+    is a fork that pickles the results it reached into a pipe and leaves by
     os._exit, so it runs none of the caller's exit handlers and flushes
-    none of its streams. At P = 1 this is the plain loop and
-    forks nothing. The results come back in item order, so they do not
-    depend on P. When items fail, the exception of the first failing item
-    in list order is raised with the message the plain loop would give; an
-    exception from a fork carries the fork's formatted traceback as its
-    __cause__, since a pickled exception loses its own frames. A fork that
-    ends without sending a result counts as a ConsistencyError at its first
-    item, naming its items. Every fork is read and reaped before this
-    returns or raises, also when the caller's own share raises.
+    none of its streams. At P = 1 this is the plain loop and forks nothing.
+    Once every fork is read and reaped, the caller computes in list order
+    each item that no process finished, so the first failing item raises
+    here, with the plain loop's message and this process's own traceback.
+    A fork that ends without sending its results counts as a
+    ConsistencyError at its first item, naming its items. The results come
+    back in item order, so they do not depend on P. Every fork is reaped
+    also when the caller's own share raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     procs = max(1, min(len(items), cpus, limit or cpus))
-    shares, forks = {}, []
+    shares, forks = [None] * procs, []
     try:
         for k in range(1, procs):
             read_end, write_end = os.pipe()
@@ -364,14 +363,9 @@ def _fan_out(fn: Callable, items: list, limit: Optional[int]) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    done, exc = _share(fn, items[k::procs])
-                    trace = None
-                    if exc is not None:
-                        import traceback  # only a failing fork pays for the import
-
-                        trace = "".join(traceback.format_exception(exc))
+                    done = _share(fn, items[k::procs])
                     with open(write_end, "wb") as pipe:
-                        pickle.dump((done, exc, trace), pipe)
+                        pickle.dump(done, pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -384,45 +378,31 @@ def _fan_out(fn: Callable, items: list, limit: Optional[int]) -> list:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             try:
-                done, exc, trace = pickle.loads(data)
+                shares[k] = pickle.loads(data)
             except Exception:  # empty or cut short: the fork died before it sent
                 code = os.waitstatus_to_exitcode(status)
-                done, exc = [], ConsistencyError(
+                shares[k] = ConsistencyError(
                     f"the worker process for items {items[k::procs]} ended without "
                     f"a result (exit status {code})"
                 )
-            else:
-                if exc is not None:
-                    exc.__cause__ = _ForkTraceback(trace)
-            shares[k] = done, exc
-    failures = [
-        (k + len(done) * procs, exc) for k, (done, exc) in shares.items() if exc is not None
-    ]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for k, (done, _) in shares.items():
-        results[k::procs] = done
+    results = []
+    for i, x in enumerate(items):
+        done = shares[i % procs]
+        if isinstance(done, ConsistencyError):
+            raise done
+        results.append(done[i // procs] if i // procs < len(done) else fn(x))
     return results
 
 
-class _ForkTraceback(Exception):
-    """The formatted traceback of an exception raised in a fork of _fan_out."""
-
-    def __str__(self) -> str:
-        return "\n" + self.args[0]
-
-
-def _share(fn: Callable, share: list) -> tuple:
-    """(results, None) for fn over `share` in order, or (the results before
-    the first item that raised, its exception)."""
+def _share(fn: Callable, share: list) -> list:
+    """fn over `share` in order, up to the first item that raises."""
     done = []
     try:
         for x in share:
             done.append(fn(x))
-    except Exception as exc:
-        return done, exc
-    return done, None
+    except Exception:
+        pass  # the caller computes this item again and raises its error
+    return done
 
 
 # --- law command --------------------------------------------------------------

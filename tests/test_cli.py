@@ -22,7 +22,7 @@ import pytest
 
 from haar_digits import cli, lie
 from haar_digits.cli import main
-from haar_digits.errors import DomainError
+from haar_digits.errors import ConsistencyError, DomainError
 from haar_digits.laws import PowerLaw, UniformSignificand
 from haar_digits.rng import RngStream
 from haar_digits.significand import significand_values
@@ -935,9 +935,14 @@ def test_fig1_json_round_trip(capsys):
     assert {r["digit"] for r in payload["rows"]} == set(range(1, 10))
 
 
+def _at_cpus(monkeypatch, cpus):
+    """Make this host look as if it had `cpus` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 def _fig1_at(capsys, monkeypatch, cpus, *argv):
     """fig1 as run on a host with `cpus` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _at_cpus(monkeypatch, cpus)
     return run_cli(capsys, "fig1", *argv)
 
 
@@ -1011,25 +1016,67 @@ def test_fig1_names_the_dimensions_of_a_worker_that_dies(capsys, monkeypatch):
 
 
 def test_fan_out_error_keeps_the_frames_of_the_failing_item(monkeypatch):
-    # At 2 CPUs item 1 fails in a fork: its pickled exception has no frames,
-    # so the fork's formatted traceback comes along as the __cause__. At 1 CPU
-    # the caller raises it with its own frames and no cause.
+    # Whichever process first meets item 1, the caller computes it again and
+    # raises its error with its own frames and no cause.
     def fn(x):
         if x == 1:
             raise ValueError(f"item {x} failed")
         return x
 
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for cpus in (1, 2, 4):
+        _at_cpus(monkeypatch, cpus)
         with pytest.raises(ValueError, match="item 1 failed") as info:
             cli._fan_out(fn, [0, 1, 2], None)
-        if cpus == 1:
-            assert info.value.__cause__ is None
-            assert info.traceback[-1].name == "fn"
-        else:
-            trace = str(info.value.__cause__)
-            assert ", in fn\n" in trace and "ValueError: item 1 failed" in trace
+        assert info.value.__cause__ is None
+        assert info.traceback[-1].name == "fn"
         _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    """An error that pickle cannot rebuild from its args."""
+
+    def __init__(self, item, why):
+        super().__init__(f"item {item}: {why}")
+        self.item = item
+
+
+def test_fan_out_raises_an_error_whatever_its_constructor(monkeypatch):
+    def fn(x):
+        if x == 1:
+            raise _TwoArgError(x, "refused")
+        return x
+
+    _at_cpus(monkeypatch, 2)
+    with pytest.raises(_TwoArgError, match="item 1: refused") as info:
+        cli._fan_out(fn, [0, 1, 2], None)
+    assert info.value.item == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "raising, error, expected",
+    [(0, ValueError, "item 0 failed"), (2, ConsistencyError, r"items \[1, 3\]")],
+)
+def test_fan_out_list_order_decides_between_a_dead_fork_and_an_error(
+    monkeypatch, raising, error, expected
+):
+    # At 2 CPUs the caller computes items 0 and 2 and a fork, which dies,
+    # items 1 and 3: the failure reported is the one at the first item.
+    caller = os.getpid()
+
+    def fn(x):
+        if os.getpid() != caller:
+            os._exit(3)
+        if x == raising:
+            raise ValueError(f"item {x} failed")
+        return x
+
+    _at_cpus(monkeypatch, 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(error, match=expected):
+        cli._fan_out(fn, [0, 1, 2, 3], None)
+    _assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 # --- verify ---------------------------------------------------------------------
